@@ -68,9 +68,10 @@ func buildSweepPipeline(n int, seed uint64, stateDir string, pc *cluster.ProcClu
 	fc := core.Config{NumNodes: n}
 	fc.Closeness.MaxPathHops = 3
 	filter := core.New(fc, g, sets, interest.NewTracker(n), inner)
+	// Cluster workers journal to their own WAL directories.
 	opts := manager.Options{StateDir: stateDir}
 	if pc != nil {
-		opts.Transport = pc.Client()
+		opts = manager.Options{Transport: pc.Client()}
 	}
 	o, err := manager.NewWithOptions(n, sweepShards, filter, opts)
 	return o, rng, err

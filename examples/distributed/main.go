@@ -2,8 +2,8 @@
 // overlay (Section 4.3). Ratings flow concurrently from many client
 // goroutines to sharded manager mailboxes; at the end of each update
 // interval the managers' shards are merged, the SocialTrust-wrapped engine
-// computes the global reputations, and the fresh vector is broadcast back so
-// every manager answers queries locally.
+// computes the global reputations, and the fresh vector is published to
+// answer every query.
 //
 //	go run ./examples/distributed
 package main

@@ -6,13 +6,13 @@
 //
 // Connection failures trigger bounded-backoff reconnection with a full state
 // resync: the client re-sends the Hello handshake, issues a Restart per
-// hosted shard carrying the last broadcast vector and the shard's drain
-// floor (so a freshly respawned worker replays its own WAL tail, with
-// replayed sequences marked recovered for duplicate-ack dedupe), and then
-// replays every still-outstanding request in its original order. Requests
-// issued while the connection is down queue and ride the resync. Only after
-// the reconnect budget lapses do calls fail — surfacing to the overlay as
-// ErrShardDown, exactly like a crashed in-process shard.
+// hosted shard carrying the shard's drain floors (so a freshly respawned
+// worker replays its own WAL tail, with replayed sequences marked recovered
+// for duplicate-ack dedupe), and then replays every still-outstanding
+// request in its original order. Requests issued while the connection is
+// down queue and ride the resync. Only after the reconnect budget lapses do
+// calls fail — surfacing to the overlay as ErrShardDown, exactly like a
+// crashed in-process shard.
 package cluster
 
 import (
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"socialtrust/internal/manager"
+	"socialtrust/internal/obs/span"
 	"socialtrust/internal/rating"
 )
 
@@ -109,9 +110,8 @@ type Client struct {
 	closed     atomic.Bool
 
 	mu            sync.Mutex
-	lastReps      []float64 // most recent broadcast vector (resync Restart payload)
-	floors        []uint64  // per-shard drained high-water marks (resync replay floors)
-	replicaFloors []uint64  // per-shard replica-drain marks (fated-record replay floors)
+	floors        []uint64 // per-shard drained high-water marks (resync replay floors)
+	replicaFloors []uint64 // per-shard replica-drain marks (fated-record replay floors)
 }
 
 // NewClient builds a transport routing numShards shards across the workers at
@@ -132,12 +132,9 @@ func NewClient(addrs []string, numShards int) *Client {
 
 // Start dials every worker and runs the Hello handshake. Part of
 // manager.Transport; called once from NewWithOptions.
-func (cl *Client) Start(numNodes int, replicated bool, reps []float64) error {
+func (cl *Client) Start(numNodes int, replicated bool) error {
 	cl.numNodes = numNodes
 	cl.replicated = replicated
-	cl.mu.Lock()
-	cl.lastReps = append([]float64(nil), reps...)
-	cl.mu.Unlock()
 	for _, c := range cl.conns {
 		nc, err := dialRetry(c.addr, dialRetryBudget)
 		if err != nil {
@@ -277,10 +274,10 @@ func (c *conn) reconnect() {
 
 // resyncLocked runs the connection handshake on a fresh socket and installs
 // it. With restarts set (a reconnect, not the initial dial) it first issues a
-// Restart per hosted shard — last broadcast vector, drain floor, replayed
-// WAL sequences marked recovered — and then replays every outstanding call in
-// its original send order; the worker's WAL-replay dedupe makes the
-// redelivery exactly-once. Callers hold c.mu.
+// Restart per hosted shard — drain floors, replayed WAL sequences marked
+// recovered — and then replays every outstanding call in its original send
+// order; the worker's WAL-replay dedupe makes the redelivery exactly-once.
+// Callers hold c.mu.
 func (c *conn) resyncLocked(nc net.Conn, restarts bool) error {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	bw := bufio.NewWriterSize(nc, 64<<10)
@@ -317,7 +314,6 @@ func (c *conn) resyncLocked(nc net.Conn, restarts bool) error {
 	}
 
 	c.cl.mu.Lock()
-	reps := append([]float64(nil), c.cl.lastReps...)
 	floors := append([]uint64(nil), c.cl.floors...)
 	replicaFloors := append([]uint64(nil), c.cl.replicaFloors...)
 	c.cl.mu.Unlock()
@@ -327,14 +323,13 @@ func (c *conn) resyncLocked(nc net.Conn, restarts bool) error {
 		numNodes:   c.cl.numNodes,
 		replicated: c.cl.replicated,
 		shards:     c.shards,
-		reps:       reps,
 	}
 	if err := rt(opHello, 0, func(b []byte) []byte { return appendHello(b, hello) }); err != nil {
 		return err
 	}
 	if restarts {
 		for _, s := range c.shards {
-			ri := restartInfo{floor: floors[s], replicaFloor: replicaFloors[s], markRecovered: true, reps: reps}
+			ri := restartInfo{floor: floors[s], replicaFloor: replicaFloors[s], markRecovered: true}
 			if err := rt(opRestart, s, func(b []byte) []byte { return appendRestart(b, ri) }); err != nil {
 				return err
 			}
@@ -463,6 +458,8 @@ func await(ca *call, timeout time.Duration) ([]byte, error) {
 // ---- the per-shard endpoint ----
 
 // shardPort implements manager.ShardConn for one shard behind one connection.
+// The trace context the overlay passes is not carried over the wire: worker
+// processes emit no spans.
 type shardPort struct {
 	cl    *Client
 	c     *conn
@@ -490,7 +487,7 @@ func submitWait(ca *call, timeout time.Duration) ([]error, error) {
 	return errs, nil
 }
 
-func (p *shardPort) SubmitPlain(rs []rating.Rating) func() ([]error, error) {
+func (p *shardPort) SubmitPlain(_ span.Context, rs []rating.Rating) func() ([]error, error) {
 	ca, err := p.c.roundTrip(opSubmitPlain, p.shard, func(b []byte) []byte { return appendRatings(b, rs) })
 	if err != nil {
 		return func() ([]error, error) { return nil, err }
@@ -498,7 +495,7 @@ func (p *shardPort) SubmitPlain(rs []rating.Rating) func() ([]error, error) {
 	return func() ([]error, error) { return submitWait(ca, 0) }
 }
 
-func (p *shardPort) SubmitEntries(entries []manager.BatchEntry, timeout time.Duration) func() ([]error, error) {
+func (p *shardPort) SubmitEntries(_ span.Context, entries []manager.BatchEntry, timeout time.Duration) func() ([]error, error) {
 	ca, err := p.c.roundTrip(opSubmitEntries, p.shard, func(b []byte) []byte { return appendEntries(b, entries) })
 	if err != nil {
 		return func() ([]error, error) { return nil, err }
@@ -506,7 +503,7 @@ func (p *shardPort) SubmitEntries(entries []manager.BatchEntry, timeout time.Dur
 	return func() ([]error, error) { return submitWait(ca, timeout) }
 }
 
-func (p *shardPort) Drain(timeout time.Duration) (manager.DrainSnapshots, error) {
+func (p *shardPort) Drain(_ span.Context, timeout time.Duration) (manager.DrainSnapshots, error) {
 	ca, err := p.c.roundTrip(opDrain, p.shard, func(b []byte) []byte { return b })
 	if err != nil {
 		return manager.DrainSnapshots{}, err
@@ -545,26 +542,9 @@ func (p *shardPort) Drain(timeout time.Duration) (manager.DrainSnapshots, error)
 	return ds, nil
 }
 
-func (p *shardPort) UpdateReps(reps []float64, timeout time.Duration) error {
-	p.cl.mu.Lock()
-	p.cl.lastReps = append(p.cl.lastReps[:0], reps...)
-	p.cl.mu.Unlock()
-	ca, err := p.c.roundTrip(opUpdateReps, p.shard, func(b []byte) []byte { return appendFloats(b, reps) })
-	if err != nil {
-		return err
-	}
-	return statusWait(ca, timeout)
-}
+func (p *shardPort) Crash() error { return p.status(opCrash, nil) }
 
-func (p *shardPort) Crash() error {
-	ca, err := p.c.roundTrip(opCrash, p.shard, func(b []byte) []byte { return b })
-	if err != nil {
-		return err
-	}
-	return statusWait(ca, 0)
-}
-
-func (p *shardPort) Restart(reps []float64, floor, replicaFloor uint64, markRecovered bool) error {
+func (p *shardPort) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 	// The coordinator's floors can run ahead of the client's: a replica
 	// substitution advances the substituted shard's drained mark without any
 	// drain reply ever passing through this shard's port. Every explicit
@@ -579,45 +559,31 @@ func (p *shardPort) Restart(reps []float64, floor, replicaFloor uint64, markReco
 		p.cl.replicaFloors[p.shard] = replicaFloor
 	}
 	p.cl.mu.Unlock()
-	ri := restartInfo{floor: floor, replicaFloor: replicaFloor, markRecovered: markRecovered, reps: reps}
-	ca, err := p.c.roundTrip(opRestart, p.shard, func(b []byte) []byte { return appendRestart(b, ri) })
-	if err != nil {
-		return err
-	}
-	return statusWait(ca, 0)
+	ri := restartInfo{floor: floor, replicaFloor: replicaFloor, markRecovered: markRecovered}
+	return p.status(opRestart, func(b []byte) []byte { return appendRestart(b, ri) })
 }
 
 func (p *shardPort) Mark(interval uint64) error {
-	ca, err := p.c.roundTrip(opMark, p.shard, func(b []byte) []byte {
-		return appendU64(b, interval)
-	})
-	if err != nil {
-		return err
-	}
-	return statusWait(ca, 0)
+	return p.status(opMark, func(b []byte) []byte { return appendU64(b, interval) })
 }
 
 func (p *shardPort) CompactWAL(coveredSeq uint64) error {
-	ca, err := p.c.roundTrip(opCompactWAL, p.shard, func(b []byte) []byte {
-		return appendU64(b, coveredSeq)
-	})
+	return p.status(opCompactWAL, func(b []byte) []byte { return appendU64(b, coveredSeq) })
+}
+
+func (p *shardPort) ResetWAL() error { return p.status(opResetWAL, nil) }
+
+// status runs one operation whose reply carries only a status, with no
+// deadline. A nil body sends an empty one.
+func (p *shardPort) status(op byte, body func([]byte) []byte) error {
+	if body == nil {
+		body = func(b []byte) []byte { return b }
+	}
+	ca, err := p.c.roundTrip(op, p.shard, body)
 	if err != nil {
 		return err
 	}
-	return statusWait(ca, 0)
-}
-
-func (p *shardPort) ResetWAL() error {
-	ca, err := p.c.roundTrip(opResetWAL, p.shard, func(b []byte) []byte { return b })
-	if err != nil {
-		return err
-	}
-	return statusWait(ca, 0)
-}
-
-// statusWait awaits a reply that carries only a status.
-func statusWait(ca *call, timeout time.Duration) error {
-	payload, err := await(ca, timeout)
+	payload, err := await(ca, 0)
 	if err != nil {
 		return err
 	}

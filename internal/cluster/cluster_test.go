@@ -14,6 +14,7 @@ import (
 
 	"socialtrust/internal/manager"
 	"socialtrust/internal/obs"
+	"socialtrust/internal/obs/span"
 	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 )
@@ -40,9 +41,9 @@ func spawnTest(t *testing.T, opts SpawnOptions) *ProcCluster {
 	return pc
 }
 
-func mustStart(t *testing.T, cl *Client, numNodes int, replicated bool, reps []float64) {
+func mustStart(t *testing.T, cl *Client, numNodes int, replicated bool) {
 	t.Helper()
-	if err := cl.Start(numNodes, replicated, reps); err != nil {
+	if err := cl.Start(numNodes, replicated); err != nil {
 		t.Fatalf("client Start: %v", err)
 	}
 }
@@ -67,16 +68,12 @@ func sortBySeq(rs []rating.Rating) {
 }
 
 // TestClusterEndToEnd drives the full transport surface against real worker
-// processes: handshake, pipelined plain submits, drain snapshots, reputation
-// broadcast, WAL marks and compaction.
+// processes: handshake, pipelined plain submits, drain snapshots, WAL marks
+// and compaction.
 func TestClusterEndToEnd(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 2, Shards: 4, StateDir: t.TempDir(), NoRespawn: true})
 	cl := pc.Client()
-	reps := make([]float64, 16)
-	for i := range reps {
-		reps[i] = 1.0 / 16
-	}
-	mustStart(t, cl, 16, false, reps)
+	mustStart(t, cl, 16, false)
 
 	// Pipelined submission: send to every shard first, collect second — the
 	// overlap the overlay's submitBatchDirect relies on.
@@ -88,7 +85,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			rs := mkRatings(10, s*100+b, seq+1)
 			seq += uint64(len(rs))
 			want[s] = append(want[s], rs...)
-			waits = append(waits, cl.Shard(s).SubmitPlain(rs))
+			waits = append(waits, cl.Shard(s).SubmitPlain(span.Context{}, rs))
 		}
 	}
 	for i, wait := range waits {
@@ -104,7 +101,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	for s := 0; s < 4; s++ {
-		ds, err := cl.Shard(s).Drain(0)
+		ds, err := cl.Shard(s).Drain(span.Context{}, 0)
 		if err != nil {
 			t.Fatalf("drain shard %d: %v", s, err)
 		}
@@ -144,9 +141,6 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Lifecycle ops answer OK end to end.
 	for s := 0; s < 4; s++ {
 		sc := cl.Shard(s)
-		if err := sc.UpdateReps(reps, time.Second); err != nil {
-			t.Fatalf("UpdateReps shard %d: %v", s, err)
-		}
 		if err := sc.Mark(1); err != nil {
 			t.Fatalf("Mark shard %d: %v", s, err)
 		}
@@ -156,7 +150,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// An empty interval drains to an empty snapshot.
-	ds, err := cl.Shard(0).Drain(time.Second)
+	ds, err := cl.Shard(0).Drain(span.Context{}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +164,7 @@ func TestClusterEndToEnd(t *testing.T) {
 func TestClusterFateBits(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, NoRespawn: true})
 	cl := pc.Client()
-	mustStart(t, cl, 16, true, make([]float64, 16))
+	mustStart(t, cl, 16, true)
 
 	sc := cl.Shard(0)
 	primary := mkRatings(4, 0, 1)
@@ -186,7 +180,7 @@ func TestClusterFateBits(t *testing.T) {
 	for _, r := range deferred {
 		entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
 	}
-	errs, err := sc.SubmitEntries(entries, time.Second)()
+	errs, err := sc.SubmitEntries(span.Context{}, entries, time.Second)()
 	if err != nil {
 		t.Fatalf("SubmitEntries: %v", err)
 	}
@@ -195,7 +189,7 @@ func TestClusterFateBits(t *testing.T) {
 			t.Fatalf("entry %d: %v", i, e)
 		}
 	}
-	ds, err := sc.Drain(time.Second)
+	ds, err := sc.Drain(span.Context{}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,21 +209,21 @@ func TestClusterFateBits(t *testing.T) {
 func TestClusterRejectsOutOfRange(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, NoRespawn: true})
 	cl := pc.Client()
-	mustStart(t, cl, 8, false, make([]float64, 8))
+	mustStart(t, cl, 8, false)
 
 	rs := []rating.Rating{
 		{Rater: 1, Ratee: 2, Value: 1, Seq: 1},
 		{Rater: 99, Ratee: 2, Value: 1, Seq: 2}, // out of range
 		{Rater: 3, Ratee: 4, Value: 1, Seq: 3},
 	}
-	errs, err := cl.Shard(0).SubmitPlain(rs)()
+	errs, err := cl.Shard(0).SubmitPlain(span.Context{}, rs)()
 	if err != nil {
 		t.Fatalf("SubmitPlain: %v", err)
 	}
 	if len(errs) != 3 || errs[0] != nil || errs[1] == nil || errs[2] != nil {
 		t.Fatalf("per-entry errors %v, want only index 1 failed", errs)
 	}
-	ds, err := cl.Shard(0).Drain(time.Second)
+	ds, err := cl.Shard(0).Drain(span.Context{}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +244,7 @@ func TestWorkerGracefulDrainSIGTERM(t *testing.T) {
 		HealthBase: hb, NoRespawn: true, Linger: 1500 * time.Millisecond,
 	})
 	cl := pc.Client()
-	mustStart(t, cl, 16, false, make([]float64, 16))
+	mustStart(t, cl, 16, false)
 
 	// A background submitter keeps batches in flight so the SIGTERM lands
 	// mid-stream; ackedSeq tracks the durability obligation.
@@ -262,7 +256,7 @@ func TestWorkerGracefulDrainSIGTERM(t *testing.T) {
 		for round := 0; ; round++ {
 			rs := mkRatings(8, round, seq+1)
 			seq += uint64(len(rs))
-			errs, err := cl.Shard(round % 2).SubmitPlain(rs)()
+			errs, err := cl.Shard(round%2).SubmitPlain(span.Context{}, rs)()
 			if err != nil {
 				return // connection died: the drain cut us off
 			}
@@ -359,7 +353,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 	stateDir := t.TempDir()
 	pc := spawnTest(t, SpawnOptions{Workers: 2, Shards: 2, StateDir: stateDir})
 	cl := pc.Client()
-	mustStart(t, cl, 16, false, make([]float64, 16))
+	mustStart(t, cl, 16, false)
 
 	want := make(map[int][]rating.Rating)
 	var seq uint64
@@ -367,7 +361,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 		t.Helper()
 		rs := mkRatings(n, shard*10, seq+1)
 		seq += uint64(n)
-		errs, err := cl.Shard(shard).SubmitPlain(rs)()
+		errs, err := cl.Shard(shard).SubmitPlain(span.Context{}, rs)()
 		if err != nil {
 			t.Fatalf("submit shard %d: %v", shard, err)
 		}
@@ -401,7 +395,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 	submit(1, 5)
 
 	for shard := 0; shard < 2; shard++ {
-		ds, err := cl.Shard(shard).Drain(0)
+		ds, err := cl.Shard(shard).Drain(span.Context{}, 0)
 		if err != nil {
 			t.Fatalf("drain shard %d after recovery: %v", shard, err)
 		}
@@ -439,8 +433,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 func TestRestartFatedBarrier(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, StateDir: t.TempDir(), NoRespawn: true})
 	cl := pc.Client()
-	reps := make([]float64, 16)
-	mustStart(t, cl, 16, true, reps)
+	mustStart(t, cl, 16, true)
 	sc := cl.Shard(0)
 
 	submitFated := func(replica, deferred []rating.Rating) {
@@ -452,7 +445,7 @@ func TestRestartFatedBarrier(t *testing.T) {
 		for _, r := range deferred {
 			entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
 		}
-		errs, err := sc.SubmitEntries(entries, time.Second)()
+		errs, err := sc.SubmitEntries(span.Context{}, entries, time.Second)()
 		if err != nil {
 			t.Fatalf("SubmitEntries: %v", err)
 		}
@@ -464,7 +457,7 @@ func TestRestartFatedBarrier(t *testing.T) {
 	}
 
 	primary1 := mkRatings(4, 0, 1)
-	if _, err := sc.SubmitPlain(primary1)(); err != nil {
+	if _, err := sc.SubmitPlain(span.Context{}, primary1)(); err != nil {
 		t.Fatal(err)
 	}
 	submitFated(mkRatings(3, 20, 101), mkRatings(2, 40, 201))
@@ -474,10 +467,10 @@ func TestRestartFatedBarrier(t *testing.T) {
 	if err := sc.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Restart(reps, 0, 0, false); err != nil {
+	if err := sc.Restart(0, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := sc.Drain(time.Second)
+	ds, err := sc.Drain(span.Context{}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,10 +489,10 @@ func TestRestartFatedBarrier(t *testing.T) {
 	if err := sc.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Restart(reps, ds.Primary.MaxSeq, 0, true); err != nil {
+	if err := sc.Restart(ds.Primary.MaxSeq, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	ds, err = sc.Drain(time.Second)
+	ds, err = sc.Drain(span.Context{}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,24 +515,24 @@ func TestRestartFatedBarrier(t *testing.T) {
 func TestClusterCrashRestart(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, StateDir: t.TempDir(), NoRespawn: true})
 	cl := pc.Client()
-	mustStart(t, cl, 16, false, make([]float64, 16))
+	mustStart(t, cl, 16, false)
 	sc := cl.Shard(0)
 
 	rs := mkRatings(10, 0, 1)
-	if _, err := sc.SubmitPlain(rs)(); err != nil {
+	if _, err := sc.SubmitPlain(span.Context{}, rs)(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.Crash(); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
 	// A crashed shard refuses work until restarted.
-	if _, err := sc.SubmitPlain(mkRatings(1, 0, 100))(); err == nil {
+	if _, err := sc.SubmitPlain(span.Context{}, mkRatings(1, 0, 100))(); err == nil {
 		t.Fatal("submit to a crashed shard succeeded")
 	}
-	if err := sc.Restart(make([]float64, 16), 0, 0, false); err != nil {
+	if err := sc.Restart(0, 0, false); err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	ds, err := sc.Drain(time.Second)
+	ds, err := sc.Drain(span.Context{}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

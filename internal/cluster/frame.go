@@ -1,7 +1,7 @@
 // Package cluster moves manager shards out of process: worker daemons host
-// shard ledgers (and their WALs) behind a socket, and a pipelined client
-// implements manager.Transport so the overlay drives them through the same
-// batch protocol it uses for in-process mailboxes.
+// manager.Shard state machines (and their WALs) behind a socket, and a
+// pipelined client implements manager.Transport, so the overlay drives them
+// through the same ShardConn operations as its in-process shards.
 //
 // # Wire format
 //

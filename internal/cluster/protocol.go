@@ -1,4 +1,4 @@
-// The cluster message protocol: the wire mirror of the manager mailbox.
+// The cluster message protocol: the wire form of manager.ShardConn.
 // Requests carry an op, a request ID (the pipelining key), a shard index and
 // an op-specific body; replies echo op|replyFlag and the request ID, lead
 // with a status byte, and carry the op-specific result. All integers are
@@ -18,18 +18,19 @@ import (
 )
 
 // protoVersion is the wire protocol version carried in Hello.
-const protoVersion = 1
+const protoVersion = 2
 
-// Operation codes. A reply's op is the request's op with replyFlag set.
+// Operation codes, one per manager.ShardConn operation plus the Hello
+// handshake. A reply's op is the request's op with replyFlag set. Codes 4
+// and 6 are retired: version 1 used them for the query and broadcast
+// operations.
 const (
-	opHello         byte = 1  // connection setup: geometry, hosted shards, initial reps
-	opSubmitPlain   byte = 2  // direct-mode sub-batch (msgSubmitBatch, plain payload)
-	opSubmitEntries byte = 3  // fault-mode sub-batch with fate bits (msgSubmitBatch, batch payload)
-	opQuery         byte = 4  // reputation query (msgQuery)
-	opDrain         byte = 5  // interval drain (msgDrain / end-interval)
-	opUpdateReps    byte = 6  // broadcast vector install (msgUpdateReps)
+	opHello         byte = 1  // connection setup: geometry, hosted shards
+	opSubmitPlain   byte = 2  // plain sub-batch (Shard.AddPlain)
+	opSubmitEntries byte = 3  // fault-mode sub-batch with fate bits (Shard.AddEntries)
+	opDrain         byte = 5  // interval drain (Shard.Drain)
 	opCrash         byte = 7  // kill the shard incarnation (ledgers die, WAL survives)
-	opRestart       byte = 8  // fresh incarnation: reps + WAL replay floor
+	opRestart       byte = 8  // fresh incarnation: WAL replay floors
 	opMark          byte = 9  // interval mark on the shard WAL
 	opCompactWAL    byte = 10 // rotate the shard WAL if covered by the drained mark
 	opResetWAL      byte = 11 // discard the shard WAL contents
@@ -91,14 +92,6 @@ func appendEntries(b []byte, es []manager.BatchEntry) []byte {
 			flags |= entryDeferred
 		}
 		b = append(b, flags)
-	}
-	return b
-}
-
-func appendFloats(b []byte, vs []float64) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
 }
@@ -254,18 +247,6 @@ func (w *wire) entries() []manager.BatchEntry {
 	return es
 }
 
-func (w *wire) floats() []float64 {
-	n := w.count(8)
-	if w.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = w.f64()
-	}
-	return vs
-}
-
 func (w *wire) bool() bool { return w.u8() != 0 }
 
 // snapshot decodes an interval snapshot, recomputing the per-pair frequency
@@ -329,7 +310,6 @@ type helloInfo struct {
 	numNodes   int
 	replicated bool
 	shards     []uint32
-	reps       []float64
 }
 
 func appendHello(b []byte, h helloInfo) []byte {
@@ -340,7 +320,7 @@ func appendHello(b []byte, h helloInfo) []byte {
 	for _, s := range h.shards {
 		b = binary.LittleEndian.AppendUint32(b, s)
 	}
-	return appendFloats(b, h.reps)
+	return b
 }
 
 func parseHello(body []byte) (helloInfo, error) {
@@ -355,7 +335,6 @@ func parseHello(body []byte) (helloInfo, error) {
 			h.shards[i] = w.u32()
 		}
 	}
-	h.reps = w.floats()
 	return h, w.done()
 }
 
@@ -368,20 +347,17 @@ type restartInfo struct {
 	floor         uint64
 	replicaFloor  uint64
 	markRecovered bool
-	reps          []float64
 }
 
 func appendRestart(b []byte, ri restartInfo) []byte {
 	b = binary.LittleEndian.AppendUint64(b, ri.floor)
 	b = binary.LittleEndian.AppendUint64(b, ri.replicaFloor)
-	b = appendBool(b, ri.markRecovered)
-	return appendFloats(b, ri.reps)
+	return appendBool(b, ri.markRecovered)
 }
 
-func parseRestart(body []byte) (restartInfo, error) {
-	w := &wire{b: body}
-	ri := restartInfo{floor: w.u64(), replicaFloor: w.u64(), markRecovered: w.bool(), reps: w.floats()}
-	return ri, w.done()
+// parseRestart reads an opRestart body; the caller checks w.done().
+func parseRestart(w *wire) restartInfo {
+	return restartInfo{floor: w.u64(), replicaFloor: w.u64(), markRecovered: w.bool()}
 }
 
 // ---- submit replies ----
@@ -480,9 +456,6 @@ func ParsePayload(payload []byte) error {
 		case opSubmitPlain, opSubmitEntries:
 			parseSubmitReply(w)
 			return w.done()
-		case opQuery:
-			w.f64()
-			return w.done()
 		case opDrain:
 			w.snapshot()
 			if w.bool() {
@@ -503,15 +476,9 @@ func ParsePayload(payload []byte) error {
 	case opSubmitEntries:
 		w.entries()
 		return w.done()
-	case opQuery:
-		w.u32()
-		return w.done()
-	case opUpdateReps:
-		w.floats()
-		return w.done()
 	case opRestart:
-		_, err := parseRestart(body)
-		return err
+		parseRestart(w)
+		return w.done()
 	case opMark, opCompactWAL:
 		w.u64()
 		return w.done()

@@ -199,18 +199,6 @@ func readVmHWM(pid int) (int64, bool) {
 // manager.Options.Transport.
 func (pc *ProcCluster) Client() *Client { return pc.client }
 
-// HealthAddrs returns the workers' ops endpoints ("" entries when health
-// serving is disabled).
-func (pc *ProcCluster) HealthAddrs() []string {
-	addrs := make([]string, len(pc.procs))
-	if pc.opts.HealthBase != 0 {
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("127.0.0.1:%d", pc.opts.HealthBase+i)
-		}
-	}
-	return addrs
-}
-
 // Kill sends sig to worker i's current incarnation — the fault injection
 // hook (SIGKILL for crash tests, SIGTERM for drain tests).
 func (pc *ProcCluster) Kill(i int, sig syscall.Signal) error {

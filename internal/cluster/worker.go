@@ -1,15 +1,13 @@
 // The cluster worker: one process hosting one or more manager shards behind
-// a socket. Each hosted shard is the out-of-process analogue of a manager
-// incarnation — a ledger (plus replica mirror and deferred lists in
-// fault-tolerant mode), a reputation vector copy, and a per-shard serial
-// dispatch loop standing in for the mailbox goroutine, so operations on one
-// shard apply in arrival order while distinct shards proceed in parallel.
+// a socket. Each hosted shard is a manager.Shard — the same state machine the
+// in-process overlay runs — behind a per-shard serial dispatch loop standing
+// in for the mailbox goroutine, so operations on one shard apply in arrival
+// order while distinct shards proceed in parallel.
 //
 // The worker owns its shards' WALs (Config.StateDir): submissions are
-// journaled before they are acknowledged, exactly as the in-process durable
-// overlay does, so a SIGKILLed worker recovers its acknowledged tail from its
-// own files when the coordinator's client reconnects and replays the
-// restart handshake.
+// journaled before they are acknowledged, so a SIGKILLed worker recovers its
+// acknowledged tail from its own files when the coordinator's client
+// reconnects and replays the restart handshake.
 //
 // SIGTERM drains cleanly: the listener closes, readers stop at the current
 // frame boundary, every request already received is executed and answered,
@@ -18,14 +16,11 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,7 +31,6 @@ import (
 	"socialtrust/internal/obs"
 	"socialtrust/internal/obs/health"
 	"socialtrust/internal/persist"
-	"socialtrust/internal/rating"
 )
 
 // Config configures one worker daemon.
@@ -60,34 +54,10 @@ type Config struct {
 	Linger time.Duration
 }
 
-// workerShard is one hosted shard: the remote incarnation's state.
-type workerShard struct {
-	id    uint32
+// hostedShard is one shard this worker hosts, with its dispatch queue.
+type hostedShard struct {
+	sh    *manager.Shard
 	queue chan *wreq
-
-	down            bool // crashed incarnation: fresh state arrives with opRestart
-	ledger          *rating.Ledger
-	replica         *rating.Ledger
-	deferred        []rating.Rating
-	deferredReplica []rating.Rating
-	reps            []float64
-	wal             *persist.WAL
-	// recDeferred / recDeferredReplica hold sequence numbers of deferred
-	// entries restored from a WAL replay, with multiplicity — the deferred
-	// queues' twin of rating.Ledger.MarkRecovered. A resubmitted entry whose
-	// Seq is pending here is acknowledged without being queued again.
-	recDeferred        map[uint64]int
-	recDeferredReplica map[uint64]int
-	// drainCovers records, per completed local drain, the primary and replica
-	// snapshot high-water marks. A CompactWAL floor at or above a cover's
-	// primary mark proves the coordinator received that drain, so fated
-	// records up to its replica mark are safe to rotate away.
-	drainCovers []drainCover
-}
-
-// drainCover is one completed drain's coverage marks.
-type drainCover struct {
-	primaryMax, replicaMax uint64
 }
 
 // wreq is one queued shard operation.
@@ -135,7 +105,7 @@ type Worker struct {
 	cfg Config
 
 	mu         sync.Mutex
-	shards     map[uint32]*workerShard
+	shards     map[uint32]*hostedShard
 	numNodes   int
 	replicated bool
 
@@ -152,7 +122,7 @@ type Worker struct {
 func NewWorker(cfg Config) *Worker {
 	return &Worker{
 		cfg:     cfg,
-		shards:  make(map[uint32]*workerShard),
+		shards:  make(map[uint32]*hostedShard),
 		closed:  make(chan struct{}),
 		drained: make(chan struct{}),
 	}
@@ -237,10 +207,7 @@ func (w *Worker) Run() error {
 	w.shardWG.Wait()
 	w.mu.Lock()
 	for _, st := range w.shards {
-		if st.wal != nil {
-			_ = st.wal.Sync()
-			_ = st.wal.Close()
-		}
+		_ = st.sh.Close()
 	}
 	w.mu.Unlock()
 	if w.cfg.Linger > 0 {
@@ -358,8 +325,7 @@ func replyOK(wc *wconn, h msgHeader) {
 
 // handleHello installs the overlay geometry and creates (or revisits, on a
 // reconnect handshake) the hosted shards. Each new shard opens its WAL —
-// torn tails are truncated on open, exactly as the in-process durable
-// overlay does — and starts its serial dispatch loop.
+// torn tails are truncated on open — and starts its serial dispatch loop.
 func (w *Worker) handleHello(wc *wconn, h msgHeader, body []byte) {
 	info, err := parseHello(body)
 	if err != nil {
@@ -387,32 +353,12 @@ func (w *Worker) handleHello(wc *wconn, h msgHeader, body []byte) {
 		if _, ok := w.shards[id]; ok {
 			continue // reconnect: the shard and its state survive
 		}
-		st := &workerShard{
-			id:     id,
-			queue:  make(chan *wreq, 1024),
-			ledger: rating.NewLedger(w.numNodes),
-			reps:   append([]float64(nil), info.reps...),
+		sh, err := manager.OpenShard(int(id), w.numNodes, w.replicated, w.cfg.StateDir, w.cfg.Persist)
+		if err != nil {
+			replyError(wc, h, err.Error())
+			return
 		}
-		if w.replicated {
-			st.replica = rating.NewLedger(w.numNodes)
-		}
-		if w.cfg.StateDir != "" {
-			if err := os.MkdirAll(w.cfg.StateDir, 0o755); err != nil {
-				replyError(wc, h, err.Error())
-				return
-			}
-			path := filepath.Join(w.cfg.StateDir, fmt.Sprintf("shard-%d.wal", id))
-			wal, _, err := persist.Open(path, w.cfg.Persist)
-			if err != nil {
-				replyError(wc, h, err.Error())
-				return
-			}
-			st.wal = wal
-			st.ledger.SetJournal(walJournal{wal})
-			if st.replica != nil {
-				st.replica.SetJournal(fatedJournal{wal, persist.FateReplica})
-			}
-		}
+		st := &hostedShard{sh: sh, queue: make(chan *wreq, 1024)}
 		w.shards[id] = st
 		w.shardWG.Add(1)
 		go w.shardLoop(st)
@@ -420,57 +366,10 @@ func (w *Worker) handleHello(wc *wconn, h msgHeader, body []byte) {
 	replyOK(wc, h)
 }
 
-// walJournal adapts a persist.WAL to the ledger's write-ahead hook (the
-// worker-side twin of the manager's adapter).
-type walJournal struct{ w *persist.WAL }
-
-func (j walJournal) Append(rs []rating.Rating) error {
-	recs := make([]persist.Record, len(rs))
-	for i, r := range rs {
-		recs[i] = persist.Record{
-			Kind:     persist.KindRating,
-			Seq:      r.Seq,
-			Rater:    int32(r.Rater),
-			Ratee:    int32(r.Ratee),
-			Cycle:    int32(r.Cycle),
-			Category: int32(r.Category),
-			Value:    r.Value,
-		}
-	}
-	return j.w.Append(recs)
-}
-
-// fatedJournal journals ratings as KindFatedRating records carrying the given
-// fate flags. The replica mirror's write-ahead hook uses it (FateReplica), and
-// addEntries uses it directly for deferred queues: unlike the in-process
-// overlay, a worker cannot rely on whole-interval re-execution to rebuild
-// those substrates after a kill, so everything acknowledged must be journaled.
-type fatedJournal struct {
-	w     *persist.WAL
-	flags byte
-}
-
-func (j fatedJournal) Append(rs []rating.Rating) error {
-	recs := make([]persist.Record, len(rs))
-	for i, r := range rs {
-		recs[i] = persist.Record{
-			Kind:     persist.KindFatedRating,
-			Flags:    j.flags,
-			Seq:      r.Seq,
-			Rater:    int32(r.Rater),
-			Ratee:    int32(r.Ratee),
-			Cycle:    int32(r.Cycle),
-			Category: int32(r.Category),
-			Value:    r.Value,
-		}
-	}
-	return j.w.Append(recs)
-}
-
 // shardLoop applies one shard's operations serially in arrival order — the
 // worker-side mailbox. It exits once the drain gate opens and the queue is
 // empty.
-func (w *Worker) shardLoop(st *workerShard) {
+func (w *Worker) shardLoop(st *hostedShard) {
 	defer w.shardWG.Done()
 	for {
 		select {
@@ -489,451 +388,98 @@ func (w *Worker) shardLoop(st *workerShard) {
 	}
 }
 
-func (w *Worker) oob(r rating.Rating) bool {
-	return r.Rater < 0 || r.Rater >= w.numNodes || r.Ratee < 0 || r.Ratee >= w.numNodes
-}
-
-func (w *Worker) handleShardOp(st *workerShard, rq *wreq) {
+// handleShardOp decodes one request, applies it to the shard, and answers.
+// A decode failure or a shard error (a crashed shard refusing work) goes back
+// as an error reply.
+func (w *Worker) handleShardOp(st *hostedShard, rq *wreq) {
 	h := rq.h
 	sp := mDecodeLat.Start()
 	wr := &wire{b: rq.body}
+	// decoded ends the decode span and reports whether the body parsed
+	// cleanly, answering with the decode error when it did not.
+	decoded := func() bool {
+		err := wr.done()
+		sp.End()
+		if err != nil {
+			replyError(rq.wc, h, err.Error())
+		}
+		return err == nil
+	}
+	var result func(b []byte) []byte // op-specific reply body after the status
+	var err error
 	switch h.op {
 	case opSubmitPlain:
 		rs := wr.ratings()
-		err := wr.done()
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
+		if !decoded() {
 			return
 		}
-		if st.down {
-			replyError(rq.wc, h, "shard is down")
-			return
-		}
-		errs := w.addPlain(st, rs)
-		rq.wc.reply(func(b []byte) []byte {
-			b = appendReplyHeader(b, h.op, h.id, h.shard, statusOK)
-			return appendSubmitReply(b, len(rs), errs)
-		})
+		var errs []error
+		errs, err = st.sh.AddPlain(rs)
+		result = func(b []byte) []byte { return appendSubmitReply(b, len(rs), errs) }
 	case opSubmitEntries:
 		es := wr.entries()
-		err := wr.done()
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
+		if !decoded() {
 			return
 		}
-		if st.down {
-			replyError(rq.wc, h, "shard is down")
-			return
-		}
-		errs := w.addEntries(st, es)
-		rq.wc.reply(func(b []byte) []byte {
-			b = appendReplyHeader(b, h.op, h.id, h.shard, statusOK)
-			return appendSubmitReply(b, len(es), errs)
-		})
-	case opQuery:
-		node := int(int32(wr.u32()))
-		err := wr.done()
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
-			return
-		}
-		var v float64
-		if !st.down && node >= 0 && node < len(st.reps) {
-			v = st.reps[node]
-		}
-		rq.wc.reply(func(b []byte) []byte {
-			b = appendReplyHeader(b, h.op, h.id, h.shard, statusOK)
-			return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		})
+		var errs []error
+		errs, err = st.sh.AddEntries(es)
+		result = func(b []byte) []byte { return appendSubmitReply(b, len(es), errs) }
 	case opDrain:
-		err := wr.done()
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
+		if !decoded() {
 			return
 		}
-		if st.down {
-			replyError(rq.wc, h, "shard is down")
-			return
-		}
-		primary, replica, hasReplica := w.drainShard(st)
-		rq.wc.reply(func(b []byte) []byte {
-			b = appendReplyHeader(b, h.op, h.id, h.shard, statusOK)
-			b = appendSnapshot(b, primary)
-			b = appendBool(b, hasReplica)
-			if hasReplica {
-				b = appendSnapshot(b, replica)
+		var ds manager.DrainSnapshots
+		ds, err = st.sh.Drain()
+		result = func(b []byte) []byte {
+			b = appendSnapshot(b, ds.Primary)
+			b = appendBool(b, ds.HasReplica)
+			if ds.HasReplica {
+				b = appendSnapshot(b, ds.Replica)
 			}
 			return b
-		})
-	case opUpdateReps:
-		reps := wr.floats()
-		err := wr.done()
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
-			return
 		}
-		st.reps = reps
-		replyOK(rq.wc, h)
 	case opCrash:
-		sp.End()
-		// The incarnation dies: its interval ledgers are discarded. The WAL
-		// stays open — it is the durability mechanism, and the restart
-		// replays its recoverable tail.
-		st.down = true
-		st.ledger = nil
-		st.replica = nil
-		st.deferred = nil
-		st.deferredReplica = nil
-		st.recDeferred = nil
-		st.recDeferredReplica = nil
-		replyOK(rq.wc, h)
+		if !decoded() {
+			return
+		}
+		st.sh.Crash()
 	case opRestart:
-		ri, err := parseRestart(rq.body)
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
+		ri := parseRestart(wr)
+		if !decoded() {
 			return
 		}
-		if err := w.restartShard(st, ri); err != nil {
-			replyError(rq.wc, h, err.Error())
-			return
-		}
-		replyOK(rq.wc, h)
+		err = st.sh.Restart(ri.floor, ri.replicaFloor, ri.markRecovered)
 	case opMark:
 		interval := wr.u64()
-		err := wr.done()
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
+		if !decoded() {
 			return
 		}
-		if st.wal != nil {
-			if err := st.wal.AppendMark(interval); err != nil {
-				replyError(rq.wc, h, err.Error())
-				return
-			}
-		}
-		replyOK(rq.wc, h)
+		err = st.sh.Mark(interval)
 	case opCompactWAL:
 		floor := wr.u64()
-		err := wr.done()
-		sp.End()
-		if err != nil {
-			replyError(rq.wc, h, err.Error())
+		if !decoded() {
 			return
 		}
-		if st.wal != nil && st.wal.MaxSeq() <= floor && fatedCovered(st, floor) {
-			if err := st.wal.Rotate(); err != nil {
-				replyError(rq.wc, h, err.Error())
-				return
-			}
-			st.drainCovers = nil
-		}
-		replyOK(rq.wc, h)
+		err = st.sh.CompactWAL(floor)
 	case opResetWAL:
-		sp.End()
-		if st.wal != nil {
-			if err := st.wal.Rotate(); err != nil {
-				replyError(rq.wc, h, err.Error())
-				return
-			}
+		if !decoded() {
+			return
 		}
-		replyOK(rq.wc, h)
+		err = st.sh.ResetWAL()
 	default:
 		sp.End()
 		replyError(rq.wc, h, fmt.Sprintf("unknown op %d", h.op))
+		return
 	}
-}
-
-// addPlain applies a direct-mode sub-batch. Node ranges are validated before
-// the ledger sees them — the ledger panics on out-of-range IDs, and a
-// malformed peer must never panic a worker — with invalid entries failed
-// individually, exactly as coordinator-side validation would have.
-func (w *Worker) addPlain(st *workerShard, rs []rating.Rating) []error {
-	var errs []error
-	valid := rs
-	var idx []int
-	for i := range rs {
-		if w.oob(rs[i]) {
-			if errs == nil {
-				errs = make([]error, len(rs))
-				valid = make([]rating.Rating, 0, len(rs))
-				idx = make([]int, 0, len(rs))
-				valid = append(valid, rs[:i]...)
-				for j := 0; j < i; j++ {
-					idx = append(idx, j)
-				}
-			}
-			errs[i] = fmt.Errorf("cluster: node out of range in %+v (numNodes=%d)", rs[i], w.numNodes)
-			continue
+	if err != nil {
+		replyError(rq.wc, h, err.Error())
+		return
+	}
+	rq.wc.reply(func(b []byte) []byte {
+		b = appendReplyHeader(b, h.op, h.id, h.shard, statusOK)
+		if result != nil {
+			b = result(b)
 		}
-		if errs != nil {
-			valid = append(valid, rs[i])
-			idx = append(idx, i)
-		}
-	}
-	res := st.ledger.AddBatch(valid)
-	if res == nil {
-		return errs
-	}
-	if errs == nil {
-		return res
-	}
-	for x, e := range res {
-		if e != nil {
-			errs[idx[x]] = e
-		}
-	}
-	return errs
-}
-
-// addEntries applies a fault-mode sub-batch, honoring each entry's
-// replica/deferred fate bits — the twin of the mailbox handleSubmitBatch.
-func (w *Worker) addEntries(st *workerShard, es []manager.BatchEntry) []error {
-	var errs []error
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, len(es))
-		}
-		errs[i] = err
-	}
-	for i, e := range es {
-		if w.oob(e.R) {
-			fail(i, fmt.Errorf("cluster: node out of range in %+v (numNodes=%d)", e.R, w.numNodes))
-			continue
-		}
-		switch {
-		case e.Deferred && e.Replica:
-			if consumeRecovered(st.recDeferredReplica, e.R.Seq) {
-				continue // restored from the WAL; acknowledge without requeueing
-			}
-			if st.wal != nil {
-				if err := (fatedJournal{st.wal, persist.FateDeferred | persist.FateReplica}).Append([]rating.Rating{e.R}); err != nil {
-					fail(i, err)
-					continue
-				}
-			}
-			st.deferredReplica = append(st.deferredReplica, e.R)
-		case e.Deferred:
-			if consumeRecovered(st.recDeferred, e.R.Seq) {
-				continue
-			}
-			if st.wal != nil {
-				if err := (fatedJournal{st.wal, persist.FateDeferred}).Append([]rating.Rating{e.R}); err != nil {
-					fail(i, err)
-					continue
-				}
-			}
-			st.deferred = append(st.deferred, e.R)
-		case e.Replica:
-			if st.replica == nil {
-				fail(i, fmt.Errorf("cluster: replica entry on unreplicated shard %d", st.id))
-				continue
-			}
-			// The replica ledger's fated journal records the entry before it
-			// is acknowledged, and its recovered set absorbs resubmissions of
-			// WAL-restored entries.
-			if err := st.replica.Add(e.R); err != nil {
-				fail(i, err)
-			}
-		default:
-			if err := st.ledger.Add(e.R); err != nil {
-				fail(i, err)
-			}
-		}
-	}
-	return errs
-}
-
-// fatedCovered reports whether every fated record in the shard's WAL is
-// covered by a drain the coordinator provably received: a compact floor at or
-// above a cover's primary mark implies that drain's reply landed, so its
-// replica mark bounds the fated records it covered. With no fated records the
-// question is moot.
-func fatedCovered(st *workerShard, floor uint64) bool {
-	maxFated := st.wal.MaxFatedSeq()
-	if maxFated == 0 {
-		return true
-	}
-	var covered uint64
-	for _, c := range st.drainCovers {
-		if c.primaryMax > 0 && c.primaryMax <= floor && c.replicaMax > covered {
-			covered = c.replicaMax
-		}
-	}
-	return maxFated <= covered
-}
-
-// consumeRecovered consumes one pending occurrence of seq from a deferred
-// recovered-multiset, reporting whether it was pending.
-func consumeRecovered(m map[uint64]int, seq uint64) bool {
-	if seq == 0 || m == nil {
-		return false
-	}
-	n := m[seq]
-	if n == 0 {
-		return false
-	}
-	if n == 1 {
-		delete(m, seq)
-	} else {
-		m[seq] = n - 1
-	}
-	return true
-}
-
-// drainShard flushes deferred submissions and snapshots the interval — the
-// twin of shardState.drain.
-func (w *Worker) drainShard(st *workerShard) (primary, replica rating.Snapshot, hasReplica bool) {
-	// Deferred entries were journaled as fated records when they were
-	// accepted; flushing them into the interval ledgers must not journal them
-	// a second time, so the write-ahead hooks are suspended for the flush.
-	if st.wal != nil {
-		st.ledger.SetJournal(nil)
-		defer st.ledger.SetJournal(walJournal{st.wal})
-	}
-	for _, r := range st.deferred {
-		_ = st.ledger.Add(r) // validated at submit time
-	}
-	st.deferred = st.deferred[:0]
-	primary = st.ledger.EndInterval()
-	if st.replica != nil {
-		if st.wal != nil {
-			st.replica.SetJournal(nil)
-			defer st.replica.SetJournal(fatedJournal{st.wal, persist.FateReplica})
-		}
-		for _, r := range st.deferredReplica {
-			_ = st.replica.Add(r)
-		}
-		st.deferredReplica = st.deferredReplica[:0]
-		replica = st.replica.EndInterval()
-		hasReplica = true
-	}
-	if st.wal != nil {
-		st.drainCovers = append(st.drainCovers, drainCover{primary.MaxSeq, replica.MaxSeq})
-	}
-	return primary, replica, hasReplica
-}
-
-// restartShard installs a fresh incarnation: empty ledgers, the broadcast
-// vector from the wire, and the WAL's recoverable tail replayed before the
-// journals are reattached — the worker-side twin of the overlay's
-// restartShardLocked / Resume replay. Primary records replay above the
-// primary drain floor.
-//
-// Fated records (replica mirror, deferred queues) describe per-interval
-// state: every drain flushes and discards them, so a record from a completed
-// interval is dead no matter what its sequence number says relative to the
-// drain floors — the floors only advance through drain replies and can lag
-// arbitrarily while this worker or its mirrored shard is down. Interval
-// boundaries are recovered from the WAL itself: fated records positioned
-// before the last mark belong to drained intervals and never replay. They
-// replay only on a reconnect resync (markRecovered), where the client floor
-// additionally excludes records whose drain reply landed before the mark did.
-// A coordinator-initiated restart is an incarnation crash — the mirror and
-// deferred queues are rebuilt empty, exactly as restartShardLocked rebuilds
-// them — and appends a barrier mark so a later resync cannot resurrect
-// records the dead incarnation owned.
-func (w *Worker) restartShard(st *workerShard, ri restartInfo) error {
-	st.ledger = rating.NewLedger(w.numNodes)
-	if w.replicated {
-		st.replica = rating.NewLedger(w.numNodes)
-	} else {
-		st.replica = nil
-	}
-	st.deferred = nil
-	st.deferredReplica = nil
-	st.recDeferred = nil
-	st.recDeferredReplica = nil
-	st.reps = append([]float64(nil), ri.reps...)
-	if st.wal != nil {
-		recs, _ := st.wal.ReadBack()
-		lastMark := -1
-		var lastMarkVal uint64
-		for i := range recs {
-			if recs[i].Kind == persist.KindMark {
-				lastMark = i
-				lastMarkVal = recs[i].Seq
-			}
-		}
-		var recovered, recReplica map[uint64]int
-		note := func(m *map[uint64]int, seq uint64) {
-			if ri.markRecovered {
-				if *m == nil {
-					*m = make(map[uint64]int)
-				}
-				(*m)[seq]++
-			}
-		}
-		for idx, rec := range recs {
-			if rec.Kind != persist.KindRating && rec.Kind != persist.KindFatedRating {
-				continue
-			}
-			fatedLive := ri.markRecovered && idx > lastMark
-			r := rating.Rating{
-				Rater:    int(rec.Rater),
-				Ratee:    int(rec.Ratee),
-				Value:    rec.Value,
-				Cycle:    int(rec.Cycle),
-				Category: int(rec.Category),
-				Seq:      rec.Seq,
-			}
-			if w.oob(r) {
-				continue // defensive: never panic on a corrupt record
-			}
-			switch {
-			case rec.Kind == persist.KindRating:
-				if rec.Seq <= ri.floor {
-					continue
-				}
-				if err := st.ledger.Add(r); err != nil {
-					continue
-				}
-				note(&recovered, rec.Seq)
-			case rec.Flags&persist.FateDeferred != 0 && rec.Flags&persist.FateReplica != 0:
-				if !fatedLive || rec.Seq <= ri.replicaFloor || st.replica == nil {
-					continue
-				}
-				st.deferredReplica = append(st.deferredReplica, r)
-				note(&st.recDeferredReplica, rec.Seq)
-			case rec.Flags&persist.FateDeferred != 0:
-				if !fatedLive || rec.Seq <= ri.floor {
-					continue
-				}
-				st.deferred = append(st.deferred, r)
-				note(&st.recDeferred, rec.Seq)
-			case rec.Flags&persist.FateReplica != 0:
-				if !fatedLive || rec.Seq <= ri.replicaFloor || st.replica == nil {
-					continue
-				}
-				if err := st.replica.Add(r); err != nil {
-					continue
-				}
-				note(&recReplica, rec.Seq)
-			}
-		}
-		if len(recovered) > 0 {
-			st.ledger.MarkRecovered(recovered)
-		}
-		if len(recReplica) > 0 {
-			st.replica.MarkRecovered(recReplica)
-		}
-		st.ledger.SetJournal(walJournal{st.wal})
-		if st.replica != nil {
-			st.replica.SetJournal(fatedJournal{st.wal, persist.FateReplica})
-		}
-		if !ri.markRecovered {
-			if err := st.wal.AppendMark(lastMarkVal); err != nil {
-				st.down = false
-				return err
-			}
-		}
-	}
-	st.down = false
-	return nil
+		return b
+	})
 }

@@ -134,7 +134,7 @@ func TestSubmitBatchPerRatingValidation(t *testing.T) {
 }
 
 // TestSubmitBatchFTValidation covers the fault-mode validation set (rater
-// range and self-ratings are rejected client-side, as in submitFT).
+// range and self-ratings are rejected before delivery).
 func TestSubmitBatchFTValidation(t *testing.T) {
 	const n, k = 40, 4
 	o, err := NewWithOptions(n, k, ebay.New(n), Options{Fault: alwaysOnPlan(t, fault.Config{}, k)})

@@ -30,8 +30,8 @@ func BenchmarkOverlaySubmit(b *testing.B) {
 	})
 }
 
-// BenchmarkOverlayQuery measures the reputation-query round trip against a
-// shard's broadcast copy.
+// BenchmarkOverlayQuery measures a reputation query against the published
+// vector.
 func BenchmarkOverlayQuery(b *testing.B) {
 	o, err := New(256, 8, ebay.New(256))
 	if err != nil {
@@ -140,21 +140,4 @@ func BenchmarkOverlaySubmitBatch(b *testing.B) {
 	}
 	perRating := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(trace))
 	b.ReportMetric(perRating, "ns/rating")
-}
-
-func BenchmarkPushSum16x200(b *testing.B) {
-	parts := make([][]float64, 16)
-	for i := range parts {
-		parts[i] = make([]float64, 200)
-		for d := range parts[i] {
-			parts[i][d] = float64(i + d)
-		}
-	}
-	rounds := GossipRounds(16, 1e-6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PushSum(parts, rounds, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -176,7 +176,7 @@ func TestSubmitFailoverToReplica(t *testing.T) {
 }
 
 // TestQueryFailoverToReplica: a query for a node whose primary shard is down
-// is served from the replica shard's broadcast copy.
+// is answered on behalf of the replica shard.
 func TestQueryFailoverToReplica(t *testing.T) {
 	const n, k = 8, 4
 	o, err := NewWithOptions(n, k, ebay.New(n), Options{Fault: alwaysOnPlan(t, fault.Config{}, k)})
@@ -322,10 +322,12 @@ func TestStalledShardTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	// Wedge both shards: an unbuffered, never-read drain reply channel
-	// blocks each serve loop inside its current message forever.
+	// Wedge both shards: an operation that blocks until the test ends holds
+	// each mailbox goroutine inside its current operation.
+	wedge := make(chan struct{})
+	defer close(wedge)
 	for i := 0; i < k; i++ {
-		o.shards[i].cur.Load().inbox <- message{kind: msgDrain, drainC: make(chan drainReply)}
+		o.shards[i].(*localShard).inbox <- func() { <-wedge }
 	}
 	start := time.Now()
 	err = o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1})

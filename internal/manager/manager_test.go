@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"socialtrust/internal/fault"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
 )
@@ -225,5 +226,43 @@ func TestOperationsAfterClose(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("EndInterval after Close = %v, want zeros", reps)
 		}
+	}
+}
+
+// TestOutOfRangeRaterRejected: a rater outside [0, numNodes) must come back
+// as a per-rating error on every overlay, never reach a ledger. Without a
+// fault plan the in-process overlay once checked only the ratee, and such a
+// rating panicked the shard goroutine — and with it the process.
+func TestOutOfRangeRaterRejected(t *testing.T) {
+	const n, k = 4, 2
+	overlays := []struct {
+		name string
+		opts func(t *testing.T) Options
+	}{
+		{"in-process", func(*testing.T) Options { return Options{} }},
+		{"in-process fault mode", func(t *testing.T) Options { return Options{Fault: alwaysOnPlan(t, fault.Config{}, k)} }},
+		{"transport", func(t *testing.T) Options { return Options{Transport: newFakeTransport(t, k)} }},
+	}
+	for _, tc := range overlays {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := NewWithOptions(n, k, ebay.New(n), tc.opts(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer o.Close()
+			errs := o.SubmitBatch([]rating.Rating{
+				{Rater: 9, Ratee: 1, Value: 1},
+				{Rater: 0, Ratee: 1, Value: 1},
+			})
+			if errs == nil || errs[0] == nil || errs[1] != nil {
+				t.Fatalf("SubmitBatch errors = %v, want only index 0 failed", errs)
+			}
+			if err := o.Submit(rating.Rating{Rater: -1, Ratee: 1, Value: 1}); err == nil {
+				t.Fatal("Submit with rater -1 accepted")
+			}
+			if reps := o.EndInterval(); reps[1] != 1 {
+				t.Fatalf("reputation of node 1 = %v, want 1 (the one valid rating)", reps[1])
+			}
+		})
 	}
 }

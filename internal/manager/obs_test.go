@@ -64,23 +64,3 @@ func TestOverlayMetrics(t *testing.T) {
 		}
 	}
 }
-
-// TestGossipMetrics checks PushSum accounts its rounds.
-func TestGossipMetrics(t *testing.T) {
-	prev := obs.Enabled()
-	obs.Enable()
-	defer obs.SetEnabled(prev)
-
-	runs0 := mGossipRuns.Value()
-	rounds0 := mGossipRounds.Value()
-	parts := [][]float64{{1, 0}, {0, 1}}
-	if _, err := PushSum(parts, 12, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := mGossipRuns.Value() - runs0; got != 1 {
-		t.Errorf("gossip runs delta = %d, want 1", got)
-	}
-	if got := mGossipRounds.Value() - rounds0; got != 12 {
-		t.Errorf("gossip rounds delta = %d, want 12", got)
-	}
-}

@@ -1,97 +1,23 @@
-// Manager-side durability: each shard's primary ledger is journaled to a
-// per-shard write-ahead log under Options.StateDir, and the overlay exposes
-// the recovery surface the simulator's crash-restart path drives — drained
-// sequence high-water marks for snapshots, WAL replay on shard restart, and
+// Manager-side durability: with Options.StateDir each shard journals to a
+// per-shard write-ahead log (shard.go), and the overlay exposes the recovery
+// surface the simulator's crash-restart path drives — drained sequence
+// high-water marks for snapshots, WAL replay on shard restart, and
 // whole-process Resume.
-//
-// Only primary ledgers are journaled. The replica mirror is an in-memory
-// availability mechanism (it survives a *shard* crash); the WAL is the
-// durability mechanism (it survives a *process* crash). Journaling both would
-// double every record without widening either guarantee: after a process
-// crash every replica mirror is rebuilt empty and the re-executed interval
-// repopulates it deterministically.
 //
 // The dedupe key is the rating's ingest sequence number (rating.Rating.Seq,
 // assigned by the producer before submission). A drain's snapshot carries the
 // max Seq it drained; the overlay keeps, per shard, the highest such mark
 // ever applied on that shard's behalf (primary drain or replica
 // substitution). WAL records at or below the mark are covered by completed
-// drains; records above it are the shard's recoverable tail.
+// drains; records above it are the shard's recoverable tail. The marks are
+// the replay floors every Restart carries, wherever the shard lives.
 package manager
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"socialtrust/internal/persist"
-	"socialtrust/internal/rating"
-)
-
-// walJournal adapts a persist.WAL to the ledger's write-ahead hook.
-type walJournal struct{ w *persist.WAL }
-
-func (j walJournal) Append(rs []rating.Rating) error {
-	recs := make([]persist.Record, len(rs))
-	for i, r := range rs {
-		recs[i] = persist.Record{
-			Kind:     persist.KindRating,
-			Seq:      r.Seq,
-			Rater:    int32(r.Rater),
-			Ratee:    int32(r.Ratee),
-			Cycle:    int32(r.Cycle),
-			Category: int32(r.Category),
-			Value:    r.Value,
-		}
-	}
-	return j.w.Append(recs)
-}
-
-// openWALs opens one WAL per local shard under StateDir, scanning (and
-// truncating) any torn tail a crash left behind. Called once from
-// NewWithOptions before the shard goroutines start. Shards routed through a
-// transport are skipped — their worker process owns the WAL file — but their
-// drained high-water marks are still tracked (they are the replay floors
-// Restart ships over the wire), so drainedSeq is allocated whenever either a
-// state directory or a transport is configured.
-func (o *Overlay) openWALs(numManagers int) error {
-	if o.transport != nil {
-		o.drainedSeq = make([]uint64, numManagers)
-		o.replicaSeq = make([]uint64, numManagers)
-	}
-	if o.opts.StateDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(o.opts.StateDir, 0o755); err != nil {
-		return err
-	}
-	o.wals = make([]*persist.WAL, numManagers)
-	if o.drainedSeq == nil {
-		o.drainedSeq = make([]uint64, numManagers)
-	}
-	for i := range o.wals {
-		if o.transport != nil && o.transport.Shard(i) != nil {
-			continue // remote shard: the worker owns shard-<i>.wal
-		}
-		path := filepath.Join(o.opts.StateDir, fmt.Sprintf("shard-%d.wal", i))
-		w, _, err := persist.Open(path, o.opts.Persist)
-		if err != nil {
-			o.closeWALs()
-			return err
-		}
-		o.wals[i] = w
-	}
-	return nil
-}
-
-// persistent reports whether the durability layer is active: drained marks
-// are tracked either for local WALs (StateDir) or on behalf of remote shards
-// that journal worker-side (Transport).
-func (o *Overlay) persistent() bool { return o.drainedSeq != nil }
+import "fmt"
 
 // noteDrained raises shard i's drained high-water mark. Callers hold o.mu.
 func (o *Overlay) noteDrained(i int, maxSeq uint64) {
-	if o.persistent() && maxSeq > o.drainedSeq[i] {
+	if maxSeq > o.drainedSeq[i] {
 		o.drainedSeq[i] = maxSeq
 	}
 }
@@ -100,65 +26,17 @@ func (o *Overlay) noteDrained(i int, maxSeq uint64) {
 // replay floor for the fated records backing the replica mirror and deferred
 // queues shard i hosts. Callers hold o.mu.
 func (o *Overlay) noteReplicaDrained(i int, maxSeq uint64) {
-	if o.replicaSeq != nil && maxSeq > o.replicaSeq[i] {
+	if maxSeq > o.replicaSeq[i] {
 		o.replicaSeq[i] = maxSeq
-	}
-}
-
-// replayShardWAL replays shard i's recoverable WAL tail — rating records with
-// Seq above the drained mark and aboveOnly — into the ledger, bypassing the
-// journal (the records are already durable). When markRecovered is set, every
-// replayed Seq strictly above aboveOnly is registered with the ledger as
-// recovered, with multiplicity, so the re-executed interval's duplicate
-// submissions are acknowledged without double-counting. Corrupt tails are not
-// fatal: the valid prefix is replayed and the torn remainder ignored (the
-// re-executed interval regenerates whatever was lost). Callers hold o.mu and
-// guarantee no concurrent traffic to the ledger.
-func (o *Overlay) replayShardWAL(i int, ledger *rating.Ledger, aboveOnly uint64, markRecovered bool) {
-	w := o.wals[i]
-	recs, _ := w.ReadBack()
-	floor := o.drainedSeq[i]
-	if aboveOnly > floor {
-		floor = aboveOnly
-	}
-	var recovered map[uint64]int
-	for _, rec := range recs {
-		if rec.Kind != persist.KindRating || rec.Seq <= floor {
-			continue
-		}
-		r := rating.Rating{
-			Rater:    int(rec.Rater),
-			Ratee:    int(rec.Ratee),
-			Value:    rec.Value,
-			Cycle:    int(rec.Cycle),
-			Category: int(rec.Category),
-			Seq:      rec.Seq,
-		}
-		if err := ledger.Add(r); err != nil {
-			continue // validated at original ingest; defensive only
-		}
-		if markRecovered {
-			if recovered == nil {
-				recovered = make(map[uint64]int)
-			}
-			recovered[rec.Seq]++
-		}
-	}
-	if len(recovered) > 0 {
-		ledger.MarkRecovered(recovered)
 	}
 }
 
 // DrainedSeqs returns the per-shard drained sequence high-water marks — the
 // values an interval-boundary snapshot must record so a restarted process can
-// tell which WAL records completed drains already cover. Nil without a state
-// directory.
+// tell which WAL records completed drains already cover.
 func (o *Overlay) DrainedSeqs() []uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if !o.persistent() {
-		return nil
-	}
 	return append([]uint64(nil), o.drainedSeq...)
 }
 
@@ -169,19 +47,9 @@ func (o *Overlay) DrainedSeqs() []uint64 {
 func (o *Overlay) ResetWALs() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for i := range o.wals {
-		if o.wals[i] == nil {
-			continue
-		}
-		if err := o.wals[i].Rotate(); err != nil {
-			return err
-		}
-	}
 	for _, s := range o.shards {
-		if s.remote != nil {
-			if err := s.remote.ResetWAL(); err != nil {
-				return err
-			}
+		if err := s.ResetWAL(); err != nil {
+			return err
 		}
 	}
 	for i := range o.drainedSeq {
@@ -193,31 +61,16 @@ func (o *Overlay) ResetWALs() error {
 // CompactWALs rotates every shard WAL whose records are all covered by
 // completed drains — i.e. by the snapshot the caller just wrote. A WAL still
 // holding records above its shard's drained mark (a crashed shard's
-// recoverable tail, awaiting its restart replay) is kept. Call at a quiescent
-// point, after a successful snapshot write; crash between snapshot and
-// compaction is safe because replay filters by sequence number.
+// recoverable tail, awaiting its restart replay) is kept; the shard compares
+// the mark against its own WAL. Call at a quiescent point, after a successful
+// snapshot write; crash between snapshot and compaction is safe because
+// replay filters by sequence number.
 func (o *Overlay) CompactWALs() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for i := range o.wals {
-		if o.wals[i] == nil {
-			continue
-		}
-		if o.wals[i].MaxSeq() > o.drainedSeq[i] {
-			continue
-		}
-		if err := o.wals[i].Rotate(); err != nil {
+	for i, s := range o.shards {
+		if err := s.CompactWAL(o.drainedSeq[i]); err != nil {
 			return err
-		}
-	}
-	for _, s := range o.shards {
-		if s.remote != nil {
-			// The worker compares the covered mark against its own WAL's max
-			// sequence, so the still-recoverable-tail check needs no extra
-			// round trip.
-			if err := s.remote.CompactWAL(o.drainedSeq[s.id]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -231,21 +84,21 @@ func (o *Overlay) CompactWALs() error {
 //
 // Shards the restored fault plan holds down are crashed; their WAL tails
 // replay later, at their scheduled restart — exactly when the uninterrupted
-// run would have replayed them. Live shards replay only records above
-// lastSeq: the acknowledged tail of the interrupted interval. Those replayed
-// sequences are registered as recovered so the deterministically re-executed
-// interval's duplicate submissions are acknowledged without double-counting —
-// the crash-restart dedupe of the WAL replay / replica mirror overlap.
+// run would have replayed them. Live shards restart with markRecovered,
+// replaying only records above lastSeq: the acknowledged tail of the
+// interrupted interval. Those replayed sequences are registered as recovered
+// so the deterministically re-executed interval's duplicate submissions are
+// acknowledged without double-counting.
 func (o *Overlay) Resume(drainedSeqs []uint64, lastSeq uint64, reps []float64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.transport != nil {
+	if o.opts.Transport != nil {
 		// Whole-process snapshot resume is a coordinator-side feature; remote
 		// shards recover through their own WALs (Restart replay), not
 		// through Resume. The simulator rejects state-dir + cluster up front.
 		return fmt.Errorf("manager: Resume is not supported with a transport")
 	}
-	if len(o.wals) == 0 {
+	if o.opts.StateDir == "" {
 		return fmt.Errorf("manager: Resume requires a state directory")
 	}
 	if len(drainedSeqs) != len(o.shards) {
@@ -255,27 +108,15 @@ func (o *Overlay) Resume(drainedSeqs []uint64, lastSeq uint64, reps []float64) e
 		return fmt.Errorf("manager: resume vector for %d nodes, overlay has %d", len(reps), o.numNodes)
 	}
 	copy(o.drainedSeq, drainedSeqs)
-	o.lastReps = append(o.lastReps[:0], reps...)
+	o.publish(reps)
 	for i, s := range o.shards {
 		if o.plan != nil && o.plan.Down(i) {
 			o.crashShardLocked(i)
 			continue
 		}
-		st := s.cur.Load()
-		st.ledger.SetJournal(nil)
-		o.replayShardWAL(i, st.ledger, lastSeq, true)
-		st.ledger.SetJournal(walJournal{o.wals[i]})
-		st.reps = append(st.reps[:0], reps...)
-	}
-	return nil
-}
-
-// closeWALs flushes and closes every shard WAL. Callers hold o.mu.
-func (o *Overlay) closeWALs() {
-	for i := range o.wals {
-		if o.wals[i] != nil {
-			_ = o.wals[i].Close()
+		if err := s.Restart(max(o.drainedSeq[i], lastSeq), lastSeq, true); err != nil {
+			return err
 		}
 	}
-	o.wals = nil
+	return nil
 }

@@ -176,15 +176,15 @@ func TestResumeDedupesReplayedSubmissions(t *testing.T) {
 		}
 	}
 	for _, r := range tail {
-		st := o2.shards[o2.ManagerOf(r.Ratee)].cur.Load()
-		if c := st.ledger.Counts(r.Rater, r.Ratee); c.Total() != 1 {
+		sh := o2.shards[o2.ManagerOf(r.Ratee)].(*localShard).sh
+		if c := sh.ledger.Counts(r.Rater, r.Ratee); c.Total() != 1 {
 			t.Fatalf("pair (%d,%d) counted %d times after replay+resubmit, want 1", r.Rater, r.Ratee, c.Total())
 		}
 	}
 	// The WAL holds exactly one copy of each tail record: the replayed copy
 	// was not re-journaled, and the deduped resubmission was not journaled.
-	for i, w := range o2.wals {
-		recs, err := w.ReadBack()
+	for i, s := range o2.shards {
+		recs, err := s.(*localShard).sh.wal.ReadBack()
 		if err != nil {
 			t.Fatalf("shard %d ReadBack: %v", i, err)
 		}
@@ -228,10 +228,10 @@ func TestCompactWALsKeepsRecoverableTail(t *testing.T) {
 	if err := o.CompactWALs(); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.wals[1].MaxSeq(); got == 0 {
+	if got := o.shards[1].(*localShard).sh.wal.MaxSeq(); got == 0 {
 		t.Fatal("compaction rotated shard 1's recoverable tail away")
 	}
-	if got := o.wals[0].MaxSeq(); got != 0 {
+	if got := o.shards[0].(*localShard).sh.wal.MaxSeq(); got != 0 {
 		t.Fatalf("shard 0's fully drained WAL not rotated (MaxSeq %d)", got)
 	}
 	// Two more intervals: shards restart, the tail replays and drains; now
@@ -241,7 +241,7 @@ func TestCompactWALsKeepsRecoverableTail(t *testing.T) {
 	if err := o.CompactWALs(); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.wals[1].MaxSeq(); got != 0 {
+	if got := o.shards[1].(*localShard).sh.wal.MaxSeq(); got != 0 {
 		t.Fatalf("shard 1's WAL not rotated after recovery (MaxSeq %d)", got)
 	}
 }

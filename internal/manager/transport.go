@@ -1,10 +1,9 @@
-// Transport abstraction: the seam along which a manager shard moves out of
-// process. The overlay's mailbox protocol (msgSubmitBatch / query / drain /
-// update-reps, plus the fault-tolerance control operations) is mirrored here
-// as an interface; internal/cluster implements it over sockets, and
-// Options.Transport tells NewWithOptions which shards live behind it.
+// Transport abstraction: the seam between the overlay and wherever its
+// shards live. Every shard is a Shard (shard.go) behind a ShardConn; the
+// in-process host (local.go) and the cluster's socket client
+// (internal/cluster) both implement it, so the overlay has one delivery path.
 //
-// The contract is deliberately shaped like the in-process mailbox:
+// The contract:
 //
 //   - Submit operations return a wait function, so a caller can issue one
 //     send per shard and then collect the acknowledgements — the
@@ -12,22 +11,23 @@
 //     hook pipelined transports use to keep multiple batches in flight.
 //   - Per-entry ledger errors travel inside the reply ([]error, index-
 //     aligned, nil when everything landed); transport-level failures are the
-//     second return and map onto the overlay's typed errors (a dead
-//     connection behaves like ErrShardDown, a lapsed deadline like
+//     second return and map onto the overlay's typed errors (a crashed shard
+//     or dead connection behaves like ErrShardDown, a lapsed deadline like
 //     ErrTimeout).
-//   - Crash/Restart/Mark/CompactWAL/ResetWAL mirror the overlay's shard
-//     lifecycle and durability surface: a remote shard owns its WAL, so the
-//     coordinator issues these as operations instead of touching files.
+//   - Crash/Restart/Mark/CompactWAL/ResetWAL drive the shard lifecycle and
+//     durability surface: a shard owns its WAL, so the coordinator issues
+//     these as operations instead of touching files.
 package manager
 
 import (
 	"time"
 
+	"socialtrust/internal/obs/span"
 	"socialtrust/internal/rating"
 )
 
-// BatchEntry is one rating of a batched submission, carrying the same
-// per-rating replica/deferred fate bits a standalone msgSubmit would.
+// BatchEntry is one rating of a fault-mode batched submission, carrying its
+// per-rating replica/deferred fate bits.
 type BatchEntry struct {
 	R        rating.Rating
 	Replica  bool // targets the shard's replica mirror ledger
@@ -42,38 +42,35 @@ type DrainSnapshots struct {
 	HasReplica bool
 }
 
-// ShardConn is one remote shard's endpoint. Implementations must be safe for
+// ShardConn is one shard's endpoint. Implementations must be safe for
 // concurrent use; the overlay drains all shards concurrently and submits from
-// many goroutines.
+// many goroutines. tctx is the caller's trace context, parent of the spans a
+// host emits for the operation.
 type ShardConn interface {
-	// SubmitPlain delivers a direct-mode sub-batch (primary ledger adds
-	// only). The returned wait function blocks until the shard acknowledges —
-	// there is no deadline, matching the in-process direct path, but a dead
-	// shard must eventually fail the wait rather than hang forever.
-	SubmitPlain(rs []rating.Rating) func() ([]error, error)
+	// SubmitPlain delivers a plain sub-batch (primary ledger adds only). The
+	// returned wait function blocks until the shard acknowledges — there is
+	// no deadline, but a dead shard must eventually fail the wait rather
+	// than hang forever.
+	SubmitPlain(tctx span.Context, rs []rating.Rating) func() ([]error, error)
 
 	// SubmitEntries delivers a fault-mode sub-batch with per-entry fate bits.
 	// timeout bounds the wait (zero means no deadline).
-	SubmitEntries(entries []BatchEntry, timeout time.Duration) func() ([]error, error)
+	SubmitEntries(tctx span.Context, entries []BatchEntry, timeout time.Duration) func() ([]error, error)
 
 	// Drain flushes the shard's deferred submissions and returns its interval
 	// snapshots. timeout bounds the wait (zero means no deadline).
-	Drain(timeout time.Duration) (DrainSnapshots, error)
+	Drain(tctx span.Context, timeout time.Duration) (DrainSnapshots, error)
 
-	// UpdateReps installs the freshly broadcast reputation vector.
-	UpdateReps(reps []float64, timeout time.Duration) error
-
-	// Crash kills the shard's remote incarnation: its interval ledgers are
+	// Crash kills the shard's incarnation: its interval ledgers are
 	// discarded, its WAL survives.
 	Crash() error
 
-	// Restart installs a fresh remote incarnation synced to reps, replaying
-	// the shard's primary WAL records above floor and its fated records
-	// (replica mirror, deferred queues) above replicaFloor. With
-	// markRecovered set the replayed sequence numbers are registered for
-	// duplicate-ack dedupe (the re-delivery path after a worker process
-	// loss).
-	Restart(reps []float64, floor, replicaFloor uint64, markRecovered bool) error
+	// Restart installs a fresh incarnation, replaying the shard's primary
+	// WAL records above floor and its fated records (replica mirror,
+	// deferred queues) above replicaFloor. With markRecovered set the
+	// replayed sequence numbers are registered for duplicate-ack dedupe (the
+	// re-delivery path after a process loss).
+	Restart(floor, replicaFloor uint64, markRecovered bool) error
 
 	// Mark stamps an interval mark on the shard's WAL (fsync per policy).
 	Mark(interval uint64) error
@@ -86,14 +83,13 @@ type ShardConn interface {
 	ResetWAL() error
 }
 
-// Transport routes shards out of process. Start is called once from
+// Transport hosts an overlay's shards. Start is called once from
 // NewWithOptions — before any Shard endpoint is used — with the overlay
-// geometry and the initial reputation vector; Close is called from
-// Overlay.Close after the in-process shards have stopped.
+// geometry; Close is called from Overlay.Close. A nil Options.Transport
+// means the in-process transport.
 type Transport interface {
-	Start(numNodes int, replicated bool, reps []float64) error
-	// Shard returns shard i's remote endpoint, or nil to host the shard
-	// in-process.
+	Start(numNodes int, replicated bool) error
+	// Shard returns shard i's endpoint.
 	Shard(i int) ShardConn
 	Close() error
 }

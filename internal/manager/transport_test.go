@@ -6,240 +6,98 @@ import (
 	"testing"
 	"time"
 
+	"socialtrust/internal/obs/span"
+	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
 )
 
-// fakeShard is an in-memory stand-in for one worker-hosted shard: a ledger
-// pair, the broadcast vector copy, and a journal of every acknowledged rating
-// standing in for the worker's WAL (Restart replays it above the floor).
-type fakeShard struct {
-	mu       sync.Mutex
-	down     bool
-	ledger   *rating.Ledger
-	replica  *rating.Ledger
-	deferred []rating.Rating
-	reps     []float64
-	journal  []rating.Rating // acked ratings, in order — the fake WAL
+// fakeTransport hosts every shard on the real in-process host, journaling to
+// a temporary state directory, behind a thin ShardConn wrapper that injects
+// transport failures and logs the WAL operations the overlay issues.
+type fakeTransport struct {
+	*localTransport
+	ports   []*fakePort
+	started bool
+}
 
+func newFakeTransport(t *testing.T, numShards int) *fakeTransport {
+	ft := &fakeTransport{localTransport: newLocalTransport(numShards, t.TempDir(), persist.Options{})}
+	for i := 0; i < numShards; i++ {
+		ft.ports = append(ft.ports, &fakePort{})
+	}
+	return ft
+}
+
+func (ft *fakeTransport) Start(numNodes int, replicated bool) error {
+	ft.started = true
+	if err := ft.localTransport.Start(numNodes, replicated); err != nil {
+		return err
+	}
+	for i, p := range ft.ports {
+		p.ShardConn = ft.localTransport.Shard(i)
+	}
+	return nil
+}
+
+func (ft *fakeTransport) Shard(i int) ShardConn { return ft.ports[i] }
+
+type fakePort struct {
+	ShardConn
+
+	mu       sync.Mutex
+	failWith error // when set, submits and drains fail with it
 	marks    []uint64
 	compacts []uint64
 	resets   int
-
-	// Failure injection: when set, every operation returns this error.
-	failWith error
 }
 
-// fakeTransport implements Transport entirely in memory, mirroring the
-// worker's semantics closely enough that an overlay routed through it must
-// produce bit-identical results to an in-process one.
-type fakeTransport struct {
-	numShards  int
-	numNodes   int
-	replicated bool
-	shards     []*fakeShard
-	started    bool
-	closed     bool
-	// local marks shard indices that stay in-process (Shard returns nil).
-	local map[int]bool
+func (p *fakePort) failure() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.failWith
 }
 
-func newFakeTransport(numShards int) *fakeTransport {
-	return &fakeTransport{numShards: numShards, local: map[int]bool{}}
-}
-
-func (ft *fakeTransport) Start(numNodes int, replicated bool, reps []float64) error {
-	ft.started = true
-	ft.numNodes = numNodes
-	ft.replicated = replicated
-	ft.shards = make([]*fakeShard, ft.numShards)
-	for i := range ft.shards {
-		fs := &fakeShard{ledger: rating.NewLedger(numNodes), reps: append([]float64(nil), reps...)}
-		if replicated {
-			fs.replica = rating.NewLedger(numNodes)
-		}
-		ft.shards[i] = fs
-	}
-	return nil
-}
-
-func (ft *fakeTransport) Shard(i int) ShardConn {
-	if ft.local[i] {
-		return nil
-	}
-	return &fakePort{ft: ft, i: i}
-}
-
-func (ft *fakeTransport) Close() error { ft.closed = true; return nil }
-
-type fakePort struct {
-	ft *fakeTransport
-	i  int
-}
-
-func (p *fakePort) shard() *fakeShard { return p.ft.shards[p.i] }
-
-func (p *fakePort) SubmitPlain(rs []rating.Rating) func() ([]error, error) {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.failWith != nil {
-		err := fs.failWith
+func (p *fakePort) SubmitPlain(tctx span.Context, rs []rating.Rating) func() ([]error, error) {
+	if err := p.failure(); err != nil {
 		return func() ([]error, error) { return nil, err }
 	}
-	if fs.down {
-		return func() ([]error, error) { return nil, errors.New("fake: shard is down") }
-	}
-	errs := fs.ledger.AddBatch(rs)
-	for i, r := range rs {
-		if errs == nil || errs[i] == nil {
-			fs.journal = append(fs.journal, r)
-		}
-	}
-	return func() ([]error, error) { return errs, nil }
+	return p.ShardConn.SubmitPlain(tctx, rs)
 }
 
-func (p *fakePort) SubmitEntries(entries []BatchEntry, timeout time.Duration) func() ([]error, error) {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.failWith != nil {
-		err := fs.failWith
+func (p *fakePort) SubmitEntries(tctx span.Context, es []BatchEntry, timeout time.Duration) func() ([]error, error) {
+	if err := p.failure(); err != nil {
 		return func() ([]error, error) { return nil, err }
 	}
-	if fs.down {
-		return func() ([]error, error) { return nil, errors.New("fake: shard is down") }
-	}
-	var errs []error
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, len(entries))
-		}
-		errs[i] = err
-	}
-	for i, e := range entries {
-		switch {
-		case e.Deferred:
-			fs.deferred = append(fs.deferred, e.R)
-		case e.Replica:
-			if err := fs.replica.Add(e.R); err != nil {
-				fail(i, err)
-			}
-		default:
-			if err := fs.ledger.Add(e.R); err != nil {
-				fail(i, err)
-				continue
-			}
-			fs.journal = append(fs.journal, e.R)
-		}
-	}
-	return func() ([]error, error) { return errs, nil }
+	return p.ShardConn.SubmitEntries(tctx, es, timeout)
 }
 
-func (p *fakePort) Drain(timeout time.Duration) (DrainSnapshots, error) {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.failWith != nil {
-		return DrainSnapshots{}, fs.failWith
+func (p *fakePort) Drain(tctx span.Context, timeout time.Duration) (DrainSnapshots, error) {
+	if err := p.failure(); err != nil {
+		return DrainSnapshots{}, err
 	}
-	if fs.down {
-		return DrainSnapshots{}, errors.New("fake: shard is down")
-	}
-	for _, r := range fs.deferred {
-		_ = fs.ledger.Add(r)
-	}
-	fs.deferred = nil
-	var ds DrainSnapshots
-	ds.Primary = fs.ledger.EndInterval()
-	if fs.replica != nil {
-		ds.Replica = fs.replica.EndInterval()
-		ds.HasReplica = true
-	}
-	return ds, nil
-}
-
-func (p *fakePort) UpdateReps(reps []float64, timeout time.Duration) error {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.failWith != nil {
-		return fs.failWith
-	}
-	fs.reps = append(fs.reps[:0], reps...)
-	return nil
-}
-
-func (p *fakePort) Crash() error {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.down = true
-	fs.ledger = nil
-	fs.replica = nil
-	fs.deferred = nil
-	return nil
-}
-
-func (p *fakePort) Restart(reps []float64, floor, replicaFloor uint64, markRecovered bool) error {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.ledger = rating.NewLedger(p.ft.numNodes)
-	if p.ft.replicated {
-		fs.replica = rating.NewLedger(p.ft.numNodes)
-	}
-	fs.reps = append([]float64(nil), reps...)
-	recovered := make(map[uint64]int)
-	for _, r := range fs.journal {
-		if r.Seq <= floor {
-			continue
-		}
-		if err := fs.ledger.Add(r); err != nil {
-			continue
-		}
-		if markRecovered {
-			recovered[r.Seq]++
-		}
-	}
-	if len(recovered) > 0 {
-		fs.ledger.MarkRecovered(recovered)
-	}
-	fs.down = false
-	return nil
+	return p.ShardConn.Drain(tctx, timeout)
 }
 
 func (p *fakePort) Mark(interval uint64) error {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.marks = append(fs.marks, interval)
-	return nil
+	p.mu.Lock()
+	p.marks = append(p.marks, interval)
+	p.mu.Unlock()
+	return p.ShardConn.Mark(interval)
 }
 
 func (p *fakePort) CompactWAL(coveredSeq uint64) error {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.compacts = append(fs.compacts, coveredSeq)
-	// Compaction discards the covered prefix of the fake WAL.
-	kept := fs.journal[:0]
-	for _, r := range fs.journal {
-		if r.Seq > coveredSeq {
-			kept = append(kept, r)
-		}
-	}
-	fs.journal = kept
-	return nil
+	p.mu.Lock()
+	p.compacts = append(p.compacts, coveredSeq)
+	p.mu.Unlock()
+	return p.ShardConn.CompactWAL(coveredSeq)
 }
 
 func (p *fakePort) ResetWAL() error {
-	fs := p.shard()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.resets++
-	fs.journal = nil
-	return nil
+	p.mu.Lock()
+	p.resets++
+	p.mu.Unlock()
+	return p.ShardConn.ResetWAL()
 }
 
 func transportTrace(n int) []rating.Rating {
@@ -264,7 +122,7 @@ func transportTrace(n int) []rating.Rating {
 // produce identical reputations, interval after interval.
 func TestTransportMirrorsInProcess(t *testing.T) {
 	const n, m = 12, 3
-	ft := newFakeTransport(m)
+	ft := newFakeTransport(t, m)
 	remote, err := NewWithOptions(n, m, ebay.New(n), Options{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +145,7 @@ func TestTransportMirrorsInProcess(t *testing.T) {
 		if errs := local.SubmitBatch(trace); errs != nil {
 			t.Fatalf("interval %d: local SubmitBatch: %v", interval, errs)
 		}
-		// One single-rating submit exercises submitDirect's remote branch.
+		// One single-rating submit rides the same batch path.
 		r := rating.Rating{Rater: 1, Ratee: 2, Value: 1, Seq: 10_000 + uint64(interval)}
 		if err := remote.Submit(r); err != nil {
 			t.Fatal(err)
@@ -301,8 +159,7 @@ func TestTransportMirrorsInProcess(t *testing.T) {
 				t.Fatalf("interval %d: reputation[%d] remote %v != local %v", interval, i, rr[i], lr[i])
 			}
 		}
-		// Queries are served from the coordinator's remoteReps mirror and must
-		// agree with the in-process broadcast copies.
+		// Queries read the published vector and must agree across hosts.
 		for node := 0; node < n; node++ {
 			rq, err := remote.Query(node)
 			if err != nil {
@@ -316,61 +173,6 @@ func TestTransportMirrorsInProcess(t *testing.T) {
 				t.Fatalf("interval %d: query(%d) remote %v != local %v", interval, node, rq, lq)
 			}
 		}
-		// The broadcast reached every fake shard.
-		for i, fs := range ft.shards {
-			fs.mu.Lock()
-			reps := append([]float64(nil), fs.reps...)
-			fs.mu.Unlock()
-			for node := range reps {
-				if reps[node] != lr[node] {
-					t.Fatalf("interval %d: shard %d holds reps[%d]=%v, want %v", interval, i, node, reps[node], lr[node])
-				}
-			}
-		}
-	}
-}
-
-// TestTransportMixedHosting: Shard(i) returning nil keeps that shard
-// in-process; the overlay must route seamlessly across the split.
-func TestTransportMixedHosting(t *testing.T) {
-	const n, m = 8, 4
-	ft := newFakeTransport(m)
-	ft.local[0], ft.local[2] = true, true
-	mixed, err := NewWithOptions(n, m, ebay.New(n), Options{Transport: ft})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mixed.Close()
-	local, err := New(n, m, ebay.New(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-
-	trace := transportTrace(n)
-	if errs := mixed.SubmitBatch(trace); errs != nil {
-		t.Fatalf("mixed SubmitBatch: %v", errs)
-	}
-	if errs := local.SubmitBatch(trace); errs != nil {
-		t.Fatalf("local SubmitBatch: %v", errs)
-	}
-	mr, lr := mixed.EndInterval(), local.EndInterval()
-	for i := range lr {
-		if mr[i] != lr[i] {
-			t.Fatalf("reputation[%d] mixed %v != local %v", i, mr[i], lr[i])
-		}
-	}
-	// The fake saw traffic only for the shards it hosts.
-	for i, fs := range ft.shards {
-		fs.mu.Lock()
-		journal := len(fs.journal)
-		fs.mu.Unlock()
-		if ft.local[i] && journal != 0 {
-			t.Fatalf("in-process shard %d leaked %d ratings into the transport", i, journal)
-		}
-		if !ft.local[i] && journal == 0 {
-			t.Fatalf("remote shard %d received no traffic", i)
-		}
 	}
 }
 
@@ -379,18 +181,18 @@ func TestTransportMixedHosting(t *testing.T) {
 // as a dead shard.
 func TestTransportErrorMapping(t *testing.T) {
 	const n, m = 6, 2
-	ft := newFakeTransport(m)
+	ft := newFakeTransport(t, m)
 	o, err := NewWithOptions(n, m, ebay.New(n), Options{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.Close()
 
-	ft.shards[1].failWith = ErrTimeout
+	ft.ports[1].failWith = ErrTimeout
 	if err := o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1, Seq: 1}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout submit error = %v, want ErrTimeout", err)
 	}
-	ft.shards[1].failWith = errors.New("connection reset")
+	ft.ports[1].failWith = errors.New("connection reset")
 	if err := o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1, Seq: 2}); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("dead-conn submit error = %v, want ErrShardDown", err)
 	}
@@ -401,7 +203,7 @@ func TestTransportErrorMapping(t *testing.T) {
 	if errs == nil || errs[0] != nil || !errors.Is(errs[1], ErrShardDown) {
 		t.Fatalf("batch errors = %v, want [nil, ErrShardDown]", errs)
 	}
-	ft.shards[1].failWith = nil
+	ft.ports[1].failWith = nil
 	if err := o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1, Seq: 5}); err != nil {
 		t.Fatalf("recovered shard still failing: %v", err)
 	}
@@ -412,7 +214,7 @@ func TestTransportErrorMapping(t *testing.T) {
 // replays them above the drained floor, so the interval drains complete.
 func TestTransportCrashRestartReplay(t *testing.T) {
 	const n, m = 6, 2
-	ft := newFakeTransport(m)
+	ft := newFakeTransport(t, m)
 	o, err := NewWithOptions(n, m, ebay.New(n), Options{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +267,7 @@ func TestTransportCrashRestartReplay(t *testing.T) {
 // shards as wire operations, not file operations.
 func TestTransportWALOps(t *testing.T) {
 	const n, m = 6, 2
-	ft := newFakeTransport(m)
+	ft := newFakeTransport(t, m)
 	o, err := NewWithOptions(n, m, ebay.New(n), Options{Transport: ft})
 	if err != nil {
 		t.Fatal(err)
@@ -479,16 +281,15 @@ func TestTransportWALOps(t *testing.T) {
 	if err := o.CompactWALs(); err != nil {
 		t.Fatal(err)
 	}
-	fs := ft.shards[1]
+	fs := ft.ports[1]
 	fs.mu.Lock()
 	compacts := append([]uint64(nil), fs.compacts...)
-	journal := len(fs.journal)
 	fs.mu.Unlock()
 	if len(compacts) != 1 || compacts[0] != 7 {
 		t.Fatalf("shard 1 compact calls = %v, want [7]", compacts)
 	}
-	if journal != 0 {
-		t.Fatalf("%d journal records survived a covering compaction", journal)
+	if seq := ft.localTransport.shards[1].sh.wal.MaxSeq(); seq != 0 {
+		t.Fatalf("journal records up to seq %d survived a covering compaction", seq)
 	}
 	if err := o.ResetWALs(); err != nil {
 		t.Fatal(err)

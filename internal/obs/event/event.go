@@ -127,16 +127,12 @@ type PhaseSeconds struct {
 // ManagerEvent records one resource-manager overlay operation or fault
 // transition.
 type ManagerEvent struct {
-	// Kind is "drain" (the periodic drain/merge/broadcast pass), "gossip"
-	// (one push-sum protocol run), or — under fault injection — "crash" /
-	// "restart" (one shard incarnation going down / coming back).
+	// Kind is "drain" (the periodic drain/merge pass) or — under fault
+	// injection — "crash" / "restart" (one shard going down / coming back).
 	Kind string `json:"kind"`
 	// Drain: overlay shard count and merged interval rating count.
 	Shards  int `json:"shards,omitempty"`
 	Ratings int `json:"ratings,omitempty"`
-	// Gossip: participants and rounds executed.
-	Participants int `json:"participants,omitempty"`
-	Rounds       int `json:"rounds,omitempty"`
 	// Seconds is the operation's wall time.
 	Seconds float64 `json:"seconds"`
 

@@ -126,7 +126,7 @@ func TestEnableDisableGlobal(t *testing.T) {
 		t.Fatal("Enable did not install the recorder")
 	}
 	RecordFilter(FilterDecision{Rater: 7})
-	RecordManager(ManagerEvent{Kind: "gossip", Rounds: 3})
+	RecordManager(ManagerEvent{Kind: "drain", Shards: 3})
 	events := Drain()
 	if len(events) != 2 || events[0].Filter == nil || events[1].Manager == nil {
 		t.Fatalf("global drain = %+v", events)

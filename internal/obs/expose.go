@@ -335,9 +335,10 @@ func readProcRSS() (rss, peak uint64) {
 }
 
 // ResetRuntimePeaks zeroes the runtime high-water-mark gauges so the next
-// CaptureRuntime starts a fresh measurement window. The kernel's VmHWM
-// cannot be re-armed from user space, so runtime_rss_peak_bytes keeps its
-// process-lifetime high-water mark.
+// CaptureRuntime starts a fresh measurement window. It leaves
+// runtime_rss_peak_bytes alone: that gauge reports the kernel's VmHWM, which
+// only writing "5" to /proc/self/clear_refs re-arms (stbench does so at the
+// start of each round).
 func ResetRuntimePeaks() {
 	gGoroutinesPeak.Reset()
 	gHeapAllocPeak.Reset()

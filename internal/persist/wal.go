@@ -19,8 +19,8 @@ const walMagic = "STWALv1\n"
 // number, delimiting which records a snapshot already covers. A fated rating
 // is a rating accepted into a substrate other than the primary interval
 // ledger — a replica mirror or a deferred-delivery queue — tagged with the
-// fate flags that route it back there on replay. Only the cluster worker
-// writes them: an out-of-process shard cannot rely on whole-interval
+// fate flags that route it back there on replay. Every manager shard with a
+// WAL writes them: an out-of-process shard cannot rely on whole-interval
 // re-execution to rebuild those substrates after a kill, so they must be as
 // durable as the primary ledger.
 const (

@@ -242,10 +242,10 @@ type Config struct {
 	// Managers, when positive, routes every rating through a resource-
 	// manager overlay of that many manager goroutines (the paper's Section
 	// 4.3 architecture) instead of the in-process ledger, and drives the
-	// periodic reputation update through the overlay's drain/merge/broadcast
-	// path. Zero keeps the direct ledger (the default; results are
-	// statistically identical but float summation order differs, so vectors
-	// are not bit-equal across the two modes).
+	// periodic reputation update through the overlay's drain/merge path.
+	// Zero keeps the direct ledger (the default; results are statistically
+	// identical but float summation order differs, so vectors are not
+	// bit-equal across the two modes).
 	Managers int
 
 	// Cluster, when positive, hosts the manager shards in that many worker

@@ -105,7 +105,7 @@ type Network struct {
 
 	// pending buffers ratings bound for the manager overlay within one query
 	// cycle; flushRatings ships the whole buffer via SubmitBatch — one
-	// mailbox message per shard instead of one round trip per rating. Unused
+	// batch per shard instead of one round trip per rating. Unused
 	// (nil) when the run has no overlay.
 	pending []rating.Rating
 
@@ -514,10 +514,9 @@ func (n *Network) buildOverlay() error {
 		// draws from the per-shard fault-verdict stream — shifting it
 		// diverges reputations run-to-run. Generous bounds keep the
 		// deadlock protection while leaving the seeded plan as the only
-		// source of loss. Down shards are detected via their down channel,
+		// source of loss. Down shards are detected via their down flag,
 		// never by waiting out these deadlines, so chaos runs don't slow.
 		opts.SubmitTimeout = 2 * time.Second
-		opts.QueryTimeout = 2 * time.Second
 		opts.DrainTimeout = 30 * time.Second
 	}
 	if n.Cfg.StateDir != "" {

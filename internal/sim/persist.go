@@ -61,7 +61,7 @@ type runState struct {
 	LastAbove             []int
 	EverAbove             []bool
 
-	// Reps is the reputation vector broadcast at the boundary.
+	// Reps is the reputation vector published at the boundary.
 	Reps []float64
 
 	// Per-node run state and random stream positions.

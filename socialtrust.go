@@ -249,10 +249,10 @@ type (
 	ManagerDrainStatus = manager.DrainStatus
 )
 
-// Typed overlay failures. Submit and Reputation return ErrShardDown when the
+// Typed overlay failures. Submit and Query return ErrShardDown when the
 // responsible shard (and, in fault-tolerant mode, its replica holder) is
-// crashed, ErrTimeout when an armed deadline expires or the fault plan drops
-// every delivery attempt, and ErrClosed after Close.
+// crashed and ErrClosed after Close; Submit returns ErrTimeout when an armed
+// deadline expires or the fault plan drops every delivery attempt.
 var (
 	ErrManagerClosed = manager.ErrClosed
 	ErrShardDown     = manager.ErrShardDown
@@ -388,7 +388,8 @@ type (
 	FilterDecisionEvent = event.FilterDecision
 	// CycleSeriesEvent is one simulation cycle's time-series record.
 	CycleSeriesEvent = event.CycleSeries
-	// ManagerOverlayEvent records one manager-overlay drain or gossip run.
+	// ManagerOverlayEvent records one manager-overlay drain, or one shard
+	// crash or restart under fault injection.
 	ManagerOverlayEvent = event.ManagerEvent
 	// FlightRecorder is the bounded ring buffer behind the audit layer.
 	FlightRecorder = event.Recorder
