@@ -190,8 +190,14 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
+	// Fill only the closeness fields left at zero: Weighted is a choice, not
+	// a default, and must survive a config that omits the hop cutoff.
+	def := socialgraph.DefaultClosenessParams()
 	if c.Closeness.MaxPathHops == 0 {
-		c.Closeness = socialgraph.DefaultClosenessParams()
+		c.Closeness.MaxPathHops = def.MaxPathHops
+	}
+	if c.Closeness.Lambda == 0 {
+		c.Closeness.Lambda = def.Lambda
 	}
 	return c
 }

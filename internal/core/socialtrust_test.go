@@ -112,6 +112,24 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestWithDefaultsKeepsClosenessChoices pins that defaulting fills only the
+// closeness fields left at zero: a weighted config without a hop cutoff
+// keeps Equation 10 and its λ instead of falling back to Equation 2.
+func TestWithDefaultsKeepsClosenessChoices(t *testing.T) {
+	for _, tc := range []struct {
+		in, want socialgraph.ClosenessParams
+	}{
+		{socialgraph.ClosenessParams{}, socialgraph.ClosenessParams{Weighted: false, Lambda: 0.75, MaxPathHops: 6}},
+		{socialgraph.ClosenessParams{Weighted: true, Lambda: 0.9}, socialgraph.ClosenessParams{Weighted: true, Lambda: 0.9, MaxPathHops: 6}},
+		{socialgraph.ClosenessParams{Weighted: true}, socialgraph.ClosenessParams{Weighted: true, Lambda: 0.75, MaxPathHops: 6}},
+		{socialgraph.ClosenessParams{MaxPathHops: 3}, socialgraph.ClosenessParams{Lambda: 0.75, MaxPathHops: 3}},
+	} {
+		if got := (Config{NumNodes: 4, Closeness: tc.in}).withDefaults().Closeness; got != tc.want {
+			t.Errorf("withDefaults(%+v).Closeness = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestName(t *testing.T) {
 	f := newFixture()
 	if got := f.socialTrust(Config{}).Name(); got != "eBay+SocialTrust" {

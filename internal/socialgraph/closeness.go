@@ -109,20 +109,50 @@ func (g *Graph) adjacentClosenessLocked(i, j NodeID, p ClosenessParams) float64 
 // ClosenessFrom computes Ωc(i, j) for every ratee j in one batched pass.
 // The results are element-wise bit-identical to calling Closeness(i, j, p)
 // per pair on a quiescent graph, but all of rater i's pairs share one BFS
-// tree, one common-friend index, and memoized adjacent closenesses and
-// interaction totals, so the cost is O(V+E) once plus O(deg) per ratee
-// instead of a fresh BFS per pair.
+// tree, memoized adjacent closenesses and memoized interaction totals. The
+// tree is built only when some ratee needs the path branch, and only to
+// depth MaxHops−1: a ratee one hop further is resolved from its own
+// adjacency list. The cost is therefore proportional to the nodes within
+// MaxHops−1 hops of i plus O(deg) per ratee, and the per-call scratch comes
+// from a pool, so nothing allocated per call grows with NumNodes.
 func (g *Graph) ClosenessFrom(i NodeID, ratees []NodeID, p ClosenessParams) []float64 {
 	g.validate(i)
 	g.validate(ratees...)
 	out := make([]float64, len(ratees))
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	b := newClosenessBatch(g, i, p)
+	b := g.newClosenessBatch(i, p)
 	for idx, j := range ratees {
 		out[idx] = b.closeness(j)
 	}
+	b.release()
 	return out
+}
+
+// batchScratch is the pooled working state of one closeness batch. Between
+// uses every pos slot is −1 and the queue and memo maps are empty, so a
+// batch costs what it visits rather than NumNodes. Queue indexes are int32 (New
+// caps NumNodes accordingly) to halve the per-node array.
+type batchScratch struct {
+	pos    []int32  // per node: index in queue, −1 when not in the tree
+	queue  []NodeID // BFS visit order, level by level
+	parent []int32  // parent[q] is the queue index of queue[q]'s BFS parent
+
+	fromI  map[NodeID]float64 // memoized adjacent closeness Ωc(i,k) for friends k
+	totals map[NodeID]float64 // memoized TotalInteractionsFrom per source node
+	cfBuf  []NodeID           // common-friend scratch
+}
+
+func newBatchScratch(n int) *batchScratch {
+	s := &batchScratch{
+		pos:    make([]int32, n),
+		fromI:  make(map[NodeID]float64),
+		totals: make(map[NodeID]float64),
+	}
+	for x := range s.pos {
+		s.pos[x] = -1
+	}
+	return s
 }
 
 // closenessBatch is the shared state of one ClosenessFrom/ProfileCloseness
@@ -133,41 +163,44 @@ type closenessBatch struct {
 	g *Graph
 	i NodeID
 	p ClosenessParams
+	s *batchScratch
 
-	fromI  map[NodeID]float64 // memoized adjacent closeness Ωc(i,k) for friends k
-	totals map[NodeID]float64 // memoized TotalInteractionsFrom per source node
-
-	bfsDone  bool
-	parent   []NodeID // BFS tree from i (parent[i] == i, unvisited == -1)
-	cfBuf    []NodeID // common-friend scratch
-	frontier []NodeID // BFS scratch
+	bfsDone bool
+	deepest int32 // queue[deepest:] is the tree's deepest level, depth MaxHops−1
 }
 
-func newClosenessBatch(g *Graph, i NodeID, p ClosenessParams) *closenessBatch {
-	return &closenessBatch{
-		g:      g,
-		i:      i,
-		p:      p,
-		fromI:  make(map[NodeID]float64),
-		totals: make(map[NodeID]float64),
+func (g *Graph) newClosenessBatch(i NodeID, p ClosenessParams) closenessBatch {
+	return closenessBatch{g: g, i: i, p: p, s: g.scratch.Get().(*batchScratch)}
+}
+
+// release restores the scratch to its between-uses state, touching only
+// the slots the batch visited, and returns it to the pool.
+func (b *closenessBatch) release() {
+	s := b.s
+	for _, v := range s.queue {
+		s.pos[v] = -1
 	}
+	s.queue, s.parent = s.queue[:0], s.parent[:0]
+	clear(s.fromI)
+	clear(s.totals)
+	b.g.scratch.Put(s)
 }
 
 // closeness mirrors Graph.closenessLocked case by case; each branch
 // evaluates the exact expressions of the per-pair path in the same order so
 // the float results are bit-identical.
 func (b *closenessBatch) closeness(j NodeID) float64 {
-	g, i := b.g, b.i
+	g, i, s := b.g, b.i, b.s
 	if i == j {
 		return 0
 	}
 	if g.adjacentLocked(i, j) {
 		return b.adjFromI(j)
 	}
-	b.cfBuf = g.commonFriendsLocked(i, j, b.cfBuf[:0])
-	if len(b.cfBuf) > 0 {
+	s.cfBuf = g.commonFriendsLocked(i, j, s.cfBuf[:0])
+	if len(s.cfBuf) > 0 {
 		sum := 0.0
-		for _, k := range b.cfBuf {
+		for _, k := range s.cfBuf {
 			sum += (b.adjFromI(k) + b.adjClose(k, j)) / 2
 		}
 		return sum
@@ -175,20 +208,32 @@ func (b *closenessBatch) closeness(j NodeID) float64 {
 	if !b.bfsDone {
 		b.buildBFS()
 	}
-	if b.parent[j] < 0 {
-		return 0
-	}
-	// Walk the unique tree path j → i. The per-pair BFS assigns identical
-	// parents (same ID-order expansion), so this is the same path and the
-	// same minimum.
+	// The per-pair BFS assigns the same parents (same ID-order expansion),
+	// so the tree path is the same path and its minimum the same minimum.
+	// The minimum does not depend on the order the hops are visited in.
 	min := -1.0
-	for cur := j; cur != i; {
-		par := b.parent[cur]
-		c := b.adjClose(par, cur)
+	q := s.pos[j]
+	if q < 0 {
+		// j is not within MaxHops−1 hops. The full BFS would discover it
+		// while expanding the deepest level, from the first node in queue
+		// order adjacent to it: its earliest-queued neighbour there.
+		for _, e := range g.adj[j] {
+			if at := s.pos[e.to]; at >= b.deepest && (q < 0 || at < q) {
+				q = at
+			}
+		}
+		if q < 0 {
+			return 0 // more than MaxHops hops away, or unreachable
+		}
+		min = b.adjClose(s.queue[q], j)
+	}
+	for q != 0 { // queue[0] is i
+		par := s.parent[q]
+		c := b.adjClose(s.queue[par], s.queue[q])
 		if min < 0 || c < min {
 			min = c
 		}
-		cur = par
+		q = par
 	}
 	if min < 0 {
 		return 0
@@ -198,11 +243,11 @@ func (b *closenessBatch) closeness(j NodeID) float64 {
 
 // adjFromI memoizes the adjacent closeness from the batch source i.
 func (b *closenessBatch) adjFromI(k NodeID) float64 {
-	if v, ok := b.fromI[k]; ok {
+	if v, ok := b.s.fromI[k]; ok {
 		return v
 	}
 	v := b.adjClose(b.i, k)
-	b.fromI[k] = v
+	b.s.fromI[k] = v
 	return v
 }
 
@@ -214,10 +259,10 @@ func (b *closenessBatch) adjClose(u, v NodeID) float64 {
 	if strength == 0 {
 		return 0
 	}
-	total, ok := b.totals[u]
+	total, ok := b.s.totals[u]
 	if !ok {
 		total = g.TotalInteractionsFrom(u)
-		b.totals[u] = total
+		b.s.totals[u] = total
 	}
 	if total == 0 {
 		deg := len(g.adj[u])
@@ -229,34 +274,29 @@ func (b *closenessBatch) adjClose(u, v NodeID) float64 {
 	return strength * g.InteractionFrequency(u, v) / total
 }
 
-// buildBFS runs one full breadth-first pass from i, bounded by the hop
-// cutoff, expanding neighbors in ID order — the same discovery order as the
-// per-pair shortestPathLocked, so every reachable node gets the same parent.
+// buildBFS runs a breadth-first pass from i to depth MaxHops−1, expanding
+// neighbors in ID order — the same discovery order as the per-pair
+// shortestPathLocked, so every node in the tree gets the same parent.
 func (b *closenessBatch) buildBFS() {
-	g := b.g
-	parent := make([]NodeID, g.n)
-	for x := range parent {
-		parent[x] = -1
-	}
-	parent[b.i] = b.i
-	frontier := append(b.frontier[:0], b.i)
-	maxHops := b.p.maxHops()
-	var scratch []NodeID
-	for depth := 0; len(frontier) > 0 && depth < maxHops; depth++ {
-		var next []NodeID
-		for _, u := range frontier {
-			scratch = g.friendsLocked(u, scratch[:0])
-			for _, v := range scratch {
-				if parent[v] >= 0 {
+	g, s := b.g, b.s
+	s.pos[b.i] = 0
+	s.queue = append(s.queue, b.i)
+	s.parent = append(s.parent, 0)
+	start, end := 0, 1 // the level being expanded is queue[start:end]
+	for depth := 1; depth < b.p.maxHops() && start < end; depth++ {
+		for q := start; q < end; q++ {
+			for _, e := range g.adj[s.queue[q]] {
+				if s.pos[e.to] >= 0 {
 					continue
 				}
-				parent[v] = u
-				next = append(next, v)
+				s.pos[e.to] = int32(len(s.queue))
+				s.queue = append(s.queue, e.to)
+				s.parent = append(s.parent, int32(q))
 			}
 		}
-		frontier = next
+		start, end = end, len(s.queue)
 	}
-	b.parent = parent
+	b.deepest = int32(start)
 	b.bfsDone = true
 }
 
@@ -276,7 +316,7 @@ func (g *Graph) ProfileCloseness(i NodeID, peers []NodeID, p ClosenessParams) Cl
 	g.validate(peers...)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	b := newClosenessBatch(g, i, p)
+	b := g.newClosenessBatch(i, p)
 	var prof ClosenessProfile
 	for idx, j := range peers {
 		c := b.closeness(j)
@@ -293,6 +333,7 @@ func (g *Graph) ProfileCloseness(i NodeID, peers []NodeID, p ClosenessParams) Cl
 		prof.Mean += c
 		prof.N++
 	}
+	b.release()
 	if prof.N > 0 {
 		prof.Mean /= float64(prof.N)
 	}

@@ -61,8 +61,43 @@ func TestEpochBumpedByEveryMutator(t *testing.T) {
 // TestClosenessFromMatchesPerPair asserts the batched single-source path is
 // bit-identical to per-pair Closeness on a quiescent graph, across all three
 // branch kinds (adjacent, common-friend, shortest-path) and both the plain
-// and weighted (Equation 10) forms.
+// and weighted (Equation 10) forms. The sparse cases put many pairs exactly
+// at the hop cutoff, where the batched path resolves the last hop from the
+// ratee's side, and many past it.
 func TestClosenessFromMatchesPerPair(t *testing.T) {
+	sparse := sparseGraph(300, 3)
+	for hops := 1; hops <= 4; hops++ {
+		at, past := 0, 0
+		for i := 0; i < 300; i += 5 {
+			dist := hopDistances(sparse, NodeID(i))
+			ratees := make([]NodeID, 0, 300)
+			for j := range dist {
+				if dist[j] >= 3 || dist[j] < 0 { // no common friend: the path branch
+					ratees = append(ratees, NodeID(j))
+					switch {
+					case dist[j] == hops:
+						at++
+					case dist[j] > hops || dist[j] < 0:
+						past++
+					}
+				}
+			}
+			for _, weighted := range []bool{false, true} {
+				p := ClosenessParams{Weighted: weighted, Lambda: 0.75, MaxPathHops: hops}
+				got := sparse.ClosenessFrom(NodeID(i), ratees, p)
+				for idx, j := range ratees {
+					if want := sparse.Closeness(NodeID(i), j, p); got[idx] != want {
+						t.Fatalf("hops=%d weighted=%v ClosenessFrom(%d)[%d→%d] = %v, per-pair Closeness = %v (distance %d)",
+							hops, weighted, i, i, j, got[idx], want, dist[j])
+					}
+				}
+			}
+		}
+		if past == 0 || (hops >= 3 && at == 0) {
+			t.Fatalf("hops=%d: %d path-branch pairs at the cutoff and %d past it; the graph no longer exercises the cutoff", hops, at, past)
+		}
+		t.Logf("hops=%d: %d path-branch pairs at the cutoff, %d past it", hops, at, past)
+	}
 	for _, weighted := range []bool{false, true} {
 		g := randomGraph(200, 3)
 		p := DefaultClosenessParams()
@@ -131,6 +166,53 @@ func randomGraph(n, extraDeg int) *Graph {
 		}
 	}
 	return g
+}
+
+// sparseGraph builds an n-node pseudo-random graph in which every node adds
+// deg random friendships (some doubled, of mixed kinds). With no ring to
+// shorten distances, many pairs sit three or more hops apart. A quarter of
+// the nodes record no interactions and the rest at most three, so many
+// adjacent terms are nonzero and a path's minimum depends on which path the
+// BFS tree took (randomGraph's interactions zero out most of them).
+func sparseGraph(n, deg int) *Graph {
+	g := New(n)
+	rng := xrand.New(7)
+	for i := 0; i < n; i++ {
+		for k := 0; k < deg; k++ {
+			j := NodeID(rng.Intn(n))
+			if j == NodeID(i) {
+				continue
+			}
+			kind := RelationshipKind(rng.Intn(int(numRelationshipKinds)))
+			g.AddRelationship(NodeID(i), j, Relationship{Kind: kind})
+			if rng.Intn(4) == 0 {
+				g.AddRelationship(NodeID(i), j, Relationship{Kind: Friendship})
+			}
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			g.RecordInteraction(NodeID(i), NodeID(rng.Intn(n)), float64(rng.Intn(5)+1))
+		}
+	}
+	return g
+}
+
+// hopDistances returns the friendship distance from src to every node, −1
+// for unreachable ones.
+func hopDistances(g *Graph, src NodeID) []int {
+	dist := make([]int, g.NumNodes())
+	for x := range dist {
+		dist[x] = -1
+	}
+	dist[src] = 0
+	for queue := []NodeID{src}; len(queue) > 0; queue = queue[1:] {
+		for _, v := range g.Friends(queue[0]) {
+			if dist[v] < 0 {
+				dist[v] = dist[queue[0]] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
 }
 
 // TestConcurrentClosenessAndMutation hammers parallel closeness reads

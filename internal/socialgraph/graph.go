@@ -8,6 +8,8 @@ package socialgraph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,8 +83,10 @@ func (r Relationship) weight() float64 {
 	return r.Kind.DefaultWeight()
 }
 
-// edge stores the relationship list for one adjacent pair.
-type edge struct {
+// halfEdge is one direction of a friendship edge: the neighbour and the
+// relationship list, in insertion order. Each endpoint holds its own copy.
+type halfEdge struct {
+	to   NodeID
 	rels []Relationship
 }
 
@@ -104,12 +108,20 @@ type edge struct {
 // proportion to the mutation — every node whose closeness could have
 // changed lies within the path-hop radius of a touched node (WithinHops) —
 // instead of discarding everything on any epoch movement.
+//
+// Each node's adjacency is a slice of half-edges sorted by neighbour ID, so
+// friend lists come out in ID order without sorting, common friends are a
+// merge of two sorted lists, and a lookup is a binary search.
 type Graph struct {
 	mu    sync.RWMutex // guards adj
 	epoch atomic.Uint64
 
 	n   int
-	adj []map[NodeID]*edge
+	adj [][]halfEdge // per node, sorted by halfEdge.to
+
+	// scratch pools the breadth-first-search state of batched closeness
+	// (ClosenessFrom, ProfileCloseness), one per concurrent caller.
+	scratch sync.Pool
 
 	interactions []interactionRow
 
@@ -145,11 +157,15 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("socialgraph: negative node count")
 	}
+	if n > math.MaxInt32 {
+		panic("socialgraph: node count exceeds the int32 BFS queue index")
+	}
 	g := &Graph{
 		n:            n,
-		adj:          make([]map[NodeID]*edge, n),
+		adj:          make([][]halfEdge, n),
 		interactions: make([]interactionRow, n),
 	}
+	g.scratch.New = func() any { return newBatchScratch(n) }
 	return g
 }
 
@@ -253,10 +269,10 @@ func (g *Graph) WithinHops(sources []NodeID, hops int, seen []bool, out []NodeID
 			break
 		}
 		for idx := frontierStart; idx < frontierEnd; idx++ {
-			for v := range g.adj[out[idx]] {
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
+			for _, e := range g.adj[out[idx]] {
+				if !seen[e.to] {
+					seen[e.to] = true
+					out = append(out, e.to)
 				}
 			}
 		}
@@ -294,16 +310,38 @@ func (g *Graph) AddRelationship(i, j NodeID, r Relationship) {
 	g.bumpTouched(i, j)
 }
 
+// addHalf appends r to i's half-edge toward j, inserting the half-edge at
+// its sorted position if it is new.
 func (g *Graph) addHalf(i, j NodeID, r Relationship) {
-	if g.adj[i] == nil {
-		g.adj[i] = make(map[NodeID]*edge)
+	k, ok := search(g.adj[i], j)
+	if !ok {
+		g.adj[i] = slices.Insert(g.adj[i], k, halfEdge{to: j})
 	}
-	e := g.adj[i][j]
-	if e == nil {
-		e = &edge{}
-		g.adj[i][j] = e
+	g.adj[i][k].rels = append(g.adj[i][k].rels, r)
+}
+
+// search returns the position of j in the sorted half-edge list, or the
+// position it would be inserted at, and whether it is present.
+func search(list []halfEdge, j NodeID) (int, bool) {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if list[mid].to < j {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	e.rels = append(e.rels, r)
+	return lo, lo < len(list) && list[lo].to == j
+}
+
+// edgeLocked returns i's half-edge toward j, or nil when they are not
+// adjacent; callers hold at least the read lock.
+func (g *Graph) edgeLocked(i, j NodeID) *halfEdge {
+	if k, ok := search(g.adj[i], j); ok {
+		return &g.adj[i][k]
+	}
+	return nil
 }
 
 // Adjacent reports whether i and j share a friendship edge.
@@ -315,7 +353,7 @@ func (g *Graph) Adjacent(i, j NodeID) bool {
 }
 
 func (g *Graph) adjacentLocked(i, j NodeID) bool {
-	_, ok := g.adj[i][j]
+	_, ok := search(g.adj[i], j)
 	return ok
 }
 
@@ -325,7 +363,7 @@ func (g *Graph) RelationshipCount(i, j NodeID) int {
 	g.validate(i, j)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if e, ok := g.adj[i][j]; ok {
+	if e := g.edgeLocked(i, j); e != nil {
 		return len(e.rels)
 	}
 	return 0
@@ -336,8 +374,8 @@ func (g *Graph) Relationships(i, j NodeID) []Relationship {
 	g.validate(i, j)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	e, ok := g.adj[i][j]
-	if !ok {
+	e := g.edgeLocked(i, j)
+	if e == nil {
 		return nil
 	}
 	return append([]Relationship(nil), e.rels...)
@@ -351,8 +389,8 @@ func (g *Graph) Relationships(i, j NodeID) []Relationship {
 // on extra weak relationships — the falsification counterattack of
 // Section 4.4.
 func (g *Graph) relationshipStrengthLocked(i, j NodeID, weighted bool, lambda float64) float64 {
-	e, ok := g.adj[i][j]
-	if !ok {
+	e := g.edgeLocked(i, j)
+	if e == nil {
 		return 0
 	}
 	if !weighted {
@@ -382,12 +420,9 @@ func (g *Graph) Friends(i NodeID) []NodeID {
 // friendsLocked appends i's neighbors in ascending order to buf (which may
 // be nil) and returns the extended slice; callers hold the read lock.
 func (g *Graph) friendsLocked(i NodeID, buf []NodeID) []NodeID {
-	start := len(buf)
-	for j := range g.adj[i] {
-		buf = append(buf, j)
+	for _, e := range g.adj[i] {
+		buf = append(buf, e.to)
 	}
-	out := buf[start:]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return buf
 }
 
@@ -407,21 +442,21 @@ func (g *Graph) CommonFriends(i, j NodeID) []NodeID {
 	return g.commonFriendsLocked(i, j, nil)
 }
 
-// commonFriendsLocked appends S_i ∩ S_j in ascending order to buf; callers
-// hold the read lock.
+// commonFriendsLocked appends S_i ∩ S_j in ascending order to buf, merging
+// the two sorted adjacency lists; callers hold the read lock.
 func (g *Graph) commonFriendsLocked(i, j NodeID, buf []NodeID) []NodeID {
-	small, large := g.adj[i], g.adj[j]
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	start := len(buf)
-	for k := range small {
-		if _, ok := large[k]; ok {
-			buf = append(buf, k)
+	a, b := g.adj[i], g.adj[j]
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].to < b[0].to:
+			a = a[1:]
+		case a[0].to > b[0].to:
+			b = b[1:]
+		default:
+			buf = append(buf, a[0].to)
+			a, b = a[1:], b[1:]
 		}
 	}
-	out := buf[start:]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return buf
 }
 
@@ -456,7 +491,6 @@ func (g *Graph) shortestPathLocked(i, j NodeID, maxHops int) []NodeID {
 	prev[i] = i
 	frontier := []NodeID{i}
 	depth := 0
-	var scratch []NodeID
 	for len(frontier) > 0 {
 		if maxHops > 0 && depth >= maxHops {
 			return nil
@@ -464,11 +498,11 @@ func (g *Graph) shortestPathLocked(i, j NodeID, maxHops int) []NodeID {
 		depth++
 		var next []NodeID
 		for _, u := range frontier {
-			// Expand neighbors in ID order so the returned path (and any
-			// closeness derived from it) is deterministic rather than
-			// map-iteration dependent.
-			scratch = g.friendsLocked(u, scratch[:0])
-			for _, v := range scratch {
+			// Expand neighbors in ID order (the adjacency order) so the
+			// returned path, and any closeness derived from it, is
+			// deterministic.
+			for _, e := range g.adj[u] {
+				v := e.to
 				if _, seen := prev[v]; seen {
 					continue
 				}
@@ -545,8 +579,11 @@ func (g *Graph) RemoveNodeEdges(i NodeID) {
 	// closeness depended on one of them.
 	touched := make([]NodeID, 0, len(g.adj[i])+1)
 	touched = append(touched, i)
-	for j := range g.adj[i] {
-		delete(g.adj[j], i)
+	for _, e := range g.adj[i] {
+		j := e.to
+		if k, ok := search(g.adj[j], i); ok {
+			g.adj[j] = slices.Delete(g.adj[j], k, k+1)
+		}
 		touched = append(touched, j)
 	}
 	g.adj[i] = nil
@@ -575,24 +612,20 @@ type State struct {
 	Interactions []map[NodeID]float64
 }
 
-// ExportState deep-copies the graph's persistent content in canonical order.
+// ExportState deep-copies the graph's persistent content in canonical
+// order: walking the sorted adjacency lists in node order emits the edges
+// in (I, J) order.
 func (g *Graph) ExportState() State {
 	st := State{NumNodes: g.n, Interactions: make([]map[NodeID]float64, g.n)}
 	g.mu.RLock()
 	for i := range g.adj {
-		for j, e := range g.adj[i] {
-			if NodeID(i) < j {
-				st.Edges = append(st.Edges, EdgeState{I: NodeID(i), J: j, Rels: append([]Relationship(nil), e.rels...)})
+		for _, e := range g.adj[i] {
+			if NodeID(i) < e.to {
+				st.Edges = append(st.Edges, EdgeState{I: NodeID(i), J: e.to, Rels: append([]Relationship(nil), e.rels...)})
 			}
 		}
 	}
 	g.mu.RUnlock()
-	sort.Slice(st.Edges, func(a, b int) bool {
-		if st.Edges[a].I != st.Edges[b].I {
-			return st.Edges[a].I < st.Edges[b].I
-		}
-		return st.Edges[a].J < st.Edges[b].J
-	})
 	for i := range g.interactions {
 		row := &g.interactions[i]
 		row.mu.Lock()
@@ -617,7 +650,7 @@ func (g *Graph) ImportState(st State) {
 		panic(fmt.Sprintf("socialgraph: state for %d nodes imported into %d-node graph", st.NumNodes, g.n))
 	}
 	g.mu.Lock()
-	g.adj = make([]map[NodeID]*edge, g.n)
+	g.adj = make([][]halfEdge, g.n)
 	for _, es := range st.Edges {
 		for _, r := range es.Rels {
 			g.addHalf(es.I, es.J, r)
