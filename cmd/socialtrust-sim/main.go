@@ -71,18 +71,18 @@ import (
 func main() {
 	cluster.WorkerMainIfChild() // -cluster re-execs this binary as a shard worker
 	var (
-		list    = flag.Bool("list", false, "list available experiments")
-		exp     = flag.String("experiment", "", "experiment id to run (or 'all')")
-		runs    = flag.Int("runs", 5, "seeded repetitions per configuration")
-		seed    = flag.Uint64("seed", 1, "base random seed")
-		quick   = flag.Bool("quick", false, "shortened horizon for smoke runs")
-		series  = flag.Bool("series", false, "also emit per-node reputation vectors as CSV")
-		mgrs     = flag.Int("managers", 0, "route ratings through a resource-manager overlay of this many shards (0 = direct ledger)")
-		clusterN = flag.Int("cluster", 0, "host the audited run's manager shards in this many worker processes over the socket transport (0 = in-process; requires -managers)")
-		mAddr   = flag.String("metrics-addr", "", "serve /metrics and /metrics.json on this address while running")
-		mPprof  = flag.Bool("pprof", false, "mount net/http/pprof on the metrics server (requires -metrics-addr)")
-		mDump   = flag.String("metrics-dump", "", "print a metrics snapshot after each experiment: text|json")
-		verbose = flag.Bool("v", false, "verbose progress logging on stderr")
+		list     = flag.Bool("list", false, "list available experiments")
+		exp      = flag.String("experiment", "", "experiment id to run (or 'all')")
+		runs     = flag.Int("runs", 5, "seeded repetitions per configuration")
+		seed     = flag.Uint64("seed", 1, "base random seed")
+		quick    = flag.Bool("quick", false, "shortened horizon for smoke runs")
+		series   = flag.Bool("series", false, "also emit per-node reputation vectors as CSV")
+		mgrs     = flag.Int("managers", 0, "route ratings through a resource-manager overlay of this many shards (0 = one shard)")
+		clusterN = flag.Int("cluster", 0, "host the audited run's manager shards in this many worker processes over the socket transport (0 = in-process; defaults -managers to 8)")
+		mAddr    = flag.String("metrics-addr", "", "serve /metrics and /metrics.json on this address while running")
+		mPprof   = flag.Bool("pprof", false, "mount net/http/pprof on the metrics server (requires -metrics-addr)")
+		mDump    = flag.String("metrics-dump", "", "print a metrics snapshot after each experiment: text|json")
+		verbose  = flag.Bool("v", false, "verbose progress logging on stderr")
 
 		healthAddr   = flag.String("health-addr", "", "serve the ops plane on this address: /healthz, /readyz, /statusz plus /metrics (watch with socialtrust-top)")
 		healthSample = flag.Duration("health-sample", time.Second, "health sampler cadence (requires -health-addr)")
@@ -255,9 +255,9 @@ func runAudited(dir, traceDir, stateDir, model string, nodes int, b float64, see
 	cfg.Managers = managers
 	cfg.Cluster = clusterN
 	if clusterN > 0 && cfg.Managers <= 0 {
-		// Worker processes host manager shards; default an overlay in.
+		// Worker processes host manager shards; one shard fills one worker.
 		cfg.Managers = 8
-		fmt.Fprintln(os.Stderr, "-cluster requires the manager overlay; defaulting -managers to 8")
+		fmt.Fprintln(os.Stderr, "-cluster: one shard would occupy a single worker process; defaulting -managers to 8")
 	}
 	cfg.AuditDir = dir
 	cfg.TraceDir = traceDir
@@ -265,9 +265,9 @@ func runAudited(dir, traceDir, stateDir, model string, nodes int, b float64, see
 	cfg.Churn = churn
 	cfg.Faults = faults
 	if faults.Enabled() && cfg.Managers <= 0 {
-		// Faults live at the manager mailbox boundary; default an overlay in.
+		// Replica failover needs a successor shard to mirror to.
 		cfg.Managers = 8
-		fmt.Fprintln(os.Stderr, "fault injection requires the manager overlay; defaulting -managers to 8")
+		fmt.Fprintln(os.Stderr, "fault injection: replicas need at least two shards; defaulting -managers to 8")
 	}
 
 	start := time.Now()

@@ -7,7 +7,7 @@
 //
 //	stress                       # sweep 200, 400, 800 nodes
 //	stress -sizes 200,1600 -cycles 10
-//	stress -managers 8           # route ratings through the manager overlay
+//	stress -managers 8           # spread ratings over 8 manager shards
 //	stress -metrics-addr :9090 -pprof   # live metrics + profiling
 //	stress -health-addr :9091 -slo-interval 2s   # ops plane: probes + watchdogs
 //	stress -audit out/           # decision-audit trail per size in out/n<size>
@@ -54,7 +54,7 @@ func main() {
 		qc       = flag.Int("qc", 15, "query cycles per simulation cycle")
 		b        = flag.Float64("b", 0.6, "colluder QoS probability")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		managers = flag.Int("managers", 0, "route ratings through a resource-manager overlay of this many shards (0 = direct ledger)")
+		managers = flag.Int("managers", 0, "route ratings through a resource-manager overlay of this many shards (0 = one shard)")
 		mAddr    = flag.String("metrics-addr", "", "serve /metrics and /metrics.json on this address while running")
 		mPprof   = flag.Bool("pprof", false, "mount net/http/pprof on the metrics server (requires -metrics-addr)")
 		mDump    = flag.String("metrics-dump", "", "print a metrics snapshot after the sweep: text|json")
@@ -100,9 +100,9 @@ func main() {
 		faults.CrashRate = 0.05
 	}
 	if faults.Enabled() && *managers <= 0 {
-		// Faults live at the manager mailbox boundary; default an overlay in.
+		// Replica failover needs a successor shard to mirror to.
 		*managers = 8
-		fmt.Fprintln(os.Stderr, "fault injection requires the manager overlay; defaulting -managers to 8")
+		fmt.Fprintln(os.Stderr, "fault injection: replicas need at least two shards; defaulting -managers to 8")
 	}
 	if *verbose {
 		obs.SetLogLevel(slog.LevelInfo)

@@ -31,10 +31,9 @@ type Options struct {
 	// panel as CSV lines ("node,type,reputation") — the raw series behind
 	// the paper's per-node scatter figures.
 	NodeSeries bool
-	// Managers, when positive, routes every run's ratings through a
-	// resource-manager overlay of that many shards (sim.Config.Managers),
-	// exercising the paper's Section 4.3 architecture and populating the
-	// manager_* metrics.
+	// Managers, when positive, spreads every run's ratings over that many
+	// resource-manager shards (sim.Config.Managers) of the paper's Section
+	// 4.3 overlay; zero keeps the simulator's default of one shard.
 	Managers int
 }
 

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -71,7 +72,8 @@ func TestQueryAfterClose(t *testing.T) {
 }
 
 // TestMergeSnapshotsPartial covers the partial-drain inputs: zero
-// snapshots, a single snapshot, and all-empty snapshots.
+// snapshots, a single snapshot, all-empty snapshots, and one live shard
+// among several.
 func TestMergeSnapshotsPartial(t *testing.T) {
 	if m := mergeSnapshots(nil); len(m.Ratings) != 0 || len(m.Counts) != 0 {
 		t.Fatalf("merge of zero snapshots = %+v, want empty", m)
@@ -91,6 +93,36 @@ func TestMergeSnapshotsPartial(t *testing.T) {
 	m = mergeSnapshots([]rating.Snapshot{{}, one, {}})
 	if len(m.Ratings) != 1 {
 		t.Fatalf("merge with missing entries lost data: %+v", m)
+	}
+
+	// One live shard among several passes its ledger-sorted snapshot
+	// through uncopied, equal to the general merge of the same ratings
+	// spread over two shards.
+	whole, even, odd := rating.NewLedger(10), rating.NewLedger(10), rating.NewLedger(10)
+	for i := 0; i < 40; i++ {
+		r := rating.Rating{
+			Rater: (7*i + 3) % 10, Ratee: (3 * i) % 10, Value: float64(1 - 2*(i%2)),
+			Cycle: (40 - i) % 4, Category: i % 5, Seq: uint64(i + 1),
+		}
+		half := even
+		if r.Ratee%2 == 1 {
+			half = odd
+		}
+		if err := whole.Add(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := half.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lone := whole.EndInterval()
+	general := mergeSnapshots([]rating.Snapshot{even.EndInterval(), odd.EndInterval()})
+	m = mergeSnapshots([]rating.Snapshot{{}, lone, {}})
+	if &m.Ratings[0] != &lone.Ratings[0] {
+		t.Fatal("lone live snapshot was copied instead of passed through")
+	}
+	if !reflect.DeepEqual(m.Ratings, general.Ratings) || !reflect.DeepEqual(m.Counts, general.Counts) {
+		t.Fatalf("lone snapshot differs from the general merge:\nlone    %+v\ngeneral %+v", m, general)
 	}
 }
 

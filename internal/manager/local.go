@@ -19,16 +19,14 @@ import (
 // <stateDir>/shard-<i>.wal when stateDir is set.
 type localTransport struct {
 	stateDir string
-	persist  persist.Options
 	shards   []*localShard
 	closed   chan struct{}
 	wg       sync.WaitGroup
 }
 
-func newLocalTransport(numShards int, stateDir string, popts persist.Options) *localTransport {
+func newLocalTransport(numShards int, stateDir string) *localTransport {
 	return &localTransport{
 		stateDir: stateDir,
-		persist:  popts,
 		shards:   make([]*localShard, numShards),
 		closed:   make(chan struct{}),
 	}
@@ -37,7 +35,7 @@ func newLocalTransport(numShards int, stateDir string, popts persist.Options) *l
 // Start opens every shard (and its WAL) and starts its mailbox goroutine.
 func (t *localTransport) Start(numNodes int, replicated bool) error {
 	for i := range t.shards {
-		sh, err := OpenShard(i, numNodes, replicated, t.stateDir, t.persist)
+		sh, err := OpenShard(i, numNodes, replicated, t.stateDir, persist.Options{})
 		if err != nil {
 			_ = t.Close()
 			return err

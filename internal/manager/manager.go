@@ -50,7 +50,6 @@ import (
 	"socialtrust/internal/obs"
 	"socialtrust/internal/obs/event"
 	"socialtrust/internal/obs/span"
-	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation"
 )
@@ -132,8 +131,6 @@ type Options struct {
 	// surface (DrainedSeqs, Resume, CompactWALs). Empty disables
 	// persistence. It cannot be combined with Transport.
 	StateDir string
-	// Persist tunes the shard WALs (fsync policy).
-	Persist persist.Options
 
 	// Transport, when non-nil, hosts the shards out of process (see
 	// internal/cluster for the socket implementation); nil hosts them
@@ -228,7 +225,7 @@ func NewWithOptions(numNodes, numManagers int, engine reputation.Engine, opts Op
 	}
 	t := opts.Transport
 	if t == nil {
-		t = newLocalTransport(numManagers, opts.StateDir, opts.Persist)
+		t = newLocalTransport(numManagers, opts.StateDir)
 	}
 	if err := t.Start(numNodes, opts.Fault != nil); err != nil {
 		return nil, fmt.Errorf("manager: transport start: %w", err)
@@ -849,13 +846,21 @@ func (o *Overlay) crashShard(i int) {
 // mergeSnapshots combines per-shard interval snapshots into one, restoring
 // the deterministic global ordering rating.Ledger guarantees. Nil or empty
 // entries — the partial-drain path, where a shard's snapshot never arrived —
-// contribute nothing.
+// contribute nothing. A lone non-empty snapshot is returned as is: its
+// ledger already sorted it with the same comparator, and every drain hands
+// over a fresh snapshot the overlay may own.
 func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
-	out := rating.Snapshot{Counts: make(map[rating.PairKey]rating.PairCounts)}
+	var live []rating.Snapshot
 	for _, s := range snaps {
-		if len(s.Ratings) == 0 && len(s.Counts) == 0 {
-			continue
+		if len(s.Ratings) > 0 || len(s.Counts) > 0 {
+			live = append(live, s)
 		}
+	}
+	if len(live) == 1 {
+		return live[0]
+	}
+	out := rating.Snapshot{Counts: make(map[rating.PairKey]rating.PairCounts)}
+	for _, s := range live {
 		out.Ratings = append(out.Ratings, s.Ratings...)
 		for k, c := range s.Counts {
 			agg := out.Counts[k]

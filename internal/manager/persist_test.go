@@ -1,9 +1,15 @@
 package manager
 
 import (
+	"bytes"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"socialtrust/internal/fault"
+	"socialtrust/internal/obs"
 	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
@@ -243,5 +249,45 @@ func TestCompactWALsKeepsRecoverableTail(t *testing.T) {
 	}
 	if got := o.shards[1].(*localShard).sh.wal.MaxSeq(); got != 0 {
 		t.Fatalf("shard 1's WAL not rotated after recovery (MaxSeq %d)", got)
+	}
+}
+
+// TestOpenShardLogsTornTail pins the recovery report of a torn shard WAL:
+// reopening it truncates the partial final record and logs a warning naming
+// the shard and the bytes dropped.
+func TestOpenShardLogsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	sh, err := OpenShard(3, 8, false, dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	if _, err := sh.AddPlain(seqRatings(8, 0, &seq)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "shard-3.wal")
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	obs.SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
+	t.Cleanup(func() { obs.SetLogger(nil) })
+	sh, err = OpenShard(3, 8, false, dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	out := logs.String()
+	for _, want := range []string{"torn tail", "shard=3", "bytes="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("torn-tail warning lacks %q: %q", want, out)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"socialtrust/internal/obs"
 	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 )
@@ -58,16 +59,21 @@ type drainCover struct {
 
 // OpenShard builds shard id with empty ledgers. With stateDir set it opens
 // (or creates) <stateDir>/shard-<id>.wal, truncating any torn tail a crash
-// left behind, and journals every accepted rating there.
+// left behind (logged as a warning), and journals every accepted rating
+// there.
 func OpenShard(id, numNodes int, replicated bool, stateDir string, opts persist.Options) (*Shard, error) {
 	s := &Shard{id: id, numNodes: numNodes, replicated: replicated}
 	if stateDir != "" {
 		if err := os.MkdirAll(stateDir, 0o755); err != nil {
 			return nil, err
 		}
-		w, _, err := persist.Open(filepath.Join(stateDir, fmt.Sprintf("shard-%d.wal", id)), opts)
+		w, rec, err := persist.Open(filepath.Join(stateDir, fmt.Sprintf("shard-%d.wal", id)), opts)
 		if err != nil {
 			return nil, err
+		}
+		if rec.Corrupt != nil {
+			obs.Logger().Warn("shard WAL had a torn tail; truncated to last valid record",
+				"shard", id, "bytes", rec.TruncatedBytes, "err", rec.Corrupt)
 		}
 		s.wal = w
 	}

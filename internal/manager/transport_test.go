@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"socialtrust/internal/obs/span"
-	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
 )
@@ -22,7 +21,7 @@ type fakeTransport struct {
 }
 
 func newFakeTransport(t *testing.T, numShards int) *fakeTransport {
-	ft := &fakeTransport{localTransport: newLocalTransport(numShards, t.TempDir(), persist.Options{})}
+	ft := &fakeTransport{localTransport: newLocalTransport(numShards, t.TempDir())}
 	for i := 0; i < numShards; i++ {
 		ft.ports = append(ft.ports, &fakePort{})
 	}

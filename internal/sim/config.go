@@ -239,22 +239,20 @@ type Config struct {
 	SocialTrust bool        // wrap the engine with the SocialTrust filter
 	Filter      core.Config // SocialTrust parameters (NumNodes is filled in)
 
-	// Managers, when positive, routes every rating through a resource-
-	// manager overlay of that many manager goroutines (the paper's Section
-	// 4.3 architecture) instead of the in-process ledger, and drives the
-	// periodic reputation update through the overlay's drain/merge path.
-	// Zero keeps the direct ledger (the default; results are statistically
-	// identical but float summation order differs, so vectors are not
-	// bit-equal across the two modes).
+	// Managers is the size of the resource-manager overlay (the paper's
+	// Section 4.3 architecture) every rating is routed through: ratings are
+	// submitted to the overlay's shards, and the periodic reputation update
+	// is driven through its drain/merge path. Zero means one shard. Without
+	// injected faults, results are bit-identical for every shard count.
 	Managers int
 
 	// Cluster, when positive, hosts the manager shards in that many worker
 	// processes (cmd/socialtrust-shardd children of this process) driven over
-	// the socket transport instead of in-process goroutines. Requires
-	// Managers > 0; capped at Managers. Reputations, detection tables and
-	// audit streams are bit-identical to the in-process overlay. Mutually
-	// exclusive with StateDir: the workers own their shards' WALs, while
-	// run-state snapshots are a single-process feature.
+	// the socket transport instead of in-process goroutines; capped at
+	// Managers. Reputations, detection tables and audit streams are
+	// bit-identical to the in-process overlay. Mutually exclusive with
+	// StateDir: the workers own their shards' WALs, while run-state snapshots
+	// are a single-process feature.
 	Cluster int
 
 	// Churn, when enabled, applies session churn to the non-pretrusted
@@ -263,9 +261,9 @@ type Config struct {
 
 	// Faults, when enabled, runs the manager overlay in fault-tolerant mode
 	// against a deterministic fault-injection plan (message drops/delays/
-	// duplication and shard crash/restart schedules — see internal/fault).
-	// Requires Managers > 0: faults are injected at the manager mailbox
-	// boundary, which the direct-ledger path does not have.
+	// duplication and shard crash/restart schedules — see internal/fault),
+	// injected at the manager mailbox boundary. Replica failover needs at
+	// least two shards: a single shard has no mirror to fall back on.
 	Faults fault.Config
 
 	// Harness.
@@ -289,19 +287,19 @@ type Config struct {
 	AuditDir string
 
 	// StateDir, when non-empty, makes the run durable: every accepted rating
-	// is journaled to a write-ahead log under this directory before it is
-	// acknowledged (per manager shard in Managers mode, one run-wide log
-	// otherwise), and a snapshot of the complete run state — ledger history,
-	// social graph, reputation vectors, filter history, RNG stream positions,
-	// fault-plan state and the audit event stream — is written atomically at
-	// every interval boundary. A run restarted over the same directory after
-	// a crash loads the last snapshot, replays the WAL tail (truncating a
-	// torn final record), and resumes mid-interval, producing reputations,
-	// detection tables and audit event streams bit-identical to an
-	// uninterrupted run of the same seed. The directory must either be fresh
-	// or have been written by the same configuration; only Workers and the
-	// output directories (AuditDir/TraceDir) may differ between the original
-	// and the resumed process.
+	// is journaled to its manager shard's write-ahead log under
+	// <StateDir>/shards before it is acknowledged, and a snapshot of the
+	// complete run state — ledger history, social graph, reputation vectors,
+	// filter history, RNG stream positions, fault-plan state and the audit
+	// event stream — is written atomically at every interval boundary. A run
+	// restarted over the same directory after a crash loads the last
+	// snapshot, replays the WAL tails (truncating a torn final record), and
+	// resumes mid-interval, producing reputations, detection tables and audit
+	// event streams bit-identical to an uninterrupted run of the same seed.
+	// The directory must either be fresh or have been written by the same
+	// configuration; only Workers and the output directories
+	// (AuditDir/TraceDir) may differ between the original and the resumed
+	// process.
 	StateDir string
 
 	// TraceDir, when non-empty, makes Run record the interval trace: the
@@ -372,6 +370,9 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = defaultWorkers()
 	}
+	if c.Managers == 0 {
+		c.Managers = 1
+	}
 	return c
 }
 
@@ -419,14 +420,8 @@ func (c Config) validate() error {
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
-	if c.Faults.Enabled() && c.Managers <= 0 {
-		return fmt.Errorf("sim: fault injection targets the manager overlay; set Managers > 0")
-	}
 	if c.Cluster < 0 {
 		return fmt.Errorf("sim: Cluster %d invalid", c.Cluster)
-	}
-	if c.Cluster > 0 && c.Managers <= 0 {
-		return fmt.Errorf("sim: Cluster hosts manager shards in worker processes; set Managers > 0")
 	}
 	if c.Cluster > 0 && c.StateDir != "" {
 		return fmt.Errorf("sim: Cluster and StateDir are mutually exclusive (workers own their shard WALs; run-state snapshots are single-process)")

@@ -178,17 +178,46 @@ func TestWhitewashRejoinNewcomerReputation(t *testing.T) {
 	}
 }
 
-// TestFaultsRequireManagers: fault injection without a manager overlay is a
-// configuration error, not a silent no-op.
+// TestFaultsRequireManagers pins churn validation: an out-of-range churn
+// probability is a configuration error, not a silent clamp. Fault injection
+// needs no explicit Managers — see TestFaultsOnDefaultSingleShard.
 func TestFaultsRequireManagers(t *testing.T) {
 	cfg := smallConfig(PCM, EngineEigenTrust, 0.6, false)
-	cfg.Faults = fault.Config{Drop: 0.1}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("faults without managers should fail validation")
-	}
 	cfg.Churn = ChurnConfig{DepartPerCycle: 1.5}
-	cfg.Faults = fault.Config{}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("out-of-range churn probability should fail validation")
+	}
+}
+
+// TestFaultsOnDefaultSingleShard runs fault injection on the default
+// overlay of one shard. With no successor to mirror to, a crashed shard's
+// interval is lost outright and submissions made while it is down fail, so
+// the run must report lost ratings and partial drains — and still complete,
+// reproducibly.
+func TestFaultsOnDefaultSingleShard(t *testing.T) {
+	run := func() *Result {
+		cfg := smallConfig(PCM, EngineEigenTrust, 0.6, false)
+		cfg.Faults = fault.Config{
+			Drop:    0.1,
+			Crashes: []fault.Crash{{Shard: 0, AtInterval: 2, Down: 1}},
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first, second := run(), run()
+	if first.RatingsLost == 0 || first.PartialDrains == 0 {
+		t.Fatalf("single-shard crash lost nothing: RatingsLost=%d PartialDrains=%d",
+			first.RatingsLost, first.PartialDrains)
+	}
+	if len(first.History) != len(second.History) {
+		t.Fatalf("history length %d vs %d", len(first.History), len(second.History))
+	}
+	for c := range first.History {
+		if !sameBits(first.History[c], second.History[c]) {
+			t.Fatalf("same fault seed diverged at cycle %d", c+1)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"socialtrust/internal/interest"
 	"socialtrust/internal/manager"
 	"socialtrust/internal/obs/event"
-	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation"
 	"socialtrust/internal/reputation/ebay"
@@ -65,20 +64,19 @@ func (e *collusionEdge) value() float64 {
 }
 
 // Network is a fully constructed experiment instance: topology, node
-// population, collusion wiring, ledger, and reputation engine.
+// population, collusion wiring, manager overlay, and reputation engine.
 type Network struct {
 	Cfg     Config
 	Nodes   []*Node
 	Graph   *socialgraph.Graph
 	Sets    []interest.Set // claimed interest profiles (see Node.Interests)
 	Tracker *interest.Tracker
-	Ledger  *rating.Ledger
 	Engine  reputation.Engine
 	// Filter is non-nil when the engine is wrapped with SocialTrust.
 	Filter *core.SocialTrust
-	// Overlay is non-nil when Config.Managers > 0: ratings are submitted to
-	// and the periodic reputation update is driven through the paper's
-	// resource-manager overlay instead of the in-process ledger.
+	// Overlay is the paper's resource-manager overlay: every rating is
+	// submitted to it and the periodic reputation update is driven through
+	// its drain.
 	Overlay *manager.Overlay
 	// FaultPlan is non-nil when Config.Faults is enabled: the overlay runs
 	// in fault-tolerant mode against this deterministic injection plan.
@@ -105,23 +103,20 @@ type Network struct {
 
 	// pending buffers ratings bound for the manager overlay within one query
 	// cycle; flushRatings ships the whole buffer via SubmitBatch — one
-	// batch per shard instead of one round trip per rating. Unused
-	// (nil) when the run has no overlay.
+	// batch per shard instead of one round trip per rating.
 	pending []rating.Rating
 
 	// inner is the bare reputation engine (the same object Engine is, or
 	// wraps) — the handle state snapshots export from and import into.
 	inner reputation.Engine
 
-	// Durability layer (all zero without Config.StateDir). seq numbers every
-	// generated rating, the WAL-replay dedupe key; simWAL is the run-wide
-	// rating journal of the direct-ledger path (Managers mode journals per
-	// shard inside the overlay instead); resume holds the interval-boundary
-	// snapshot found at construction, applied at the top of Run; savedEvents
-	// accumulates the audit events drained into checkpoints so the final
-	// stream spans the whole (possibly multi-process) run.
+	// Durability layer (zero without Config.StateDir, except seq). seq
+	// numbers every generated rating, the WAL-replay dedupe key; resume holds
+	// the interval-boundary snapshot found at construction, applied at the
+	// top of Run; savedEvents accumulates the audit events drained into
+	// checkpoints so the final stream spans the whole (possibly
+	// multi-process) run.
 	seq         uint64
-	simWAL      *persist.WAL
 	resume      *runState
 	savedEvents []event.Event
 
@@ -138,7 +133,8 @@ type Network struct {
 type haltPoint struct{ cycle, qc int }
 
 // NewNetwork constructs the experiment per Config. Construction is
-// deterministic in Config.Seed.
+// deterministic in Config.Seed. It starts the manager overlay's shards;
+// Run stops them when it finishes.
 func NewNetwork(cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -149,7 +145,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		Cfg:     cfg,
 		Graph:   socialgraph.New(cfg.NumNodes),
 		Tracker: interest.NewTracker(cfg.NumNodes),
-		Ledger:  rating.NewLedger(cfg.NumNodes),
 		root:    root,
 	}
 	n.buildNodes(root.SplitString("nodes"))
@@ -168,9 +163,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	if cfg.StateDir != "" {
 		if err := n.initPersist(); err != nil {
-			if n.Overlay != nil {
-				n.Overlay.Close()
-			}
+			n.Overlay.Close()
 			return nil, err
 		}
 	}
@@ -486,13 +479,9 @@ func (n *Network) buildEngine() {
 	n.Filter = st
 }
 
-// buildOverlay fronts the engine with a resource-manager overlay when the
-// configuration asks for one. Construction cannot fail here: the manager
-// count was validated against the node count already.
+// buildOverlay fronts the engine with the resource-manager overlay every
+// rating is routed through.
 func (n *Network) buildOverlay() error {
-	if n.Cfg.Managers <= 0 {
-		return nil
-	}
 	var opts manager.Options
 	if n.Cfg.Faults.Enabled() {
 		plan, err := fault.NewPlan(n.Cfg.Faults, n.Cfg.Managers)

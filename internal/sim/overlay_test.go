@@ -1,42 +1,80 @@
 package sim
 
 import (
-	"math"
+	"reflect"
 	"testing"
 
+	"socialtrust/internal/audit"
 	"socialtrust/internal/fault"
+	"socialtrust/internal/obs/event"
 )
 
-// TestOverlayModeMatchesDirect runs the same seeded experiment through the
-// direct ledger and through a 4-shard resource-manager overlay. The overlay
-// merge restores the ledger's deterministic global ordering, so request
-// accounting must match exactly and reputations to float tolerance.
+// TestOverlayModeMatchesDirect pins the overlay's determinism contract
+// across shard counts: the same seeded experiment through the default single
+// manager shard and through 4 and 7 shards (7 does not divide the 200 nodes)
+// must produce bit-identical reputation histories, equal detection reports,
+// and equal filter decisions for every collusion model. Each shard's ledger
+// sorts its snapshot and the drain merge restores the one global order, so
+// the engine sees the same interval whatever the sharding. Of the event
+// stream only the filter-decision payloads are compared: drain events carry
+// the shard count.
 func TestOverlayModeMatchesDirect(t *testing.T) {
-	cfg := DefaultConfig(PCM, EngineEigenTrust, 0.6, true)
-	cfg.QueryCycles, cfg.SimulationCycles = 5, 4
-	cfg.Seed = 7
-
-	direct, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		res       *Result
+		report    audit.Report
+		decisions []event.FilterDecision
 	}
-	cfg.Managers = 4
-	overlay, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if direct.TotalRequests != overlay.TotalRequests {
-		t.Fatalf("requests: direct %d, overlay %d", direct.TotalRequests, overlay.TotalRequests)
-	}
-	if direct.AuthenticServed != overlay.AuthenticServed {
-		t.Fatalf("authentic: direct %d, overlay %d", direct.AuthenticServed, overlay.AuthenticServed)
-	}
-	for i := range direct.FinalReputations {
-		if d := math.Abs(direct.FinalReputations[i] - overlay.FinalReputations[i]); d > 1e-9 {
-			t.Fatalf("reputation[%d]: direct %g, overlay %g (Δ %g)",
-				i, direct.FinalReputations[i], overlay.FinalReputations[i], d)
+	run := func(t *testing.T, model CollusionModel, managers int) outcome {
+		cfg := DefaultConfig(model, EngineEigenTrust, 0.6, true)
+		cfg.QueryCycles, cfg.SimulationCycles = 5, 4
+		cfg.Seed = 7
+		cfg.Managers = managers
+		net, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rec := event.Enable(auditCapacity(cfg))
+		defer event.Disable()
+		res := net.Run()
+		events := rec.Drain()
+		var decisions []event.FilterDecision
+		for _, e := range events {
+			if e.Filter != nil {
+				decisions = append(decisions, *e.Filter)
+			}
+		}
+		return outcome{res: res, report: audit.Score(net.GroundTruth(), events), decisions: decisions}
+	}
+	for _, model := range []CollusionModel{PCM, MCM, MMM} {
+		t.Run(model.String(), func(t *testing.T) {
+			ref := run(t, model, 0)
+			if len(ref.decisions) == 0 {
+				t.Fatal("single-shard run recorded no filter decisions")
+			}
+			for _, managers := range []int{4, 7} {
+				got := run(t, model, managers)
+				if !sameBits(got.res.FinalReputations, ref.res.FinalReputations) {
+					t.Fatalf("%d shards: final reputations diverge from one shard", managers)
+				}
+				if len(got.res.History) != len(ref.res.History) {
+					t.Fatalf("%d shards: history length %d, want %d", managers, len(got.res.History), len(ref.res.History))
+				}
+				for c := range ref.res.History {
+					if !sameBits(got.res.History[c], ref.res.History[c]) {
+						t.Fatalf("%d shards: reputation history diverges at cycle %d", managers, c+1)
+					}
+				}
+				if !reflect.DeepEqual(got.res, ref.res) {
+					t.Fatalf("%d shards: results diverge:\ngot  %+v\nwant %+v", managers, got.res, ref.res)
+				}
+				if !reflect.DeepEqual(got.report, ref.report) {
+					t.Fatalf("%d shards: detection report diverges:\ngot  %+v\nwant %+v", managers, got.report, ref.report)
+				}
+				if !reflect.DeepEqual(got.decisions, ref.decisions) {
+					t.Fatalf("%d shards: filter decisions diverge from one shard", managers)
+				}
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"socialtrust/internal/core"
 	"socialtrust/internal/interest"
 	"socialtrust/internal/obs/event"
+	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/eigentrust"
 	"socialtrust/internal/xrand"
 )
@@ -42,7 +43,11 @@ func TestAdjustWarmCacheBitIdentical(t *testing.T) {
 					n.record(i, j, 1, cycle, interest.Category(rng.Intn(4)))
 				}
 			}
-			snap := n.Ledger.EndInterval()
+			l := rating.NewLedger(cfg.NumNodes)
+			if errs := l.AddBatch(n.pending); errs != nil {
+				t.Fatal(errs)
+			}
+			snap := l.EndInterval()
 			if len(snap.Ratings) == 0 {
 				t.Fatal("interval produced no ratings")
 			}

@@ -1,9 +1,9 @@
-// Run-level durability: with Config.StateDir set, the simulator journals
-// every generated rating to a write-ahead log before it is acknowledged (per
-// manager shard in Managers mode, one run-wide log otherwise) and writes an
+// Run-level durability: with Config.StateDir set, every manager shard
+// journals the ratings it accepts to its own write-ahead log under
+// <StateDir>/shards before acknowledging them, and the simulator writes an
 // atomic snapshot of the complete run state at every interval boundary — the
 // end of each simulation cycle, after the reputation update. A process
-// restarted over the same directory loads the snapshot, replays the WAL tail
+// restarted over the same directory loads the snapshot, replays the WAL tails
 // of the interrupted interval, and re-executes that interval from its start:
 // every random stream resumes from its recorded position, so the re-execution
 // regenerates exactly the ratings the dead process generated, and replayed
@@ -22,7 +22,6 @@ import (
 	"socialtrust/internal/obs"
 	"socialtrust/internal/obs/event"
 	"socialtrust/internal/persist"
-	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
 	"socialtrust/internal/reputation/eigentrust"
 	"socialtrust/internal/reputation/trustguard"
@@ -79,9 +78,9 @@ type runState struct {
 	EngineTG   *trustguard.State
 	Fault      *fault.State
 
-	// DrainedSeqs holds the overlay's per-shard drained sequence marks
-	// (Managers mode only): WAL records at or below a shard's mark are
-	// covered by drains this snapshot already accounts for.
+	// DrainedSeqs holds the overlay's per-shard drained sequence marks: WAL
+	// records at or below a shard's mark are covered by drains this snapshot
+	// already accounts for.
 	DrainedSeqs []uint64
 
 	// Audit event stream through this boundary.
@@ -109,55 +108,22 @@ func (n *Network) fingerprint() string {
 	return fmt.Sprintf("%+v", c)
 }
 
-// simJournal adapts the run-wide WAL to the ledger's write-ahead hook
-// (direct-ledger mode; the overlay journals inside its shards).
-type simJournal struct{ w *persist.WAL }
-
-func (j simJournal) Append(rs []rating.Rating) error {
-	recs := make([]persist.Record, len(rs))
-	for i, r := range rs {
-		recs[i] = persist.Record{
-			Kind:     persist.KindRating,
-			Seq:      r.Seq,
-			Rater:    int32(r.Rater),
-			Ratee:    int32(r.Ratee),
-			Cycle:    int32(r.Cycle),
-			Category: int32(r.Category),
-			Value:    r.Value,
-		}
-	}
-	return j.w.Append(recs)
-}
-
 // initPersist opens the durability layer at construction: the state
-// directory, the run-wide rating WAL (direct-ledger mode; overlay shard WALs
-// were opened by the overlay itself), and — when an interval-boundary
-// snapshot is present — the resume state, validated against the
-// configuration fingerprint. Called from NewNetwork after buildOverlay.
+// directory (the shard WALs were opened by the overlay itself) and — when an
+// interval-boundary snapshot is present — the resume state, validated
+// against the configuration fingerprint. Called from NewNetwork after
+// buildOverlay.
 func (n *Network) initPersist() error {
 	cfg := n.Cfg
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return err
 	}
-	if n.Overlay == nil {
-		w, rec, err := persist.Open(filepath.Join(cfg.StateDir, "ratings.wal"), persist.Options{})
-		if err != nil {
-			return err
-		}
-		if rec.Corrupt != nil {
-			obs.Logger().Warn("rating WAL had a torn tail; truncated to last valid record",
-				"bytes", rec.TruncatedBytes, "err", rec.Corrupt)
-		}
-		n.simWAL = w
-	}
 	if persist.SnapshotExists(n.snapshotPath()) {
 		var st runState
 		if err := persist.LoadSnapshot(n.snapshotPath(), &st); err != nil {
-			n.closePersist()
 			return fmt.Errorf("sim: state dir %s: %w", cfg.StateDir, err)
 		}
 		if st.Fingerprint != n.fingerprint() {
-			n.closePersist()
 			return fmt.Errorf("sim: snapshot in %s was written by a different configuration; use a fresh state dir or rerun with identical parameters", cfg.StateDir)
 		}
 		n.resume = &st
@@ -175,24 +141,10 @@ func (n *Network) startFresh(res *Result, lastAbove []int, everAbove []bool, rep
 	if !n.durable() {
 		return
 	}
-	if n.Overlay != nil {
-		if err := n.Overlay.ResetWALs(); err != nil {
-			obs.Logger().Warn("resetting shard WALs failed; durability degraded", "err", err)
-		}
-	} else if n.simWAL != nil {
-		if err := n.simWAL.Rotate(); err != nil {
-			obs.Logger().Warn("resetting rating WAL failed; durability degraded", "err", err)
-		}
+	if err := n.Overlay.ResetWALs(); err != nil {
+		obs.Logger().Warn("resetting shard WALs failed; durability degraded", "err", err)
 	}
 	n.checkpoint(res, lastAbove, everAbove, reps, 0)
-}
-
-// attachJournal installs the write-ahead journal on the direct-path ledger.
-// Called after any resume replay so replayed records are not re-journaled.
-func (n *Network) attachJournal() {
-	if n.simWAL != nil {
-		n.Ledger.SetJournal(simJournal{n.simWAL})
-	}
 }
 
 // checkpoint captures and writes the interval-boundary snapshot, then trims
@@ -210,14 +162,8 @@ func (n *Network) checkpoint(res *Result, lastAbove []int, everAbove []bool, rep
 		obs.Logger().Warn("interval checkpoint failed; durability degraded", "cycle", cycle, "err", err)
 		return
 	}
-	if n.Overlay != nil {
-		if err := n.Overlay.CompactWALs(); err != nil {
-			obs.Logger().Warn("shard WAL compaction failed", "err", err)
-		}
-	} else if n.simWAL != nil {
-		if err := n.simWAL.Rotate(); err != nil {
-			obs.Logger().Warn("rating WAL rotation failed", "err", err)
-		}
+	if err := n.Overlay.CompactWALs(); err != nil {
+		obs.Logger().Warn("shard WAL compaction failed", "err", err)
 	}
 }
 
@@ -281,9 +227,7 @@ func (n *Network) captureState(res *Result, lastAbove []int, everAbove []bool, r
 		fs := n.FaultPlan.ExportState()
 		st.Fault = &fs
 	}
-	if n.Overlay != nil {
-		st.DrainedSeqs = n.Overlay.DrainedSeqs()
-	}
+	st.DrainedSeqs = n.Overlay.DrainedSeqs()
 	if rec := event.Current(); rec != nil {
 		n.savedEvents = append(n.savedEvents, rec.Drain()...)
 		st.Events = n.savedEvents
@@ -294,10 +238,9 @@ func (n *Network) captureState(res *Result, lastAbove []int, everAbove []bool, r
 
 // applyResume restores the snapshot found at construction: every substrate
 // state, the Result accumulators, and all random stream positions. The
-// interrupted interval's acknowledged WAL tail is replayed into the ledger
-// (or handed to the overlay's Resume) with its sequence numbers registered as
-// recovered, so the deterministic re-execution of that interval neither loses
-// nor double-counts a rating. Returns the boundary reputation vector and the
+// overlay's Resume replays the interrupted interval's acknowledged WAL tails
+// with their sequence numbers registered as recovered, so the deterministic
+// re-execution of that interval neither loses nor double-counts a rating. Returns the boundary reputation vector and the
 // cycle index to resume at.
 func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([]float64, int) {
 	st := n.resume
@@ -366,48 +309,10 @@ func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([
 	copy(lastAbove, st.LastAbove)
 	copy(everAbove, st.EverAbove)
 	reps := append([]float64(nil), st.Reps...)
-	if n.Overlay != nil {
-		if err := n.Overlay.Resume(st.DrainedSeqs, st.Seq, st.Reps); err != nil {
-			panic(fmt.Sprintf("sim: overlay resume: %v", err))
-		}
-	} else if n.simWAL != nil {
-		n.replaySimWAL(st.Seq)
+	if err := n.Overlay.Resume(st.DrainedSeqs, st.Seq, st.Reps); err != nil {
+		panic(fmt.Sprintf("sim: overlay resume: %v", err))
 	}
 	return reps, st.Cycle
-}
-
-// replaySimWAL replays the run-wide WAL's acknowledged tail — rating records
-// above the snapshot's sequence high-water — into the direct-path ledger,
-// registering each replayed sequence as recovered. Must run before
-// attachJournal so the replay is not re-journaled. A torn tail was already
-// truncated at Open; a decode error here replays the valid prefix (the
-// re-executed interval regenerates whatever was lost).
-func (n *Network) replaySimWAL(above uint64) {
-	recs, err := n.simWAL.ReadBack()
-	if err != nil {
-		obs.Logger().Warn("rating WAL replay hit a corrupt record; replaying valid prefix", "err", err)
-	}
-	recovered := make(map[uint64]int)
-	for _, rec := range recs {
-		if rec.Kind != persist.KindRating || rec.Seq <= above {
-			continue
-		}
-		r := rating.Rating{
-			Rater:    int(rec.Rater),
-			Ratee:    int(rec.Ratee),
-			Value:    rec.Value,
-			Cycle:    int(rec.Cycle),
-			Category: int(rec.Category),
-			Seq:      rec.Seq,
-		}
-		if err := n.Ledger.Add(r); err != nil {
-			continue // validated at original ingest; defensive only
-		}
-		recovered[rec.Seq]++
-	}
-	if len(recovered) > 0 {
-		n.Ledger.MarkRecovered(recovered)
-	}
 }
 
 // fastForward advances a fresh random stream to a snapshotted position.
@@ -424,17 +329,6 @@ func fastForward(s *xrand.Stream, target uint64) {
 // kill -9 would not have left behind — every append was flushed to the OS
 // before its ingest was acknowledged.
 func (n *Network) abandon() {
-	if n.Overlay != nil {
-		n.Overlay.Close()
-	}
+	n.Overlay.Close()
 	n.closeCluster()
-	n.closePersist()
-}
-
-// closePersist flushes and closes the run-wide WAL, if open.
-func (n *Network) closePersist() {
-	if n.simWAL != nil {
-		_ = n.simWAL.Close()
-		n.simWAL = nil
-	}
 }

@@ -222,7 +222,7 @@ func TestCrashRestartTwice(t *testing.T) {
 }
 
 // TestCrashRestartTornTail is the torn-write integration variant: the
-// process dies mid-append, leaving a partial final record in the rating WAL.
+// process dies mid-append, leaving a partial final record in the shard WAL.
 // Open truncates the torn frame; the lost suffix is regenerated by the
 // deterministic re-execution, so the resumed run is still bit-identical.
 func TestCrashRestartTornTail(t *testing.T) {
@@ -230,13 +230,13 @@ func TestCrashRestartTornTail(t *testing.T) {
 	ref := runToCompletion(t, cfg(), "")
 	dir := t.TempDir()
 	runUntilCrash(t, cfg(), dir, haltPoint{cycle: 3, qc: 5})
-	walPath := filepath.Join(dir, "ratings.wal")
+	walPath := filepath.Join(dir, "shards", "shard-0.wal")
 	info, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Size() < 16 {
-		t.Fatalf("rating WAL only %d bytes; crash left no journaled tail", info.Size())
+		t.Fatalf("shard WAL only %d bytes; crash left no journaled tail", info.Size())
 	}
 	if err := os.Truncate(walPath, info.Size()-3); err != nil {
 		t.Fatal(err)

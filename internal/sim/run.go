@@ -258,7 +258,6 @@ func (n *Network) Run() *Result {
 	} else {
 		n.startFresh(res, lastAbove, everAbove, reps)
 	}
-	n.attachJournal()
 
 	for sc := start; sc < cfg.SimulationCycles; sc++ {
 		cycleStart := time.Now()
@@ -312,20 +311,12 @@ func (n *Network) Run() *Result {
 		span.SetAmbient(root.Context())
 		res.PerCycleColluderShare = append(res.PerCycleColluderShare,
 			cycleShare(res, &lastTotal, &lastColl))
-		if n.Overlay != nil {
-			var st manager.DrainStatus
-			reps, st = n.Overlay.EndIntervalStatus()
-			if st.Partial {
-				res.PartialDrains++
-			}
-			res.ReplicaDrains += len(st.ReplicaUsed)
-		} else {
-			dsp := root.Child("sim.drain", span.PhaseDrain)
-			snap := n.Ledger.EndInterval()
-			dsp.SetInt("ratings", int64(len(snap.Ratings))).End()
-			n.Engine.Update(snap)
-			reps = n.Engine.Reputations()
+		var st manager.DrainStatus
+		reps, st = n.Overlay.EndIntervalStatus()
+		if st.Partial {
+			res.PartialDrains++
 		}
+		res.ReplicaDrains += len(st.ReplicaUsed)
 		n.Tracker.Reset() // Equation 11 weights are per simulation cycle
 		// Whitewashing: punished colluders abandon their identities (only
 		// while online — an offline peer cannot re-enter).
@@ -354,11 +345,8 @@ func (n *Network) Run() *Result {
 		n.observeCycle(res, sc, cycleStart, reqBefore, authBefore, inauthBefore, collBefore, departed, rejoined, root.TraceID())
 		n.checkpoint(res, lastAbove, everAbove, reps, sc+1)
 	}
-	if n.Overlay != nil {
-		n.Overlay.Close() // stop the manager goroutines; state is harvested
-	}
+	n.Overlay.Close() // stop the manager goroutines and close the shard WALs
 	n.closeCluster()
-	n.closePersist()
 	res.RatingsLost = n.ratingsLost
 	res.FinalReputations = reps
 	for ci := range res.ConvergenceCycles {
@@ -601,22 +589,17 @@ func (n *Network) chooseServer(it *intent, capacities []int, reps []float64) int
 	return best
 }
 
-// record stores one rating event in every substrate: the ledger (or, in
-// Managers mode, the overlay batch buffer drained by flushRatings), the
-// social interaction table, and the request tracker. The client-side
-// substrates always record the interaction immediately — only delivery to
-// the reputation system is batched.
+// record stores one rating event in every substrate: the overlay batch
+// buffer drained by flushRatings, the social interaction table, and the
+// request tracker. The client-side substrates record the interaction
+// immediately — only delivery to the reputation system is batched.
 func (n *Network) record(rater, ratee int, value float64, cycle int, cat interest.Category) {
 	// Every rating gets a run-global ingest sequence number, durable or not:
 	// it is the WAL replay dedupe key, and assigning it unconditionally keeps
 	// persisted and plain runs on identical code paths (bit-identical output).
 	n.seq++
 	r := rating.Rating{Rater: rater, Ratee: ratee, Value: value, Cycle: cycle, Category: int(cat), Seq: n.seq}
-	if n.Overlay != nil {
-		n.pending = append(n.pending, r)
-	} else if err := n.Ledger.Add(r); err != nil {
-		panic(err) // construction guarantees rater != ratee
-	}
+	n.pending = append(n.pending, r)
 	n.Graph.RecordInteraction(socialgraph.NodeID(rater), socialgraph.NodeID(ratee), 1)
 	n.Tracker.Record(rater, cat)
 }
@@ -627,9 +610,6 @@ func (n *Network) record(rater, ratee int, value float64, cycle int, cat interes
 // the replica copy failed), in which case the reputation system never sees
 // the rating while the client-side substrates keep the interaction.
 func (n *Network) flushRatings() {
-	if n.Overlay == nil || len(n.pending) == 0 {
-		return
-	}
 	errs := n.Overlay.SubmitBatch(n.pending)
 	n.pending = n.pending[:0]
 	for _, err := range errs {

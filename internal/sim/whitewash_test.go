@@ -16,7 +16,8 @@ func TestWhitewashResetsIdentity(t *testing.T) {
 	// Give the colluder some engine and graph state.
 	net.record(id, id+1, 1, 0, 0)
 	net.record(id+2, id, -1, 0, 0)
-	net.Engine.Update(net.Ledger.EndInterval())
+	net.flushRatings()
+	net.Overlay.EndInterval()
 	if net.Graph.Degree(socialgraph.NodeID(id)) == 0 {
 		t.Fatal("precondition: colluder should have friends")
 	}
