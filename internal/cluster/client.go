@@ -516,12 +516,7 @@ func (p *shardPort) Drain(_ span.Context, timeout time.Duration) (manager.DrainS
 	if err := parseReplyStatus(w); err != nil {
 		return manager.DrainSnapshots{}, err
 	}
-	var ds manager.DrainSnapshots
-	ds.Primary = w.snapshot()
-	ds.HasReplica = w.bool()
-	if ds.HasReplica {
-		ds.Replica = w.snapshot()
-	}
+	ds := w.drainReply(p.cl.numNodes)
 	if err := w.done(); err != nil {
 		return manager.DrainSnapshots{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"socialtrust/internal/manager"
@@ -184,5 +185,45 @@ func TestSubmitReplyRoundTrip(t *testing.T) {
 	}
 	if n != 3 || got != nil {
 		t.Fatalf("nil errs round trip: n=%d errs=%v", n, got)
+	}
+}
+
+// TestDrainReplyNodeRange checks that a drain reply is decoded against the
+// overlay's node count. A rating naming a node outside it, such as ratee 99
+// on an 8-node overlay, makes the frame corrupt. The drain then fails
+// instead of handing the engine an index past its per-node arrays.
+func TestDrainReplyNodeRange(t *testing.T) {
+	const numNodes = 8
+	good := rating.Rating{Rater: 3, Ratee: 7, Value: 1, Cycle: 2, Seq: 5}
+	snap := func(rs ...rating.Rating) rating.Snapshot { return rating.Snapshot{Ratings: rs, MaxSeq: 5} }
+	cases := []struct {
+		name string
+		ds   manager.DrainSnapshots
+		ok   bool
+	}{
+		{"in range", manager.DrainSnapshots{Primary: snap(good), HasReplica: true, Replica: snap(good)}, true},
+		{"ratee 99", manager.DrainSnapshots{Primary: snap(good, rating.Rating{Rater: 1, Ratee: 99, Value: 1})}, false},
+		{"ratee numNodes", manager.DrainSnapshots{Primary: snap(rating.Rating{Rater: 1, Ratee: numNodes, Value: 1})}, false},
+		{"replica rater -1", manager.DrainSnapshots{Primary: snap(good), HasReplica: true,
+			Replica: snap(rating.Rating{Rater: -1, Ratee: 2, Value: -1})}, false},
+	}
+	for _, tc := range cases {
+		w := &wire{b: appendDrainReply(nil, tc.ds)}
+		ds := w.drainReply(numNodes)
+		err := w.done()
+		if !tc.ok {
+			if !errors.Is(err, ErrCorruptFrame) {
+				t.Errorf("%s: decode error %v, want ErrCorruptFrame", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := rating.Snapshot{Ratings: []rating.Rating{good}, MaxSeq: 5,
+			Counts: map[rating.PairKey]rating.PairCounts{{Rater: 3, Ratee: 7}: {Positive: 1}}}
+		if !ds.HasReplica || !reflect.DeepEqual(ds.Primary, want) || !reflect.DeepEqual(ds.Replica, want) {
+			t.Fatalf("%s: decoded %+v, want primary and replica %+v", tc.name, ds, want)
+		}
 	}
 }

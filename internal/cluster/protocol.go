@@ -113,6 +113,17 @@ func appendSnapshot(b []byte, s rating.Snapshot) []byte {
 	return binary.LittleEndian.AppendUint64(b, s.MaxSeq)
 }
 
+// appendDrainReply encodes a drain reply body: the primary snapshot, then
+// the replica mirror's if the shard keeps one.
+func appendDrainReply(b []byte, ds manager.DrainSnapshots) []byte {
+	b = appendSnapshot(b, ds.Primary)
+	b = appendBool(b, ds.HasReplica)
+	if ds.HasReplica {
+		b = appendSnapshot(b, ds.Replica)
+	}
+	return b
+}
+
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
 func appendBool(b []byte, v bool) []byte {
@@ -249,10 +260,13 @@ func (w *wire) entries() []manager.BatchEntry {
 
 func (w *wire) bool() bool { return w.u8() != 0 }
 
-// snapshot decodes an interval snapshot, recomputing the per-pair frequency
-// counters from the ratings — the exact inverse of the ledger's add path
-// (Value>0 counts positive, Value<0 negative, zero counts neither).
-func (w *wire) snapshot() rating.Snapshot {
+// snapshot decodes an interval snapshot of a numNodes-node overlay,
+// recomputing the per-pair frequency counters from the ratings — the exact
+// inverse of the ledger's add path (Value>0 counts positive, Value<0
+// negative, zero counts neither). A rating that names a node outside
+// [0, numNodes) is corrupt: the reputation engines index per-node state by
+// both IDs.
+func (w *wire) snapshot(numNodes int) rating.Snapshot {
 	rs := w.ratings()
 	maxSeq := w.u64()
 	if w.err != nil {
@@ -260,6 +274,10 @@ func (w *wire) snapshot() rating.Snapshot {
 	}
 	snap := rating.Snapshot{Ratings: rs, MaxSeq: maxSeq, Counts: make(map[rating.PairKey]rating.PairCounts)}
 	for _, r := range rs {
+		if r.Rater < 0 || r.Rater >= numNodes || r.Ratee < 0 || r.Ratee >= numNodes {
+			w.fail("rating %d→%d names a node outside [0, %d)", r.Rater, r.Ratee, numNodes)
+			return rating.Snapshot{}
+		}
 		key := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
 		c := snap.Counts[key]
 		if r.Value > 0 {
@@ -270,6 +288,16 @@ func (w *wire) snapshot() rating.Snapshot {
 		snap.Counts[key] = c
 	}
 	return snap
+}
+
+// drainReply decodes a drain reply body (appendDrainReply) for a
+// numNodes-node overlay.
+func (w *wire) drainReply(numNodes int) manager.DrainSnapshots {
+	ds := manager.DrainSnapshots{Primary: w.snapshot(numNodes)}
+	if ds.HasReplica = w.bool(); ds.HasReplica {
+		ds.Replica = w.snapshot(numNodes)
+	}
+	return ds
 }
 
 // done returns the latched decode error, or an ErrCorruptFrame if the
@@ -457,10 +485,9 @@ func ParsePayload(payload []byte) error {
 			parseSubmitReply(w)
 			return w.done()
 		case opDrain:
-			w.snapshot()
-			if w.bool() {
-				w.snapshot()
-			}
+			// A Hello's node count is an int32, so no valid ID reaches
+			// MaxInt32.
+			w.drainReply(math.MaxInt32)
 			return w.done()
 		default:
 			return w.done()

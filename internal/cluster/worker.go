@@ -430,14 +430,7 @@ func (w *Worker) handleShardOp(st *hostedShard, rq *wreq) {
 		}
 		var ds manager.DrainSnapshots
 		ds, err = st.sh.Drain()
-		result = func(b []byte) []byte {
-			b = appendSnapshot(b, ds.Primary)
-			b = appendBool(b, ds.HasReplica)
-			if ds.HasReplica {
-				b = appendSnapshot(b, ds.Replica)
-			}
-			return b
-		}
+		result = func(b []byte) []byte { return appendDrainReply(b, ds) }
 	case opCrash:
 		if !decoded() {
 			return

@@ -96,8 +96,8 @@ func TestMergeSnapshotsPartial(t *testing.T) {
 	}
 
 	// One live shard among several passes its ledger-sorted snapshot
-	// through uncopied, equal to the general merge of the same ratings
-	// spread over two shards.
+	// through uncopied, equal — ratings, counters and MaxSeq — to the
+	// general merge of the same ratings spread over two shards.
 	whole, even, odd := rating.NewLedger(10), rating.NewLedger(10), rating.NewLedger(10)
 	for i := 0; i < 40; i++ {
 		r := rating.Rating{
@@ -121,7 +121,7 @@ func TestMergeSnapshotsPartial(t *testing.T) {
 	if &m.Ratings[0] != &lone.Ratings[0] {
 		t.Fatal("lone live snapshot was copied instead of passed through")
 	}
-	if !reflect.DeepEqual(m.Ratings, general.Ratings) || !reflect.DeepEqual(m.Counts, general.Counts) {
+	if !reflect.DeepEqual(m, general) {
 		t.Fatalf("lone snapshot differs from the general merge:\nlone    %+v\ngeneral %+v", m, general)
 	}
 }

@@ -41,7 +41,6 @@ package manager
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -843,12 +842,13 @@ func (o *Overlay) crashShard(i int) {
 	o.crashShardLocked(i)
 }
 
-// mergeSnapshots combines per-shard interval snapshots into one, restoring
-// the deterministic global ordering rating.Ledger guarantees. Nil or empty
-// entries — the partial-drain path, where a shard's snapshot never arrived —
-// contribute nothing. A lone non-empty snapshot is returned as is: its
-// ledger already sorted it with the same comparator, and every drain hands
-// over a fresh snapshot the overlay may own.
+// mergeSnapshots combines per-shard interval snapshots into one, in the
+// snapshot order rating.Ledger produces (rating.SnapshotOrder over the
+// shards' ratings in shard order). MaxSeq is the highest of the shards'
+// marks. Nil or empty entries — the partial-drain path, where a shard's
+// snapshot never arrived — contribute nothing. A lone non-empty snapshot is
+// returned as is: its ledger already put it in snapshot order, and every
+// drain hands over a fresh snapshot the overlay may own.
 func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
 	var live []rating.Snapshot
 	for _, s := range snaps {
@@ -859,9 +859,17 @@ func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
 	if len(live) == 1 {
 		return live[0]
 	}
-	out := rating.Snapshot{Counts: make(map[rating.PairKey]rating.PairCounts)}
+	var out rating.Snapshot
+	runs := make([][]rating.Rating, len(live))
+	pairs := 0
+	for i, s := range live {
+		runs[i] = s.Ratings
+		pairs += len(s.Counts)
+		out.MaxSeq = max(out.MaxSeq, s.MaxSeq)
+	}
+	out.Ratings = rating.SnapshotOrder(runs...)
+	out.Counts = make(map[rating.PairKey]rating.PairCounts, pairs)
 	for _, s := range live {
-		out.Ratings = append(out.Ratings, s.Ratings...)
 		for k, c := range s.Counts {
 			agg := out.Counts[k]
 			agg.Positive += c.Positive
@@ -869,21 +877,6 @@ func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
 			out.Counts[k] = agg
 		}
 	}
-	sort.SliceStable(out.Ratings, func(a, b int) bool {
-		x, y := out.Ratings[a], out.Ratings[b]
-		switch {
-		case x.Ratee != y.Ratee:
-			return x.Ratee < y.Ratee
-		case x.Rater != y.Rater:
-			return x.Rater < y.Rater
-		case x.Cycle != y.Cycle:
-			return x.Cycle < y.Cycle
-		case x.Category != y.Category:
-			return x.Category < y.Category
-		default:
-			return x.Value < y.Value
-		}
-	})
 	return out
 }
 

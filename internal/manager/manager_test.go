@@ -1,6 +1,8 @@
 package manager
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -206,6 +208,113 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	if c := m.Counts[rating.PairKey{Rater: 1, Ratee: 0}]; c.Positive != 2 {
 		t.Fatalf("merged counts = %+v", c)
+	}
+}
+
+// referenceMerge is the cross-shard merge as the drain defined it before
+// rating.SortSnapshot existed: the live snapshots' ratings concatenated in
+// shard order under a reflect-based stable sort with a five-key less
+// function, counters summed, and MaxSeq the highest mark.
+func referenceMerge(snaps []rating.Snapshot) rating.Snapshot {
+	out := rating.Snapshot{Counts: make(map[rating.PairKey]rating.PairCounts)}
+	for _, s := range snaps {
+		out.Ratings = append(out.Ratings, s.Ratings...)
+		out.MaxSeq = max(out.MaxSeq, s.MaxSeq)
+		for k, c := range s.Counts {
+			agg := out.Counts[k]
+			agg.Positive += c.Positive
+			agg.Negative += c.Negative
+			out.Counts[k] = agg
+		}
+	}
+	sort.SliceStable(out.Ratings, func(a, b int) bool {
+		x, y := out.Ratings[a], out.Ratings[b]
+		switch {
+		case x.Ratee != y.Ratee:
+			return x.Ratee < y.Ratee
+		case x.Rater != y.Rater:
+			return x.Rater < y.Rater
+		case x.Cycle != y.Cycle:
+			return x.Cycle < y.Cycle
+		case x.Category != y.Category:
+			return x.Category < y.Category
+		default:
+			return x.Value < y.Value
+		}
+	})
+	return out
+}
+
+// TestMergeSnapshotsMatchesReference pins the merged snapshot — every
+// rating's position, the counters and MaxSeq — to referenceMerge on the
+// drain's input shapes: ratee-disjoint shard snapshots, snapshots whose
+// ratees overlap and are not themselves sorted (TestMergeSnapshots' pair,
+// and one with a five-key tie across snapshots), one live snapshot among
+// missing ones, and no live snapshot at all. The shard ratings repeat
+// (ratee, rater, cycle) with differing categories and values, and whole
+// five-key tuples with differing Seq, so every key and the tie order shows.
+func TestMergeSnapshotsMatchesReference(t *testing.T) {
+	const n, k = 12, 4
+	shards := make([]*rating.Ledger, k)
+	for i := range shards {
+		shards[i] = rating.NewLedger(n)
+	}
+	values := []float64{1, -1, 0.5, 0, -0.25, 1}
+	for i := 0; i < 300; i++ {
+		r := rating.Rating{
+			Rater: (5*i + 1) % n, Ratee: (7 * i) % n, Value: values[(i/3)%len(values)],
+			Cycle: (i / 50) % 2, Category: (11 * i) % 3, Seq: uint64(i + 1),
+		}
+		if r.Rater == r.Ratee {
+			continue
+		}
+		if err := shards[r.Ratee%k].Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disjoint := make([]rating.Snapshot, k)
+	for i, l := range shards {
+		disjoint[i] = l.EndInterval()
+	}
+	overlapTie := []rating.Snapshot{
+		{
+			Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1, Category: 2, Seq: 3}, {Rater: 1, Ratee: 0, Value: 1, Category: 1, Seq: 4}},
+			Counts:  map[rating.PairKey]rating.PairCounts{{Rater: 1, Ratee: 0}: {Positive: 2}},
+			MaxSeq:  4,
+		},
+		{
+			Ratings: []rating.Rating{{Rater: 0, Ratee: 1, Value: -1, Seq: 7}, {Rater: 1, Ratee: 0, Value: 1, Category: 1, Seq: 1}, {Rater: 1, Ratee: 0, Value: 0.5, Category: 1, Seq: 2}},
+			Counts: map[rating.PairKey]rating.PairCounts{
+				{Rater: 0, Ratee: 1}: {Negative: 1},
+				{Rater: 1, Ratee: 0}: {Positive: 2},
+			},
+			MaxSeq: 7,
+		},
+	}
+	a := rating.Snapshot{
+		Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1}},
+		Counts:  map[rating.PairKey]rating.PairCounts{{Rater: 1, Ratee: 0}: {Positive: 1}},
+	}
+	b := rating.Snapshot{
+		Ratings: []rating.Rating{{Rater: 0, Ratee: 1, Value: -1}, {Rater: 1, Ratee: 0, Value: 1}},
+		Counts: map[rating.PairKey]rating.PairCounts{
+			{Rater: 0, Ratee: 1}: {Negative: 1},
+			{Rater: 1, Ratee: 0}: {Positive: 1},
+		},
+	}
+	cases := map[string][]rating.Snapshot{
+		"ratee-disjoint": disjoint,
+		"overlapping":    {a, b},
+		"overlap tie":    overlapTie,
+		"one live":       {{}, disjoint[2], {}},
+		"none live":      {{}, {Counts: map[rating.PairKey]rating.PairCounts{}}, {}},
+		"nil":            nil,
+	}
+	for name, snaps := range cases {
+		got, want := mergeSnapshots(snaps), referenceMerge(snaps)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: merge differs from the reference:\ngot  %+v\nwant %+v", name, got, want)
+		}
 	}
 }
 

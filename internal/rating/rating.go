@@ -7,6 +7,7 @@ package rating
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -289,10 +290,13 @@ func (l *Ledger) IntervalSize() int {
 	return n
 }
 
-// Snapshot is the drained content of one reputation-update interval. MaxSeq
-// is the highest ingest sequence number among the drained ratings (zero when
-// they are unsequenced) — the high-water mark durability layers use to tell
-// which journaled records a completed drain already accounts for.
+// Snapshot is the drained content of one reputation-update interval.
+// Ratings are in snapshot order — by ratee, rater, cycle, category and
+// value, with ties in ingest order (SnapshotOrder) — so downstream reputation
+// updates are reproducible. MaxSeq is the highest ingest sequence number
+// among the drained ratings (zero when they are unsequenced) — the
+// high-water mark durability layers use to tell which journaled records a
+// completed drain already accounts for.
 type Snapshot struct {
 	Ratings []Rating
 	Counts  map[PairKey]PairCounts
@@ -301,51 +305,28 @@ type Snapshot struct {
 
 // EndInterval atomically drains and returns the interval's ratings and
 // frequency counters, resetting the ledger for the next interval. Ratings
-// are returned in deterministic order (by ratee, then insertion order) so
-// downstream reputation updates are reproducible.
+// come back in snapshot order, ties in insertion order.
 func (l *Ledger) EndInterval() Snapshot {
-	snap := Snapshot{Counts: make(map[PairKey]PairCounts)}
-	type chunk struct {
-		shard   int
-		ratings []Rating
-	}
-	chunks := make([]chunk, 0, numShards)
+	var runs [numShards][]Rating
+	var counts [numShards]map[PairKey]PairCounts
+	pairs := 0
 	for i := range l.shards {
 		s := &l.shards[i]
 		s.mu.Lock()
-		if len(s.ratings) > 0 {
-			chunks = append(chunks, chunk{i, s.ratings})
-		}
-		for k, v := range s.counts {
-			snap.Counts[k] = v
-		}
-		s.ratings = nil
-		s.counts = make(map[PairKey]PairCounts)
+		runs[i], counts[i] = s.ratings, s.counts
+		s.ratings, s.counts = nil, make(map[PairKey]PairCounts)
 		s.mu.Unlock()
+		pairs += len(counts[i])
 	}
-	for _, c := range chunks {
-		snap.Ratings = append(snap.Ratings, c.ratings...)
+	// A pair's ratings share a ratee and so an internal shard: the shards'
+	// counters hold disjoint keys.
+	snap := Snapshot{Ratings: SnapshotOrder(runs[:]...), Counts: make(map[PairKey]PairCounts, pairs)}
+	for _, c := range counts {
+		maps.Copy(snap.Counts, c)
 	}
 	for i := range snap.Ratings {
-		if s := snap.Ratings[i].Seq; s > snap.MaxSeq {
-			snap.MaxSeq = s
-		}
+		snap.MaxSeq = max(snap.MaxSeq, snap.Ratings[i].Seq)
 	}
-	sort.SliceStable(snap.Ratings, func(a, b int) bool {
-		x, y := snap.Ratings[a], snap.Ratings[b]
-		switch {
-		case x.Ratee != y.Ratee:
-			return x.Ratee < y.Ratee
-		case x.Rater != y.Rater:
-			return x.Rater < y.Rater
-		case x.Cycle != y.Cycle:
-			return x.Cycle < y.Cycle
-		case x.Category != y.Category:
-			return x.Category < y.Category
-		default:
-			return x.Value < y.Value
-		}
-	})
 	return snap
 }
 
