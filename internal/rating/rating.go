@@ -8,7 +8,7 @@ package rating
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -381,186 +381,129 @@ func Frequencies(counts map[PairKey]PairCounts) FrequencyStats {
 	return fs
 }
 
-// History accumulates per-pair rating aggregates across the whole run —
-// the all-time sums reputation engines such as EigenTrust consume for local
-// trust values. It is not concurrency-safe; feed it drained Snapshots from
-// the single-threaded reputation-update phase.
+// History keeps, for every rater, the sorted set of peers it has ever rated
+// — the peer set the Gaussian filter centers that rater's baseline on
+// (Eq. 6/8/9) — and a version per rater that changes with the set. It is not
+// concurrency-safe; feed it drained Snapshots from the single-threaded
+// reputation-update phase.
 type History struct {
-	numNodes int
-	sums     map[PairKey]float64
-	counts   map[PairKey]int
-	raters   map[int]map[int]bool // ratee -> set of raters (and vice versa below)
-	ratees   map[int]map[int]bool // rater -> set of ratees
+	ratees [][]int // rater -> peers it has rated, ascending
 	// vers holds one version per rater, bumped exactly when that rater's
 	// rated-peer (ratee) set changes — the invalidation signal for per-rater
-	// profile caches, which depend only on the set, not the aggregates.
+	// profile caches, which depend only on the set.
 	vers []uint64
 }
 
-// NewHistory creates an empty all-time aggregate table.
+// NewHistory creates an empty history for numNodes peers.
 func NewHistory(numNodes int) *History {
-	return &History{
-		numNodes: numNodes,
-		sums:     make(map[PairKey]float64),
-		counts:   make(map[PairKey]int),
-		raters:   make(map[int]map[int]bool),
-		ratees:   make(map[int]map[int]bool),
-		vers:     make([]uint64, numNodes),
-	}
+	return &History{ratees: make([][]int, numNodes), vers: make([]uint64, numNodes)}
 }
 
 // Version returns the rater's rated-peer-set version: it changes if and only
 // if RateesOf(rater) would return a different set than at the last call.
 func (h *History) Version(rater int) uint64 { return h.vers[rater] }
 
-// Absorb folds a drained interval into the all-time aggregates. Ratings may
-// carry adjusted (re-weighted) values; History stores whatever it is given.
+// Absorb adds every ratee of the drained interval to its rater's set. Ratings
+// of one pair that arrive next to each other — snapshot order puts them so —
+// cost one lookup together.
 func (h *History) Absorb(ratings []Rating) {
-	for _, r := range ratings {
-		k := PairKey{r.Rater, r.Ratee}
-		h.sums[k] += r.Value
-		h.counts[k]++
-		if h.raters[r.Ratee] == nil {
-			h.raters[r.Ratee] = make(map[int]bool)
+	for i, r := range ratings {
+		if i > 0 && ratings[i-1].Rater == r.Rater && ratings[i-1].Ratee == r.Ratee {
+			continue // the run's first rating already looked the pair up
 		}
-		h.raters[r.Ratee][r.Rater] = true
-		if h.ratees[r.Rater] == nil {
-			h.ratees[r.Rater] = make(map[int]bool)
-		}
-		if !h.ratees[r.Rater][r.Ratee] {
-			h.ratees[r.Rater][r.Ratee] = true
+		row := h.ratees[r.Rater]
+		if k, found := slices.BinarySearch(row, r.Ratee); !found {
+			h.ratees[r.Rater] = slices.Insert(row, k, r.Ratee)
 			h.vers[r.Rater]++
 		}
 	}
 }
 
-// Sum returns the all-time accumulated rating value from rater about ratee.
-func (h *History) Sum(rater, ratee int) float64 {
-	return h.sums[PairKey{rater, ratee}]
-}
-
-// Count returns the all-time number of ratings from rater about ratee.
-func (h *History) Count(rater, ratee int) int {
-	return h.counts[PairKey{rater, ratee}]
-}
-
-// ResetNode forgets all aggregates involving the node, in either role. The
-// node's own version bumps when it had rated anyone, and so does every rater
-// whose rated-peer set contained the node.
+// ResetNode forgets the node in either role. The node's own version bumps
+// when it had rated anyone, and so does every rater whose rated-peer set
+// contained the node.
 func (h *History) ResetNode(node int) {
-	for k := range h.sums {
-		if k.Rater == node || k.Ratee == node {
-			delete(h.sums, k)
-			delete(h.counts, k)
-		}
-	}
-	delete(h.raters, node)
 	if len(h.ratees[node]) > 0 {
+		h.ratees[node] = nil
 		h.vers[node]++
 	}
-	delete(h.ratees, node)
-	for _, m := range h.raters {
-		delete(m, node)
-	}
-	for rater, m := range h.ratees {
-		if m[node] {
-			delete(m, node)
+	for rater, row := range h.ratees {
+		if k, found := slices.BinarySearch(row, node); found {
+			h.ratees[rater] = slices.Delete(row, k, k+1)
 			h.vers[rater]++
 		}
 	}
 }
 
-// RatersOf returns the sorted set of peers that have ever rated ratee.
-func (h *History) RatersOf(ratee int) []int {
-	return sortedKeys(h.raters[ratee])
-}
-
 // RateesOf returns the sorted set of peers that rater has ever rated — the
-// peer set the Gaussian filter profiles a rater against.
+// peer set the Gaussian filter profiles a rater against. The slice is the
+// history's own: callers must not modify it, and it is valid until the next
+// Absorb, ResetNode or ImportState.
 func (h *History) RateesOf(rater int) []int {
-	return sortedKeys(h.ratees[rater])
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+	row := h.ratees[rater]
+	return row[:len(row):len(row)]
 }
 
 // HistoryState is the serializable form of a History, captured by
-// ExportState and reinstated by ImportState. Rater/ratee sets are stored as
-// sorted slices so the payload is canonical.
+// ExportState and reinstated by ImportState. Ratees holds each non-empty
+// rated-peer set as an ascending slice, so the payload is canonical.
+// Snapshots written before the history dropped its per-pair aggregates also
+// carry Sums, Counts and Raters fields; gob skips them on decode.
 type HistoryState struct {
 	NumNodes int
-	Sums     map[PairKey]float64
-	Counts   map[PairKey]int
-	Raters   map[int][]int
 	Ratees   map[int][]int
 	Vers     []uint64
 }
 
-// ExportState deep-copies the all-time aggregates for snapshotting.
-func (h *History) ExportState() HistoryState {
-	st := HistoryState{
-		NumNodes: h.numNodes,
-		Sums:     make(map[PairKey]float64, len(h.sums)),
-		Counts:   make(map[PairKey]int, len(h.counts)),
-		Raters:   make(map[int][]int, len(h.raters)),
-		Ratees:   make(map[int][]int, len(h.ratees)),
-		Vers:     append([]uint64(nil), h.vers...),
+// Validate reports whether the state fits a numNodes-node history: one
+// version per node, every rater and ratee in [0, numNodes), no self pair,
+// and every ratee list strictly ascending. A state read from a file must pass
+// it before ImportState.
+func (st HistoryState) Validate(numNodes int) error {
+	if st.NumNodes != numNodes || len(st.Vers) != numNodes {
+		return fmt.Errorf("rating: history state for %d nodes with %d versions, want %d", st.NumNodes, len(st.Vers), numNodes)
 	}
-	for k, v := range h.sums {
-		st.Sums[k] = v
-	}
-	for k, v := range h.counts {
-		st.Counts[k] = v
-	}
-	for n, set := range h.raters {
-		if len(set) > 0 {
-			st.Raters[n] = sortedKeys(set)
+	for rater, list := range st.Ratees {
+		if rater < 0 || rater >= numNodes {
+			return fmt.Errorf("rating: history rater %d outside [0, %d)", rater, numNodes)
+		}
+		for k, ratee := range list {
+			switch {
+			case ratee < 0 || ratee >= numNodes:
+				return fmt.Errorf("rating: history ratee %d of rater %d outside [0, %d)", ratee, rater, numNodes)
+			case ratee == rater:
+				return fmt.Errorf("rating: history self pair for node %d", rater)
+			case k > 0 && ratee <= list[k-1]:
+				return fmt.Errorf("rating: history ratees of rater %d not strictly ascending", rater)
+			}
 		}
 	}
-	for n, set := range h.ratees {
-		if len(set) > 0 {
-			st.Ratees[n] = sortedKeys(set)
+	return nil
+}
+
+// ExportState deep-copies the rated-peer sets and versions for snapshotting.
+func (h *History) ExportState() HistoryState {
+	st := HistoryState{NumNodes: len(h.ratees), Ratees: make(map[int][]int), Vers: slices.Clone(h.vers)}
+	for rater, row := range h.ratees {
+		if len(row) > 0 {
+			st.Ratees[rater] = slices.Clone(row)
 		}
 	}
 	return st
 }
 
 // ImportState replaces the history's contents with a previously exported
-// state. Sum, Count and the rater/ratee sets afterwards are bit-identical to
-// the instance the state was exported from.
+// state, which must pass Validate for the history's node count. RateesOf and
+// Version afterwards match the instance the state was exported from.
 func (h *History) ImportState(st HistoryState) {
-	if st.NumNodes != h.numNodes {
-		panic(fmt.Sprintf("rating: history state for %d nodes imported into %d-node history", st.NumNodes, h.numNodes))
+	if err := st.Validate(len(h.ratees)); err != nil {
+		panic(err)
 	}
-	h.sums = make(map[PairKey]float64, len(st.Sums))
-	for k, v := range st.Sums {
-		h.sums[k] = v
-	}
-	h.counts = make(map[PairKey]int, len(st.Counts))
-	for k, v := range st.Counts {
-		h.counts[k] = v
-	}
-	h.raters = make(map[int]map[int]bool, len(st.Raters))
-	for n, list := range st.Raters {
-		set := make(map[int]bool, len(list))
-		for _, v := range list {
-			set[v] = true
+	clear(h.ratees)
+	for rater, list := range st.Ratees {
+		if len(list) > 0 {
+			h.ratees[rater] = slices.Clone(list)
 		}
-		h.raters[n] = set
-	}
-	h.ratees = make(map[int]map[int]bool, len(st.Ratees))
-	for n, list := range st.Ratees {
-		set := make(map[int]bool, len(list))
-		for _, v := range list {
-			set[v] = true
-		}
-		h.ratees[n] = set
 	}
 	h.vers = append(h.vers[:0], st.Vers...)
 }

@@ -146,36 +146,29 @@ func TestHistory(t *testing.T) {
 		{Rater: 0, Ratee: 2, Value: -1},
 		{Rater: 3, Ratee: 1, Value: 0.5},
 	})
-	if got := h.Sum(0, 1); got != 2 {
-		t.Fatalf("Sum(0,1) = %v", got)
-	}
-	if got := h.Count(0, 1); got != 2 {
-		t.Fatalf("Count(0,1) = %v", got)
-	}
-	if got := h.Sum(0, 2); got != -1 {
-		t.Fatalf("Sum(0,2) = %v", got)
-	}
-	if got := h.Sum(1, 0); got != 0 {
-		t.Fatal("direction matters")
-	}
-	raters := h.RatersOf(1)
-	if len(raters) != 2 || raters[0] != 0 || raters[1] != 3 {
-		t.Fatalf("RatersOf = %v", raters)
-	}
 	ratees := h.RateesOf(0)
 	if len(ratees) != 2 || ratees[0] != 1 || ratees[1] != 2 {
 		t.Fatalf("RateesOf = %v", ratees)
 	}
-	if len(h.RatersOf(5)) != 0 {
-		t.Fatal("unknown ratee should have no raters")
+	if got := h.RateesOf(1); len(got) != 0 {
+		t.Fatalf("direction matters: RateesOf(1) = %v", got)
+	}
+	if h.Version(0) != 2 || h.Version(3) != 1 || h.Version(1) != 0 {
+		t.Fatalf("versions %d %d %d, want 2 1 0", h.Version(0), h.Version(3), h.Version(1))
+	}
+	h.Absorb([]Rating{{Rater: 0, Ratee: 2, Value: 1}})
+	if h.Version(0) != 2 {
+		t.Fatal("re-rating a known peer changed the version")
 	}
 }
 
 func TestHistoryAbsorbAdjustedValues(t *testing.T) {
+	// Post-Gaussian values, zero included, still record the rated peer: the
+	// profile is the set of peers rated, whatever the weight.
 	h := NewHistory(4)
-	h.Absorb([]Rating{{Rater: 0, Ratee: 1, Value: 0.25}}) // post-Gaussian value
-	if got := h.Sum(0, 1); got != 0.25 {
-		t.Fatalf("Sum = %v, want 0.25", got)
+	h.Absorb([]Rating{{Rater: 0, Ratee: 1, Value: 0.25}, {Rater: 0, Ratee: 3, Value: 0}})
+	if got := h.RateesOf(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("RateesOf = %v, want [1 3]", got)
 	}
 }
 
@@ -230,34 +223,6 @@ func TestLedgerConservationProperty(t *testing.T) {
 	}
 }
 
-func TestHistorySumMatchesCountProperty(t *testing.T) {
-	// With all-ones ratings, Sum == Count for every pair.
-	f := func(events []uint16) bool {
-		const n = 8
-		h := NewHistory(n)
-		var batch []Rating
-		for _, e := range events {
-			rater, ratee := int(e%n), int((e/n)%n)
-			if rater == ratee {
-				continue
-			}
-			batch = append(batch, Rating{Rater: rater, Ratee: ratee, Value: 1})
-		}
-		h.Absorb(batch)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if h.Sum(i, j) != float64(h.Count(i, j)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHistoryResetNode(t *testing.T) {
 	h := NewHistory(4)
 	h.Absorb([]Rating{
@@ -266,14 +231,17 @@ func TestHistoryResetNode(t *testing.T) {
 		{Rater: 3, Ratee: 1, Value: 1},
 	})
 	h.ResetNode(1)
-	if h.Sum(0, 1) != 0 || h.Sum(1, 2) != 0 || h.Sum(3, 1) != 0 {
-		t.Fatal("sums involving node 1 survived ResetNode")
+	if len(h.RateesOf(0)) != 0 || len(h.RateesOf(1)) != 0 || len(h.RateesOf(3)) != 0 {
+		t.Fatal("rated-peer entries involving node 1 survived ResetNode")
 	}
-	if len(h.RatersOf(1)) != 0 || len(h.RateesOf(1)) != 0 {
-		t.Fatal("index entries survived ResetNode")
+	for node, want := range []uint64{2, 2, 0, 2} {
+		if got := h.Version(node); got != want {
+			t.Fatalf("Version(%d) = %d, want %d", node, got, want)
+		}
 	}
-	if len(h.RatersOf(2)) != 0 {
-		t.Fatal("node 1 still listed as a rater of 2")
+	h.ResetNode(2) // rated nobody, rated by nobody now: no version moves
+	if h.Version(2) != 0 || h.Version(0) != 2 {
+		t.Fatal("resetting an unrelated node bumped a version")
 	}
 }
 

@@ -8,21 +8,38 @@ import (
 	"socialtrust/internal/xrand"
 )
 
-// referenceIterate is a verbatim port of the pre-CSR powerIterate: it
-// rebuilds the transposed [][]entry matrix from scratch from the engine's
-// outlink map and runs the same iteration, warm-starting from `start` (the
-// engine warm-starts from its previous trust vector). The CSR path must
-// reproduce its trust vector bit for bit.
+// referenceIterate runs the pre-CSR power iteration over the engine's
+// positive local trust, as ExportState reports it, warm-starting from
+// `start` (the engine warm-starts from its previous trust vector). The CSR
+// path must reproduce its trust vector bit for bit.
 func referenceIterate(e *Engine, start []float64) []float64 {
+	out := map[int]map[int]float64{}
+	for k, v := range e.ExportState().Sums {
+		if v > 0 {
+			if out[k.Rater] == nil {
+				out[k.Rater] = map[int]float64{}
+			}
+			out[k.Rater][k.Ratee] = v
+		}
+	}
+	t, _, _ := iterateOutlinks(e.cfg, e.p, out, start)
+	return t
+}
+
+// iterateOutlinks is a verbatim port of the pre-CSR powerIterate: it builds
+// the transposed [][]entry matrix from scratch from an outlink map (rater ->
+// ratee -> positive local trust) and iterates from start. It returns the
+// final vector, the iteration count and the last L1 residual.
+func iterateOutlinks(cfg Config, p []float64, out map[int]map[int]float64, start []float64) ([]float64, int, float64) {
 	type inEntry struct {
 		from int
 		c    float64
 	}
-	n := e.cfg.NumNodes
+	n := cfg.NumNodes
 	in := make([][]inEntry, n)
 	rowTotal := make([]float64, n)
 	for i := 0; i < n; i++ {
-		row := e.out[i]
+		row := out[i]
 		if len(row) == 0 {
 			continue
 		}
@@ -41,10 +58,11 @@ func referenceIterate(e *Engine, start []float64) []float64 {
 		}
 	}
 
-	a := e.cfg.PretrustWeight
+	a := cfg.PretrustWeight
 	t := append([]float64(nil), start...)
 	next := make([]float64, n)
-	for iter := 0; iter < e.cfg.MaxIter; iter++ {
+	iters, diff := 0, 0.0
+	for iter := 0; iter < cfg.MaxIter; iter++ {
 		dangling := 0.0
 		for i := 0; i < n; i++ {
 			if rowTotal[i] <= 0 {
@@ -56,9 +74,9 @@ func referenceIterate(e *Engine, start []float64) []float64 {
 			for _, entry := range in[j] {
 				sum += entry.c * t[entry.from]
 			}
-			next[j] = (1-a)*(sum+dangling*e.p[j]) + a*e.p[j]
+			next[j] = (1-a)*(sum+dangling*p[j]) + a*p[j]
 		}
-		diff := 0.0
+		diff = 0.0
 		for i := range t {
 			d := next[i] - t[i]
 			if d < 0 {
@@ -67,11 +85,12 @@ func referenceIterate(e *Engine, start []float64) []float64 {
 			diff += d
 		}
 		t, next = next, t
-		if diff < e.cfg.Epsilon {
+		iters = iter + 1
+		if diff < cfg.Epsilon {
 			break
 		}
 	}
-	return t
+	return t, iters, diff
 }
 
 func assertVectorsEqual(t *testing.T, got, want []float64, ctx string) {
@@ -84,6 +103,20 @@ func assertVectorsEqual(t *testing.T, got, want []float64, ctx string) {
 			t.Fatalf("%s: node %d: csr=%v reference=%v", ctx, i, got[i], want[i])
 		}
 	}
+}
+
+// positivePairs rates every pair with positive local trust once more with
+// +1, raters and ratees ascending: a value-only update.
+func positivePairs(e *Engine) []rating.Rating {
+	var rs []rating.Rating
+	for i, row := range e.rows {
+		for _, lt := range row {
+			if lt.sum > 0 {
+				rs = append(rs, rating.Rating{Rater: i, Ratee: lt.ratee, Value: 1})
+			}
+		}
+	}
+	return rs
 }
 
 // randomSnapshot builds a reproducible mixed-sign snapshot; positive and
@@ -189,8 +222,8 @@ func TestCSRValueRefreshOnly(t *testing.T) {
 	e.Update(rating.Snapshot{Ratings: []rating.Rating{
 		{Rater: 0, Ratee: 1, Value: -100},
 	}})
-	if _, ok := e.out[0]; ok {
-		t.Fatal("sign flip did not remove the outlink row")
+	if e.csr.fRowPtr[0] != e.csr.fRowPtr[1] {
+		t.Fatal("sign flip did not remove the outlink from row 0")
 	}
 	assertVectorsEqual(t, e.t, referenceIterate(e, warm), "after shape change")
 }
@@ -252,12 +285,7 @@ func TestCSRRebuildReusesBuffers(t *testing.T) {
 	col := &e.csr.tCol[0]
 	for k := 0; k < 5; k++ {
 		// Positive re-ratings of existing pairs: value refresh only.
-		var rs []rating.Rating
-		for pk := range e.sums {
-			if e.sums[pk] > 0 {
-				rs = append(rs, rating.Rating{Rater: pk.Rater, Ratee: pk.Ratee, Value: 1})
-			}
-		}
+		rs := positivePairs(e)
 		e.Update(rating.Snapshot{Ratings: rs})
 	}
 	if col != &e.csr.tCol[0] {

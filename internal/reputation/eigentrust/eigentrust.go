@@ -15,9 +15,10 @@
 package eigentrust
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -103,10 +104,12 @@ func (c Config) withDefaults() Config {
 
 // Engine is an EigenTrust instance. Not safe for concurrent mutation.
 type Engine struct {
-	cfg  Config
-	p    []float64 // pretrust distribution
-	sums map[rating.PairKey]float64
-	out  map[int]map[int]float64 // rater -> ratee -> positive local trust
+	cfg Config
+	p   []float64 // pretrust distribution
+	// rows[i] holds rater i's local trust sums s_ij, one entry per peer j it
+	// has rated, ascending by j. Sums of any sign stay; the CSR reads the
+	// positive ones.
+	rows [][]localTrust
 	t    []float64
 	// scratch buffers reused across updates
 	next []float64
@@ -151,7 +154,17 @@ type csrState struct {
 
 	rowTotal []float64 // per-rater normalization totals (0 = dangling row)
 	cnt      []int32   // rebuild scratch: per-ratee entry counts / cursors
-	ratees   []int     // rebuild scratch: per-row sort buffer
+}
+
+// localTrust is one entry of a rater's row: the sum of its ratings of ratee.
+type localTrust struct {
+	ratee int
+	sum   float64
+}
+
+// findRatee locates ratee in a row by binary search.
+func findRatee(row []localTrust, ratee int) (int, bool) {
+	return slices.BinarySearchFunc(row, ratee, func(lt localTrust, j int) int { return cmp.Compare(lt.ratee, j) })
 }
 
 // grown returns s resized to n elements, reusing its backing array when the
@@ -218,8 +231,7 @@ func (e *Engine) Name() string { return "EigenTrust" }
 
 // Reset clears all local trust and restarts the global vector at p.
 func (e *Engine) Reset() {
-	e.sums = make(map[rating.PairKey]float64)
-	e.out = make(map[int]map[int]float64)
+	e.rows = make([][]localTrust, e.cfg.NumNodes)
 	e.t = append([]float64(nil), e.p...)
 	e.next = make([]float64, e.cfg.NumNodes)
 	e.csr.shapeDirty = true
@@ -227,70 +239,75 @@ func (e *Engine) Reset() {
 }
 
 // ResetNode implements reputation.Engine: all local trust issued by or
-// about the node is forgotten and the global vector recomputed. Affected
-// keys are collected before any mutation so applyLocal runs against a
-// stable view of the sums table.
+// about the node is forgotten and the global vector recomputed.
 func (e *Engine) ResetNode(node int) {
 	if node < 0 || node >= e.cfg.NumNodes {
 		panic(fmt.Sprintf("eigentrust: node %d out of range", node))
 	}
-	var keys []rating.PairKey
-	for k := range e.sums {
-		if k.Rater == node || k.Ratee == node {
-			keys = append(keys, k)
+	e.forget(node)
+	e.powerIterate()
+}
+
+// forget drops the node's row and its entry in every other row. Losing a
+// positive sum removes an outlink, so it marks the CSR shape dirty.
+func (e *Engine) forget(node int) {
+	for _, lt := range e.rows[node] {
+		if lt.sum > 0 {
+			e.csr.shapeDirty = true
 		}
 	}
-	for _, k := range keys {
-		old := e.sums[k]
-		delete(e.sums, k)
-		e.applyLocal(k, old, 0)
+	e.rows[node] = nil
+	for i, row := range e.rows {
+		if k, found := findRatee(row, node); found {
+			if row[k].sum > 0 {
+				e.csr.shapeDirty = true
+			}
+			e.rows[i] = slices.Delete(row, k, k+1)
+		}
 	}
-	e.powerIterate()
 }
 
 // Update folds the interval's ratings into local trust and re-runs the
 // power iteration.
 func (e *Engine) Update(snap rating.Snapshot) {
 	fsp := span.Ambient("eigentrust.fold", span.PhaseIterate).SetInt("ratings", int64(len(snap.Ratings)))
-	for _, r := range snap.Ratings {
-		k := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
-		old := e.sums[k]
-		e.sums[k] = old + r.Value
-		e.applyLocal(k, old, e.sums[k])
-	}
+	e.fold(snap.Ratings)
 	fsp.End()
 	e.powerIterate()
 }
 
-// applyLocal maintains the positive-part outlink map incrementally and
-// marks the CSR dirty: structurally when an outlink appears or vanishes,
-// value-only (with the rater's row recorded in the dirty set) when an
-// existing entry just changes magnitude. An unchanged sum is a no-op and
-// leaves the matrix clean — the signal the quiet-interval skip relies on.
-func (e *Engine) applyLocal(k rating.PairKey, old, now float64) {
-	if old == now {
-		return
-	}
-	oldPos, nowPos := old > 0, now > 0
-	switch {
-	case nowPos && !oldPos:
-		row := e.out[k.Rater]
-		if row == nil {
-			row = make(map[int]float64)
-			e.out[k.Rater] = row
+// fold adds the ratings into the rows one run of same-pair ratings at a time:
+// snapshot order keeps a pair's ratings next to each other, so a run costs
+// one lookup. Each sum accumulates in input order, so it is the same float
+// however the ratings are grouped.
+func (e *Engine) fold(ratings []rating.Rating) {
+	for i := 0; i < len(ratings); {
+		r := ratings[i]
+		row := e.rows[r.Rater]
+		k, found := findRatee(row, r.Ratee)
+		if !found {
+			row = slices.Insert(row, k, localTrust{ratee: r.Ratee})
+			e.rows[r.Rater] = row
 		}
-		row[k.Ratee] = now
-		e.csr.shapeDirty = true
-	case nowPos:
-		e.out[k.Rater][k.Ratee] = now
-		e.csr.valsDirty = true
-		e.markRowDirty(k.Rater)
-	case oldPos && !nowPos:
-		delete(e.out[k.Rater], k.Ratee)
-		if len(e.out[k.Rater]) == 0 {
-			delete(e.out, k.Rater)
+		sum := row[k].sum
+		for ; i < len(ratings) && ratings[i].Rater == r.Rater && ratings[i].Ratee == r.Ratee; i++ {
+			old := sum
+			sum += ratings[i].Value
+			// Every step marks the CSR as a lone rating would: the shape when
+			// an outlink appears or vanishes (so a sum that dips non-positive
+			// and comes back still rebuilds), the row's values when a positive
+			// sum moves, nothing when the sum stands — the quiet-interval
+			// skip's signal.
+			switch oldPos, nowPos := old > 0, sum > 0; {
+			case old == sum:
+			case oldPos != nowPos:
+				e.csr.shapeDirty = true
+			case nowPos:
+				e.csr.valsDirty = true
+				e.markRowDirty(r.Rater)
+			}
 		}
-		e.csr.shapeDirty = true
+		row[k].sum = sum
 	}
 }
 
@@ -315,49 +332,35 @@ func (e *Engine) clearDirtyRows() {
 	c.dirtyRows = c.dirtyRows[:0]
 }
 
-// rebuildCSR reconstructs the sparse structure from the outlink map into
-// the reusable scratch buffers: forward rows first (raters ascending,
-// ratees ascending within a row), then a counting pass lays out the
-// transposed rows and the forward→transposed permutation. Entry order in
-// every transposed row is ascending source ID — exactly the order the
-// from-scratch [][]inEntry build produced — so the power iteration's float
-// summation order is unchanged.
+// rebuildCSR reconstructs the sparse structure from the rows' positive
+// sums into the reusable scratch buffers: forward rows first (raters
+// ascending, ratees ascending within a row, as the rows keep them), then a
+// counting pass lays out the transposed rows and the forward→transposed
+// permutation. Entry order in every transposed row is ascending source ID —
+// exactly the order the from-scratch [][]inEntry build produced — so the
+// power iteration's float summation order is unchanged.
 func (e *Engine) rebuildCSR() {
 	c := &e.csr
 	n := e.cfg.NumNodes
-	nnz := 0
-	for _, row := range e.out {
-		nnz += len(row)
-	}
 	c.fRowPtr = grown(c.fRowPtr, n+1)
+	c.fCol = c.fCol[:0]
+	for i, row := range e.rows {
+		c.fRowPtr[i] = int32(len(c.fCol))
+		for _, lt := range row {
+			if lt.sum > 0 {
+				c.fCol = append(c.fCol, int32(lt.ratee))
+			}
+		}
+	}
+	slot, nnz := int32(len(c.fCol)), len(c.fCol)
+	c.fRowPtr[n] = slot
 	c.tRowPtr = grown(c.tRowPtr, n+1)
-	c.fCol = grown(c.fCol, nnz)
 	c.tCol = grown(c.tCol, nnz)
 	c.perm = grown(c.perm, nnz)
 	c.fVal = grown(c.fVal, nnz)
 	c.tVal = grown(c.tVal, nnz)
 	c.rowTotal = grown(c.rowTotal, n)
 	c.cnt = grown(c.cnt, n)
-
-	slot := int32(0)
-	for i := 0; i < n; i++ {
-		c.fRowPtr[i] = slot
-		row := e.out[i]
-		if len(row) == 0 {
-			continue
-		}
-		ratees := c.ratees[:0]
-		for j := range row {
-			ratees = append(ratees, j)
-		}
-		sort.Ints(ratees)
-		c.ratees = ratees[:0]
-		for _, j := range ratees {
-			c.fCol[slot] = int32(j)
-			slot++
-		}
-	}
-	c.fRowPtr[n] = slot
 
 	for j := 0; j < n; j++ {
 		c.cnt[j] = 0
@@ -410,7 +413,9 @@ func (e *Engine) refreshDirtyRows() {
 }
 
 // refreshCSRRow recomputes one forward row's total and normalized
-// transposed values.
+// transposed values. The row's positive sums are exactly the forward row's
+// slots, in the same order, because any change to that set marks the shape
+// dirty and rebuilds first.
 func (e *Engine) refreshCSRRow(i int) {
 	c := &e.csr
 	lo, hi := c.fRowPtr[i], c.fRowPtr[i+1]
@@ -418,12 +423,14 @@ func (e *Engine) refreshCSRRow(i int) {
 		c.rowTotal[i] = 0
 		return
 	}
-	row := e.out[i]
 	total := 0.0
-	for s := lo; s < hi; s++ {
-		v := row[int(c.fCol[s])]
-		c.fVal[s] = v
-		total += v
+	s := lo
+	for _, lt := range e.rows[i] {
+		if lt.sum > 0 {
+			c.fVal[s] = lt.sum
+			total += lt.sum
+			s++
+		}
 	}
 	c.rowTotal[i] = total
 	for s := lo; s < hi; s++ {
@@ -635,53 +642,72 @@ func (e *Engine) Reputation(node int) float64 {
 // LocalTrust exposes the accumulated (pre-normalization) local trust value
 // s_ij, useful for tests and diagnostics.
 func (e *Engine) LocalTrust(i, j int) float64 {
-	return e.sums[rating.PairKey{Rater: i, Ratee: j}]
+	row := e.rows[i]
+	if k, found := findRatee(row, j); found {
+		return row[k].sum
+	}
+	return 0
 }
 
 // State is the persistent core of an engine: the local trust sums, the
-// global trust vector, and the convergence statistics. The outlink map and
-// CSR matrix are derived from Sums and rebuilt on import; scratch buffers
-// are not state.
+// global trust vector, and the convergence statistics. The rows and CSR
+// matrix are derived from Sums and rebuilt on import; scratch buffers are
+// not state.
 type State struct {
 	Sums  map[rating.PairKey]float64
 	T     []float64
 	Stats Stats
 }
 
+// Validate reports whether the state fits a numNodes-node engine: one trust
+// value per node, and every pair between two distinct nodes in
+// [0, numNodes). A state read from a file must pass it before ImportState.
+func (st State) Validate(numNodes int) error {
+	if len(st.T) != numNodes {
+		return fmt.Errorf("eigentrust: state with %d-node trust vector, want %d", len(st.T), numNodes)
+	}
+	for k := range st.Sums {
+		if k.Rater < 0 || k.Rater >= numNodes || k.Ratee < 0 || k.Ratee >= numNodes {
+			return fmt.Errorf("eigentrust: state pair %d->%d outside [0, %d)", k.Rater, k.Ratee, numNodes)
+		}
+		if k.Rater == k.Ratee {
+			return fmt.Errorf("eigentrust: state self pair for node %d", k.Rater)
+		}
+	}
+	return nil
+}
+
 // ExportState deep-copies the engine's persistent state for snapshotting.
 func (e *Engine) ExportState() State {
 	st := State{
-		Sums:  make(map[rating.PairKey]float64, len(e.sums)),
+		Sums:  make(map[rating.PairKey]float64),
 		T:     append([]float64(nil), e.t...),
 		Stats: e.stats,
 	}
-	for k, v := range e.sums {
-		st.Sums[k] = v
+	for i, row := range e.rows {
+		for _, lt := range row {
+			st.Sums[rating.PairKey{Rater: i, Ratee: lt.ratee}] = lt.sum
+		}
 	}
 	return st
 }
 
-// ImportState restores a previously exported state. The outlink map is
-// rebuilt from the positive sums and the CSR matrix is reconstructed
-// eagerly, leaving the dirty flags clean — exactly the state the exporting
-// engine was in at its interval boundary, so a subsequent quiet interval
-// still takes the warm-start skip and a busy one folds in bit-identically.
+// ImportState restores a previously exported state, which must pass
+// Validate for the engine's node count. The rows are rebuilt from Sums and
+// the CSR matrix is reconstructed eagerly, leaving the dirty flags clean —
+// exactly the state the exporting engine was in at its interval boundary, so
+// a subsequent quiet interval still takes the warm-start skip and a busy one
+// folds in bit-identically.
 func (e *Engine) ImportState(st State) {
-	if len(st.T) != e.cfg.NumNodes {
-		panic(fmt.Sprintf("eigentrust: state with %d-node trust vector imported into %d-node engine", len(st.T), e.cfg.NumNodes))
+	if err := st.Validate(e.cfg.NumNodes); err != nil {
+		panic(err)
 	}
-	e.sums = make(map[rating.PairKey]float64, len(st.Sums))
-	e.out = make(map[int]map[int]float64)
+	clear(e.rows)
 	for k, v := range st.Sums {
-		e.sums[k] = v
-		if v > 0 {
-			row := e.out[k.Rater]
-			if row == nil {
-				row = make(map[int]float64)
-				e.out[k.Rater] = row
-			}
-			row[k.Ratee] = v
-		}
+		e.rows[k.Rater] = append(e.rows[k.Rater], localTrust{ratee: k.Ratee, sum: v})
+	}
+	for _, row := range e.rows {
+		slices.SortFunc(row, func(a, b localTrust) int { return cmp.Compare(a.ratee, b.ratee) })
 	}
 	e.t = append(e.t[:0], st.T...)
 	e.csr.shapeDirty = true

@@ -81,11 +81,7 @@ func TestIncrementalMatchesFullRecomputeCSR(t *testing.T) {
 		switch step % 5 {
 		case 1:
 			// Value-only: positive deltas on existing positive pairs.
-			for pk, v := range inc.sums {
-				if v > 0 {
-					snap.Ratings = append(snap.Ratings, rating.Rating{Rater: pk.Rater, Ratee: pk.Ratee, Value: 1})
-				}
-			}
+			snap.Ratings = positivePairs(inc)
 		case 3:
 			// Quiet interval.
 		default:

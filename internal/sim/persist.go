@@ -126,6 +126,18 @@ func (n *Network) initPersist() error {
 		if st.Fingerprint != n.fingerprint() {
 			return fmt.Errorf("sim: snapshot in %s was written by a different configuration; use a fresh state dir or rerun with identical parameters", cfg.StateDir)
 		}
+		// The filter history and the engine index per-node rows by the IDs
+		// they hold, so a malformed snapshot is refused here, not on resume.
+		var err error
+		if st.Filter != nil {
+			err = st.Filter.Hist.Validate(cfg.NumNodes)
+		}
+		if err == nil && st.EngineET != nil {
+			err = st.EngineET.Validate(cfg.NumNodes)
+		}
+		if err != nil {
+			return fmt.Errorf("sim: state dir %s: malformed snapshot: %w", cfg.StateDir, err)
+		}
 		n.resume = &st
 	}
 	return nil

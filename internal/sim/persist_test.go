@@ -9,6 +9,7 @@ import (
 
 	"socialtrust/internal/fault"
 	"socialtrust/internal/obs/event"
+	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/eigentrust"
 )
@@ -286,6 +287,56 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 		t.Fatal("fingerprint-exempt resume did not pick up the snapshot")
 	}
 	net.abandon()
+}
+
+// TestResumeRefusesMalformedSnapshot pins that a CRC-valid snapshot whose
+// filter history or engine state does not fit the configured population is
+// refused with an error at construction, one case per rule, instead of
+// panicking when the resume indexes per-node rows by its IDs.
+func TestResumeRefusesMalformedSnapshot(t *testing.T) {
+	cfg := smallConfig(MCM, EngineEigenTrust, 0.2, true)
+	dir := t.TempDir()
+	runUntilCrash(t, cfg, dir, haltPoint{cycle: 2, qc: 0})
+	path := filepath.Join(dir, "snapshot.st")
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cfg.NumNodes
+	cases := []struct {
+		name   string
+		mutate func(*runState)
+	}{
+		{"history version count", func(st *runState) { st.Filter.Hist.Vers = st.Filter.Hist.Vers[:n-1] }},
+		{"history rater out of range", func(st *runState) { st.Filter.Hist.Ratees[n] = []int{0} }},
+		{"history ratee out of range", func(st *runState) { st.Filter.Hist.Ratees[0] = []int{1, n + 5} }},
+		{"history self pair", func(st *runState) { st.Filter.Hist.Ratees[3] = []int{3} }},
+		{"engine trust vector length", func(st *runState) { st.EngineET.T = append(st.EngineET.T, 0) }},
+		{"engine rater out of range", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: -1, Ratee: 0}] = 1 }},
+		{"engine ratee out of range", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: 0, Ratee: n}] = 1 }},
+		{"engine self pair", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: 4, Ratee: 4}] = 1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile(path, orig, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var st runState
+			if err := persist.LoadSnapshot(path, &st); err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(&st)
+			if err := persist.WriteSnapshot(path, &st); err != nil {
+				t.Fatal(err)
+			}
+			resumed := cfg
+			resumed.StateDir = dir
+			if net, err := NewNetwork(resumed); err == nil {
+				net.abandon()
+				t.Fatal("a malformed snapshot was accepted for resume")
+			}
+		})
+	}
 }
 
 // TestSnapshotRoundTripProperty is the state-surface property test across
