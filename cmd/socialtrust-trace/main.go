@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -91,7 +92,7 @@ func main() {
 	printPhaseTable(sum)
 	if *critical {
 		fmt.Println()
-		printCriticalPaths(spans)
+		printCriticalPaths(os.Stdout, spans)
 	}
 	fmt.Println()
 	printSelfTime(spans, *topk)
@@ -209,8 +210,10 @@ func printPhaseTable(s summary) {
 // printCriticalPaths walks each trace from its root, descending at every
 // step into the heaviest child — the interval pipeline is sequential, so
 // the longest-duration chain is the path that dominated the interval's wall
-// time — and prints the path with each hop's duration and self time.
-func printCriticalPaths(spans []socialtrust.TraceSpan) {
+// time — and prints the path with each hop's duration and self time. The
+// walk stops at a span whose ID is already on the path, which only a
+// malformed file (a span reusing an ancestor's ID) can produce.
+func printCriticalPaths(w io.Writer, spans []socialtrust.TraceSpan) {
 	byTrace := map[uint64][]socialtrust.TraceSpan{}
 	var order []uint64
 	for _, sp := range spans {
@@ -220,7 +223,7 @@ func printCriticalPaths(spans []socialtrust.TraceSpan) {
 		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	fmt.Println("critical paths (slowest child chain per interval):")
+	fmt.Fprintln(w, "critical paths (slowest child chain per interval):")
 	for i, tr := range order {
 		ts := byTrace[tr]
 		children := map[uint64][]socialtrust.TraceSpan{}
@@ -235,8 +238,10 @@ func printCriticalPaths(spans []socialtrust.TraceSpan) {
 		if !haveRoot {
 			continue // ring wraparound evicted this trace's root
 		}
-		fmt.Printf("  interval %d:\n", i+1)
+		fmt.Fprintf(w, "  interval %d:\n", i+1)
+		onPath := map[uint64]bool{}
 		for cur, depth := root, 0; ; depth++ {
+			onPath[cur.ID] = true
 			self := cur.DurUS
 			var next socialtrust.TraceSpan
 			haveNext := false
@@ -249,10 +254,10 @@ func printCriticalPaths(spans []socialtrust.TraceSpan) {
 			if self < 0 {
 				self = 0
 			}
-			fmt.Printf("    %s%-28s %10.4fs  self %8.4fs\n",
+			fmt.Fprintf(w, "    %s%-28s %10.4fs  self %8.4fs\n",
 				strings.Repeat("  ", depth), cur.Name,
 				float64(cur.DurUS)/1e6, float64(self)/1e6)
-			if !haveNext {
+			if !haveNext || onPath[next.ID] {
 				break
 			}
 			cur = next

@@ -26,6 +26,7 @@ import (
 
 	"socialtrust/internal/fault"
 	"socialtrust/internal/obs/event"
+	"socialtrust/internal/obs/ring"
 	"socialtrust/internal/obs/span"
 )
 
@@ -86,24 +87,15 @@ func WriteTrace(dir string, spans []span.Span) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, TraceFile))
-	if err != nil {
-		return fmt.Errorf("audit: %w", err)
-	}
-	werr := span.WriteJSONL(f, spans)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("audit: write %s: %w", TraceFile, werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("audit: close %s: %w", TraceFile, cerr)
+	if err := writeJSONL(dir, TraceFile, spans); err != nil {
+		return err
 	}
 	cf, err := os.Create(filepath.Join(dir, ChromeTraceFile))
 	if err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
-	werr = span.WriteChromeTrace(cf, spans)
-	cerr = cf.Close()
+	werr := span.WriteChromeTrace(cf, spans)
+	cerr := cf.Close()
 	if werr != nil {
 		return fmt.Errorf("audit: write %s: %w", ChromeTraceFile, werr)
 	}
@@ -115,63 +107,18 @@ func WriteTrace(dir string, spans []span.Span) error {
 
 // LoadTrace reads the span stream of an audit (or trace) directory. A
 // missing file loads as an empty stream (the run was not traced).
-func LoadTrace(dir string) ([]span.Span, error) {
-	f, err := os.Open(filepath.Join(dir, TraceFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("audit: %w", err)
-	}
-	defer f.Close()
-	spans, err := span.ReadJSONL(f)
-	if err != nil {
-		return nil, fmt.Errorf("audit: read %s: %w", TraceFile, err)
-	}
-	return spans, nil
-}
+func LoadTrace(dir string) ([]span.Span, error) { return loadJSONL[span.Span](dir, TraceFile) }
 
 // WriteFaultEvents writes a fault plan's injected-event log alongside the
 // audit streams, one JSON object per line in injection order.
 func WriteFaultEvents(dir string, events []fault.Event) error {
-	f, err := os.Create(filepath.Join(dir, FaultsFile))
-	if err != nil {
-		return fmt.Errorf("audit: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			f.Close()
-			return fmt.Errorf("audit: write %s: %w", FaultsFile, err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("audit: close %s: %w", FaultsFile, err)
-	}
-	return nil
+	return writeJSONL(dir, FaultsFile, events)
 }
 
 // LoadFaultEvents reads the injected-event log of an audit directory.
 // A missing file loads as an empty log (the run injected no faults).
 func LoadFaultEvents(dir string) ([]fault.Event, error) {
-	f, err := os.Open(filepath.Join(dir, FaultsFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("audit: %w", err)
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	var out []fault.Event
-	for dec.More() {
-		var e fault.Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("audit: read %s: %w", FaultsFile, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	return loadJSONL[fault.Event](dir, FaultsFile)
 }
 
 // WriteDir writes one run's audit output: the ground truth and the event
@@ -211,17 +158,8 @@ func WriteDir(dir string, gt GroundTruth, events []event.Event) error {
 		{ManagerFile, managers},
 		{HealthFile, health},
 	} {
-		f, err := os.Create(filepath.Join(dir, part.name))
-		if err != nil {
-			return fmt.Errorf("audit: %w", err)
-		}
-		werr := event.WriteJSONL(f, part.events)
-		cerr := f.Close()
-		if werr != nil {
-			return fmt.Errorf("audit: write %s: %w", part.name, werr)
-		}
-		if cerr != nil {
-			return fmt.Errorf("audit: close %s: %w", part.name, cerr)
+		if err := writeJSONL(dir, part.name, part.events); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -241,20 +179,48 @@ func LoadDir(dir string) (GroundTruth, []event.Event, error) {
 	}
 	var events []event.Event
 	for _, name := range []string{DecisionsFile, CyclesFile, ManagerFile, HealthFile} {
-		f, err := os.Open(filepath.Join(dir, name))
-		if os.IsNotExist(err) {
-			continue
-		}
+		part, err := loadJSONL[event.Event](dir, name)
 		if err != nil {
-			return gt, nil, fmt.Errorf("audit: %w", err)
-		}
-		part, perr := event.ReadJSONL(f)
-		f.Close()
-		if perr != nil {
-			return gt, nil, fmt.Errorf("audit: read %s: %w", name, perr)
+			return gt, nil, err
 		}
 		events = append(events, part...)
 	}
 	sort.SliceStable(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
 	return gt, events, nil
+}
+
+// writeJSONL writes items one JSON object per line to dir/name, truncating
+// any existing file.
+func writeJSONL[T any](dir, name string, items []T) error {
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	werr := ring.WriteJSONL(f, items)
+	cerr := f.Close()
+	if werr != nil {
+		return fmt.Errorf("audit: write %s: %w", name, werr)
+	}
+	if cerr != nil {
+		return fmt.Errorf("audit: close %s: %w", name, cerr)
+	}
+	return nil
+}
+
+// loadJSONL reads the JSONL stream dir/name. A missing file loads as an
+// empty stream.
+func loadJSONL[T any](dir, name string) ([]T, error) {
+	f, err := os.Open(filepath.Join(dir, name))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
+	}
+	defer f.Close()
+	items, err := ring.ReadJSONL[T](f)
+	if err != nil {
+		return nil, fmt.Errorf("audit: read %s: %w", name, err)
+	}
+	return items, nil
 }

@@ -15,21 +15,18 @@
 //	    rec.RecordFilter(event.FilterDecision{...})
 //	}
 //
-// The recorder is a fixed-capacity ring: when full, the oldest events are
-// overwritten and counted in Dropped, so a runaway event source degrades
-// into losing history rather than memory. Drain copies the buffered events
-// out in order and clears the ring; WriteJSONL/ReadJSONL serialize event
-// streams one JSON object per line for offline analysis (see internal/audit
-// and cmd/socialtrust-audit).
+// The recorder is a fixed-capacity ring (internal/obs/ring): when full, the
+// oldest events are overwritten and counted in Dropped, so a runaway event
+// source degrades into losing history rather than memory. Drain copies the
+// buffered events out in order and clears the ring; internal/audit writes
+// the streams one JSON object per line for offline analysis (see
+// cmd/socialtrust-audit).
 package event
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
 	"sync/atomic"
+
+	"socialtrust/internal/obs/ring"
 )
 
 // FilterDecision records one SocialTrust filtering decision: a directed
@@ -199,15 +196,11 @@ type Event struct {
 const DefaultCapacity = 1 << 16
 
 // Recorder is a bounded ring buffer of events. All methods are safe for
-// concurrent use; Record-side cost is one mutex acquisition plus a slot
-// copy. The zero Recorder is not usable; call NewRecorder.
+// concurrent use, and the reads (Drain, Len, Recorded, Dropped, Capacity)
+// answer zero on a nil Recorder. Record-side cost is one mutex acquisition
+// plus a slot copy. The zero Recorder is not usable; call NewRecorder.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event // len(buf) == capacity, allocated up front
-	start   int     // index of the oldest buffered event
-	n       int     // buffered event count
-	seq     uint64  // total events ever recorded
-	dropped uint64  // events overwritten before being drained
+	ring *ring.Ring[Event]
 }
 
 // NewRecorder creates a recorder holding at most capacity events
@@ -216,63 +209,32 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{ring: ring.New(capacity, func(e *Event, seq uint64) { e.Seq = seq })}
 }
 
-// Capacity returns the ring size.
-func (r *Recorder) Capacity() int { return len(r.buf) }
-
-// record appends one event, overwriting the oldest when full.
-func (r *Recorder) record(e Event) {
-	r.mu.Lock()
-	r.seq++
-	e.Seq = r.seq
-	if r.n == len(r.buf) {
-		r.buf[r.start] = e
-		r.start++
-		if r.start == len(r.buf) {
-			r.start = 0
-		}
-		r.dropped++
-	} else {
-		i := r.start + r.n
-		if i >= len(r.buf) {
-			i -= len(r.buf)
-		}
-		r.buf[i] = e
-		r.n++
+// buf returns r's ring; nil for a nil r, whose reads answer zero.
+func (r *Recorder) buf() *ring.Ring[Event] {
+	if r == nil {
+		return nil
 	}
-	r.mu.Unlock()
+	return r.ring
 }
 
 // RecordFilter records one filtering decision.
-func (r *Recorder) RecordFilter(d FilterDecision) { r.record(Event{Filter: &d}) }
+func (r *Recorder) RecordFilter(d FilterDecision) { r.ring.Push(Event{Filter: &d}) }
 
 // RecordCycle records one simulation-cycle time-series sample.
-func (r *Recorder) RecordCycle(c CycleSeries) { r.record(Event{Cycle: &c}) }
+func (r *Recorder) RecordCycle(c CycleSeries) { r.ring.Push(Event{Cycle: &c}) }
 
 // RecordManager records one manager-overlay operation.
-func (r *Recorder) RecordManager(m ManagerEvent) { r.record(Event{Manager: &m}) }
+func (r *Recorder) RecordManager(m ManagerEvent) { r.ring.Push(Event{Manager: &m}) }
 
 // RecordHealth records one watchdog status transition.
-func (r *Recorder) RecordHealth(h HealthEvent) { r.record(Event{Health: &h}) }
+func (r *Recorder) RecordHealth(h HealthEvent) { r.ring.Push(Event{Health: &h}) }
 
 // Drain copies the buffered events out in record order (oldest first) and
 // clears the ring. Sequence numbers keep increasing across drains.
-func (r *Recorder) Drain() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		j := r.start + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		out = append(out, r.buf[j])
-	}
-	r.start, r.n = 0, 0
-	return out
-}
+func (r *Recorder) Drain() []Event { return r.buf().Drain() }
 
 // AdvanceSeq raises the recorder's sequence counter to at least n, so the
 // next recorded event carries Seq n+1. A crash-restarted run uses this to
@@ -280,34 +242,20 @@ func (r *Recorder) Drain() []Event {
 // the durable checkpoint keep their original numbers and freshly recorded
 // ones follow contiguously, exactly as an uninterrupted run would number
 // them. A lower n than the current counter is ignored.
-func (r *Recorder) AdvanceSeq(n uint64) {
-	r.mu.Lock()
-	if n > r.seq {
-		r.seq = n
-	}
-	r.mu.Unlock()
-}
+func (r *Recorder) AdvanceSeq(n uint64) { r.ring.AdvanceSeq(n) }
 
 // Len returns the number of currently buffered events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
+func (r *Recorder) Len() int { return r.buf().Len() }
 
-// Recorded returns the total number of events ever recorded.
-func (r *Recorder) Recorded() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
+// Recorded returns the total number of events ever recorded (the sequence
+// counter, including any AdvanceSeq jump).
+func (r *Recorder) Recorded() uint64 { return r.buf().Recorded() }
 
 // Dropped returns the number of events lost to ring overwrites.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+func (r *Recorder) Dropped() uint64 { return r.buf().Dropped() }
+
+// Capacity returns the ring size.
+func (r *Recorder) Capacity() int { return r.buf().Capacity() }
 
 // active is the package-level recorder; nil means recording is disabled.
 var active atomic.Pointer[Recorder]
@@ -363,46 +311,4 @@ func RecordHealth(h HealthEvent) {
 }
 
 // Drain drains the package-level recorder (nil while disabled).
-func Drain() []Event {
-	if r := active.Load(); r != nil {
-		return r.Drain()
-	}
-	return nil
-}
-
-// WriteJSONL writes events one JSON object per line.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return fmt.Errorf("event: encode seq %d: %w", events[i].Seq, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL parses a JSONL event stream written by WriteJSONL. Blank lines
-// are skipped; a malformed line is an error carrying its line number.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("event: line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("event: read: %w", err)
-	}
-	return out, nil
-}
+func Drain() []Event { return active.Load().Drain() }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"socialtrust/internal/obs/ring"
 )
 
 // withDisabled forces the package-level recorder off for the test body,
@@ -151,13 +153,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Seq: 3, Manager: &ManagerEvent{Kind: "drain", Shards: 4, Ratings: 1000, Seconds: 0.01}},
 	}
 	var sb strings.Builder
-	if err := WriteJSONL(&sb, in); err != nil {
+	if err := ring.WriteJSONL(&sb, in); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(sb.String(), "\n"); got != len(in) {
 		t.Fatalf("JSONL has %d lines, want %d", got, len(in))
 	}
-	out, err := ReadJSONL(strings.NewReader(sb.String() + "\n")) // trailing blank line is fine
+	out, err := ring.ReadJSONL[Event](strings.NewReader(sb.String() + "\n")) // trailing blank line is fine
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +169,17 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if *out[0].Filter != *in[0].Filter || *out[1].Cycle != *in[1].Cycle || *out[2].Manager != *in[2].Manager {
 		t.Fatalf("round trip mutated payloads:\n got %+v\nwant %+v", out, in)
 	}
-	if _, err := ReadJSONL(strings.NewReader("{bogus\n")); err == nil {
+	if _, err := ring.ReadJSONL[Event](strings.NewReader("{bogus\n")); err == nil {
 		t.Fatal("malformed line did not error")
+	}
+}
+
+// TestNilRecorderReads pins that every read answers zero on a nil
+// recorder — the value Current returns while recording is off.
+func TestNilRecorderReads(t *testing.T) {
+	var r *Recorder
+	if r.Drain() != nil || r.Len() != 0 || r.Recorded() != 0 || r.Dropped() != 0 || r.Capacity() != 0 {
+		t.Fatal("nil recorder read returned a non-zero value")
 	}
 }
 

@@ -57,8 +57,8 @@ func BenchmarkSampleOnce(b *testing.B) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	populateRegistry(reg, 16)
-	s := New(Config{Registry: reg, Window: 120})
-	// Pre-fill the window so every timed tick pays the steady-state slide.
+	s := New(Config{Registry: reg})
+	// Pre-fill the window so every timed tick overwrites the oldest sample.
 	for i := 0; i < 130; i++ {
 		s.SampleOnce()
 	}

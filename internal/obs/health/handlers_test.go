@@ -27,7 +27,7 @@ func TestProbesNilSampler(t *testing.T) {
 }
 
 func TestProbeTransitions(t *testing.T) {
-	s := New(Config{Hold: 1})
+	s := New(Config{})
 	h := Handler(s, nil)
 
 	tick(s, Sample{Shards: 4})
@@ -58,7 +58,7 @@ func TestProbeTransitions(t *testing.T) {
 }
 
 func TestStatuszPayload(t *testing.T) {
-	s := New(Config{Hold: 1, Interval: time.Second, SLOInterval: 2 * time.Second})
+	s := New(Config{Interval: time.Second, SLOInterval: 2 * time.Second})
 	tick(s, Sample{Shards: 4, MailboxDepth: 2})
 	tick(s, Sample{Shards: 4, ShardsDown: 1, MailboxDepth: 3})
 	code, body := get(t, Handler(s, nil), "/statusz")

@@ -25,6 +25,7 @@ import (
 
 	"socialtrust/internal/obs"
 	"socialtrust/internal/obs/event"
+	"socialtrust/internal/obs/ring"
 )
 
 // HealthEvent aliases the flight recorder's watchdog-transition payload so
@@ -76,60 +77,36 @@ func (s *Status) UnmarshalJSON(b []byte) error {
 type Config struct {
 	// Interval is the sampling cadence (default 1s).
 	Interval time.Duration
-	// Window is how many samples the time-series ring keeps (default 120 —
-	// two minutes at the default cadence).
-	Window int
 	// SLOInterval is the per-update-interval wall-time budget judged by the
 	// interval-slo watchdog; 0 disables that rule.
 	SLOInterval time.Duration
 	// Registry is the metric registry to snapshot (nil = obs.Default).
 	Registry *obs.Registry
-
-	// Watchdog thresholds; zero means the default in parentheses.
-	BacklogDegradedStreak int // consecutive backlog-growth samples before degraded (2)
-	BacklogFailingStreak  int // ... before failing (4)
-	StreakFailing         int // consecutive partial-drain/failover samples before failing (5)
-	ResidualStallStreak   int // consecutive maxiter-hit samples with non-decreasing residual before failing (3)
-	LeakWindow            int // samples of strictly monotonic goroutine/heap growth before degraded (30)
-	Hold                  int // samples a cleared non-ok verdict lingers before decaying to ok (2)
-	// FsyncDegradedSeconds is the mean WAL-fsync latency above which the
-	// persist component is degraded; 10x it is failing (0.1s).
-	FsyncDegradedSeconds float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.Window <= 0 {
-		c.Window = 120
-	}
 	if c.Registry == nil {
 		c.Registry = obs.Default
 	}
-	if c.BacklogDegradedStreak <= 0 {
-		c.BacklogDegradedStreak = 2
-	}
-	if c.BacklogFailingStreak <= 0 {
-		c.BacklogFailingStreak = 4
-	}
-	if c.StreakFailing <= 0 {
-		c.StreakFailing = 5
-	}
-	if c.ResidualStallStreak <= 0 {
-		c.ResidualStallStreak = 3
-	}
-	if c.LeakWindow <= 0 {
-		c.LeakWindow = 30
-	}
-	if c.Hold <= 0 {
-		c.Hold = 2
-	}
-	if c.FsyncDegradedSeconds <= 0 {
-		c.FsyncDegradedSeconds = 0.1
-	}
 	return c
 }
+
+// Sampler sizes and watchdog thresholds.
+const (
+	windowSize = 120 // samples the time-series ring keeps: two minutes at the default cadence
+	maxEvents  = 64  // the local transition log served by /statusz, independent of the flight recorder
+
+	backlogDegradedStreak = 2   // consecutive backlog-growth samples before degraded
+	backlogFailingStreak  = 4   // ... before failing
+	streakFailing         = 5   // consecutive partial-drain/persist-error samples before failing
+	residualStallStreak   = 3   // consecutive maxiter-hit samples with non-decreasing residual before failing
+	leakWindow            = 30  // samples of strictly monotonic goroutine/heap growth before degraded
+	hold                  = 2   // samples a cleared non-ok verdict lingers before decaying to ok
+	fsyncDegradedSeconds  = 0.1 // mean WAL-fsync latency above which persist is degraded; 10x is failing
+)
 
 // Sample is one tick's curated view of the registry: the metric families the
 // watchdogs and the dashboard consume, flattened out of the full snapshot.
@@ -186,23 +163,19 @@ type Sample struct {
 	IterateCount        float64 `json:"iterate_count"` // eigentrust_update_seconds count
 }
 
-// maxEvents bounds the sampler's local transition log served by /statusz
-// (independent of the flight recorder, which may be off).
-const maxEvents = 64
-
 // Sampler captures Samples on a cadence and runs the watchdog rules over
 // them. All methods are safe for concurrent use. Construct with New (manual
 // ticks, for tests and embedding) or Start (background goroutine).
 type Sampler struct {
-	cfg Config
-
-	mu      sync.Mutex
-	ring    []Sample // bounded window, oldest first
-	seq     uint64   // ticks taken
-	rules   []*rule
-	worst   Status // overall high-water mark since start
-	events  []event.HealthEvent
+	cfg     Config
+	window  *ring.Ring[Sample] // stamps each Sample's Seq
+	events  *ring.Ring[event.HealthEvent]
 	started time.Time
+
+	mu        sync.Mutex
+	prev, cur Sample // the two newest samples, as the rules judge them
+	rules     []*rule
+	worst     Status // overall high-water mark since start
 
 	stop chan struct{}
 	done chan struct{}
@@ -211,9 +184,14 @@ type Sampler struct {
 // New builds a sampler without starting its goroutine; call SampleOnce to
 // tick it manually. Tests and single-threaded embedders use this.
 func New(cfg Config) *Sampler {
-	s := &Sampler{cfg: cfg.withDefaults(), started: time.Now()}
-	s.rules = newRules(s.cfg)
-	return s
+	cfg = cfg.withDefaults()
+	return &Sampler{
+		cfg:     cfg,
+		window:  ring.New(windowSize, func(x *Sample, seq uint64) { x.Seq = seq }),
+		events:  ring.New[event.HealthEvent](maxEvents, nil),
+		started: time.Now(),
+		rules:   newRules(cfg),
+	}
 }
 
 // Start builds a sampler, launches its background goroutine and installs it
@@ -271,34 +249,21 @@ func (s *Sampler) SampleOnce() Sample {
 	return s.ingest(flatten(snap, rt), time.Now())
 }
 
-// ingest appends one sample to the ring and runs the watchdog pass over it.
-// Tests drive it directly with fabricated samples.
+// ingest appends one sample to the window and runs the watchdog pass over
+// it. Tests drive it directly with fabricated samples.
 func (s *Sampler) ingest(smp Sample, now time.Time) Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	smp.Seq = s.seq
 	smp.UnixNanos = now.UnixNano()
+	smp.Seq = s.window.Push(smp)
+	s.prev, s.cur = s.cur, smp
 
 	var prev *Sample
-	if n := len(s.ring); n > 0 {
-		prev = &s.ring[n-1]
+	if smp.Seq > 1 {
+		prev = &s.prev
 	}
-	if prev != nil {
-		// The eval pass reads prev by pointer into the ring; copy it out so
-		// the window slide below cannot shift it under a rule.
-		p := *prev
-		prev = &p
-	}
-	if len(s.ring) == s.cfg.Window {
-		copy(s.ring, s.ring[1:])
-		s.ring = s.ring[:len(s.ring)-1]
-	}
-	s.ring = append(s.ring, smp)
-	cur := &s.ring[len(s.ring)-1]
-
 	for _, r := range s.rules {
-		s.evalRule(r, prev, cur)
+		s.evalRule(r, prev, &s.cur)
 	}
 	for _, r := range s.rules {
 		if r.status > s.worst {
@@ -311,15 +276,15 @@ func (s *Sampler) ingest(smp Sample, now time.Time) Sample {
 // evalRule runs one rule against the newest sample and handles the
 // hold/decay state machine and transition events. Callers hold s.mu.
 func (s *Sampler) evalRule(r *rule, prev, cur *Sample) {
-	v := r.eval(r, s, prev, cur)
+	v := r.eval(r, prev, cur)
 	next := r.status
 	switch {
 	case v.status > StatusOK:
 		next = v.status
-		r.holdLeft = s.cfg.Hold
+		r.holdLeft = hold
 		r.detail, r.value, r.threshold = v.detail, v.value, v.threshold
 	case r.status > StatusOK:
-		// Condition cleared: linger Hold samples, then decay to ok.
+		// Condition cleared: linger hold samples, then decay to ok.
 		if r.holdLeft > 0 {
 			r.holdLeft--
 		} else {
@@ -345,11 +310,7 @@ func (s *Sampler) evalRule(r *rule, prev, cur *Sample) {
 		r.detail, r.value, r.threshold = "", 0, 0
 	}
 	r.status = next
-	if len(s.events) == maxEvents {
-		copy(s.events, s.events[1:])
-		s.events = s.events[:maxEvents-1]
-	}
-	s.events = append(s.events, he)
+	s.events.Push(he)
 	event.RecordHealth(he)
 }
 
@@ -434,26 +395,10 @@ func (s *Sampler) Worst() Status {
 }
 
 // Window copies out the sampled time-series, oldest first.
-func (s *Sampler) Window() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, len(s.ring))
-	copy(out, s.ring)
-	return out
-}
+func (s *Sampler) Window() []Sample { return s.window.Snapshot() }
 
 // Samples returns the total ticks taken since start.
-func (s *Sampler) Samples() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
+func (s *Sampler) Samples() uint64 { return s.window.Recorded() }
 
 // Events copies out the sampler's bounded transition log, oldest first.
-func (s *Sampler) Events() []event.HealthEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]event.HealthEvent, len(s.events))
-	copy(out, s.events)
-	return out
-}
+func (s *Sampler) Events() []event.HealthEvent { return s.events.Snapshot() }

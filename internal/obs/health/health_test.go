@@ -1,6 +1,7 @@
 package health
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // tick pushes a fabricated sample through the sampler's watchdog pass.
 func tick(s *Sampler, smp Sample) {
-	s.ingest(smp, time.Unix(0, int64(s.seq+1)*int64(time.Second)))
+	s.ingest(smp, time.Unix(0, int64(s.Samples()+1)*int64(time.Second)))
 }
 
 // ruleStatus digs one rule's current verdict out of the component view.
@@ -28,7 +29,7 @@ func ruleStatus(t *testing.T, s *Sampler, name string) Status {
 }
 
 func TestMailboxBacklogRule(t *testing.T) {
-	s := New(Config{Hold: 1})
+	s := New(Config{})
 	// Depth rising while drains advance: healthy load, not a backlog.
 	tick(s, Sample{MailboxDepth: 0, Drains: 0})
 	tick(s, Sample{MailboxDepth: 10, Drains: 1})
@@ -51,7 +52,11 @@ func TestMailboxBacklogRule(t *testing.T) {
 		t.Fatalf("streak 4 = %v, want failing", got)
 	}
 	// A drain clears the condition; the verdict decays after the hold.
-	tick(s, Sample{MailboxDepth: 0, Drains: 3}) // hold tick
+	tick(s, Sample{MailboxDepth: 0, Drains: 3}) // hold ticks
+	tick(s, Sample{MailboxDepth: 0, Drains: 3})
+	if got := ruleStatus(t, s, "mailbox-backlog"); got != StatusFailing {
+		t.Fatalf("inside hold = %v, want failing", got)
+	}
 	tick(s, Sample{MailboxDepth: 0, Drains: 3})
 	if got := ruleStatus(t, s, "mailbox-backlog"); got != StatusOK {
 		t.Fatalf("after drain + hold = %v, want ok", got)
@@ -59,7 +64,7 @@ func TestMailboxBacklogRule(t *testing.T) {
 }
 
 func TestShardOutageRule(t *testing.T) {
-	s := New(Config{Hold: 1})
+	s := New(Config{})
 	tick(s, Sample{Shards: 4, ShardsDown: 0})
 	if got := s.Status(); got != StatusOK {
 		t.Fatalf("all shards up = %v, want ok", got)
@@ -72,7 +77,8 @@ func TestShardOutageRule(t *testing.T) {
 	if got := ruleStatus(t, s, "shard-outage"); got != StatusFailing {
 		t.Fatalf("all down = %v, want failing", got)
 	}
-	tick(s, Sample{Shards: 4, ShardsDown: 0}) // hold tick
+	tick(s, Sample{Shards: 4, ShardsDown: 0}) // hold ticks
+	tick(s, Sample{Shards: 4, ShardsDown: 0})
 	tick(s, Sample{Shards: 4, ShardsDown: 0})
 	if got := s.Status(); got != StatusOK {
 		t.Fatalf("recovered = %v, want ok", got)
@@ -83,7 +89,7 @@ func TestShardOutageRule(t *testing.T) {
 }
 
 func TestDrainDegradationRules(t *testing.T) {
-	s := New(Config{Hold: 1, StreakFailing: 3})
+	s := New(Config{})
 	tick(s, Sample{})
 	tick(s, Sample{ReplicaDrains: 2})
 	if got := ruleStatus(t, s, "drain-degraded"); got != StatusDegraded {
@@ -96,34 +102,43 @@ func TestDrainDegradationRules(t *testing.T) {
 		t.Fatalf("partial streak 2 = %v, want degraded", got)
 	}
 	tick(s, Sample{ReplicaDrains: 2, PartialDrains: 3})
+	tick(s, Sample{ReplicaDrains: 2, PartialDrains: 4})
+	if got := ruleStatus(t, s, "partial-drain-streak"); got != StatusDegraded {
+		t.Fatalf("partial streak 4 = %v, want degraded", got)
+	}
+	tick(s, Sample{ReplicaDrains: 2, PartialDrains: 5})
 	if got := ruleStatus(t, s, "partial-drain-streak"); got != StatusFailing {
-		t.Fatalf("partial streak 3 = %v, want failing", got)
+		t.Fatalf("partial streak 5 = %v, want failing", got)
 	}
 }
 
 func TestFailoverRule(t *testing.T) {
-	s := New(Config{Hold: 1, StreakFailing: 2})
+	s := New(Config{})
 	tick(s, Sample{Failovers: 0})
 	tick(s, Sample{Failovers: 5})
 	if got := ruleStatus(t, s, "failover-streak"); got != StatusDegraded {
 		t.Fatalf("failover delta = %v, want degraded", got)
 	}
 	// Failovers mean every rating still landed (on a mirror), so the rule
-	// never escalates past degraded no matter how long the streak runs.
-	tick(s, Sample{Failovers: 9})
-	tick(s, Sample{Failovers: 14})
+	// never escalates past degraded no matter how long the streak runs —
+	// not even past the streak that fails the other manager rules.
+	for f := 9.0; f <= 9+5*streakFailing; f += 5 {
+		tick(s, Sample{Failovers: f})
+	}
 	if got := ruleStatus(t, s, "failover-streak"); got != StatusDegraded {
 		t.Fatalf("sustained failover = %v, want degraded (capped)", got)
 	}
-	tick(s, Sample{Failovers: 14})
-	tick(s, Sample{Failovers: 14})
+	last := 9.0 + 5*streakFailing
+	tick(s, Sample{Failovers: last})
+	tick(s, Sample{Failovers: last})
+	tick(s, Sample{Failovers: last})
 	if got := ruleStatus(t, s, "failover-streak"); got != StatusOK {
 		t.Fatalf("quiet failovers = %v, want ok after hold decay", got)
 	}
 }
 
 func TestEigenTrustRules(t *testing.T) {
-	s := New(Config{Hold: 1, ResidualStallStreak: 2})
+	s := New(Config{})
 	tick(s, Sample{MaxIterHits: 0, Residual: 0.5})
 	// MaxIter hit with a shrinking residual: degraded but converging.
 	tick(s, Sample{MaxIterHits: 1, Residual: 0.1})
@@ -139,13 +154,17 @@ func TestEigenTrustRules(t *testing.T) {
 		t.Fatalf("stall streak 1 = %v, want degraded", got)
 	}
 	tick(s, Sample{MaxIterHits: 3, Residual: 0.2})
+	if got := ruleStatus(t, s, "eigentrust-residual-stall"); got != StatusDegraded {
+		t.Fatalf("stall streak 2 = %v, want degraded", got)
+	}
+	tick(s, Sample{MaxIterHits: 4, Residual: 0.2})
 	if got := ruleStatus(t, s, "eigentrust-residual-stall"); got != StatusFailing {
-		t.Fatalf("stall streak 2 = %v, want failing", got)
+		t.Fatalf("stall streak 3 = %v, want failing", got)
 	}
 }
 
 func TestIntervalSLORule(t *testing.T) {
-	s := New(Config{Hold: 1, SLOInterval: 100 * time.Millisecond})
+	s := New(Config{SLOInterval: 100 * time.Millisecond})
 	tick(s, Sample{CycleCount: 0, CycleSum: 0})
 	tick(s, Sample{CycleCount: 2, CycleSum: 0.1}) // mean 50ms, inside budget
 	if got := ruleStatus(t, s, "interval-slo"); got != StatusOK {
@@ -169,51 +188,64 @@ func TestIntervalSLORule(t *testing.T) {
 }
 
 func TestLeakRules(t *testing.T) {
-	s := New(Config{Hold: 1, LeakWindow: 4, Window: 16})
-	for i := 0; i < 3; i++ {
+	s := New(Config{})
+	for i := 0; i < leakWindow-1; i++ {
 		tick(s, Sample{Goroutines: 10 + i, HeapBytes: 1000})
 	}
 	if got := s.Status(); got != StatusOK {
-		t.Fatalf("run of 3 < window 4 = %v, want ok", got)
+		t.Fatalf("run of %d < window %d = %v, want ok", leakWindow-1, leakWindow, got)
 	}
-	tick(s, Sample{Goroutines: 13, HeapBytes: 1000})
+	top := 10 + leakWindow - 1
+	tick(s, Sample{Goroutines: top, HeapBytes: 1000})
 	if got := ruleStatus(t, s, "goroutine-leak"); got != StatusDegraded {
-		t.Fatalf("monotonic run 4 = %v, want degraded", got)
+		t.Fatalf("monotonic run %d = %v, want degraded", leakWindow, got)
 	}
 	if got := ruleStatus(t, s, "heap-leak"); got != StatusOK {
 		t.Fatalf("flat heap = %v, want ok", got)
 	}
 	// A plateau resets the suspicion.
-	tick(s, Sample{Goroutines: 13, HeapBytes: 1000}) // hold tick
-	tick(s, Sample{Goroutines: 13, HeapBytes: 1000})
+	tick(s, Sample{Goroutines: top, HeapBytes: 1000}) // hold ticks
+	tick(s, Sample{Goroutines: top, HeapBytes: 1000})
+	tick(s, Sample{Goroutines: top, HeapBytes: 1000})
 	if got := ruleStatus(t, s, "goroutine-leak"); got != StatusOK {
 		t.Fatalf("after plateau = %v, want ok", got)
 	}
 }
 
 func TestWindowBound(t *testing.T) {
-	s := New(Config{Window: 4})
-	for i := 0; i < 10; i++ {
+	s := New(Config{})
+	for i := 0; i < windowSize+10; i++ {
 		tick(s, Sample{Goroutines: i})
 	}
 	w := s.Window()
-	if len(w) != 4 {
-		t.Fatalf("window len = %d, want 4", len(w))
+	if len(w) != windowSize {
+		t.Fatalf("window len = %d, want %d", len(w), windowSize)
 	}
-	if w[0].Seq != 7 || w[3].Seq != 10 {
-		t.Fatalf("window seqs = %d..%d, want 7..10", w[0].Seq, w[3].Seq)
+	if w[0].Seq != 11 || w[windowSize-1].Seq != windowSize+10 {
+		t.Fatalf("window seqs = %d..%d, want 11..%d", w[0].Seq, w[windowSize-1].Seq, windowSize+10)
 	}
-	if got := s.Samples(); got != 10 {
-		t.Fatalf("Samples() = %d, want 10", got)
+	if got := s.Samples(); got != windowSize+10 {
+		t.Fatalf("Samples() = %d, want %d", got, windowSize+10)
+	}
+	// Goroutines rose on every tick, but the leak rule's run counts only
+	// the samples the window holds.
+	want := fmt.Sprintf("goroutines rose strictly for %d samples (now %d)", windowSize, windowSize+9)
+	for _, c := range s.Components() {
+		for _, r := range c.Rules {
+			if r.Rule == "goroutine-leak" && r.Detail != want {
+				t.Fatalf("goroutine-leak detail = %q, want %q", r.Detail, want)
+			}
+		}
 	}
 }
 
 func TestTransitionEvents(t *testing.T) {
 	rec := event.Enable(1024)
 	defer event.Disable()
-	s := New(Config{Hold: 1})
+	s := New(Config{})
 	tick(s, Sample{Shards: 4})
 	tick(s, Sample{Shards: 4, ShardsDown: 1})
+	tick(s, Sample{Shards: 4}) // hold
 	tick(s, Sample{Shards: 4}) // hold
 	tick(s, Sample{Shards: 4})
 	evs := s.Events()
@@ -268,7 +300,7 @@ func TestSampleOnceReadsRegistry(t *testing.T) {
 }
 
 func TestStartStopLifecycle(t *testing.T) {
-	s := Start(Config{Interval: time.Millisecond, Window: 8})
+	s := Start(Config{Interval: time.Millisecond})
 	if Current() != s {
 		t.Fatal("Start did not install the package-level sampler")
 	}

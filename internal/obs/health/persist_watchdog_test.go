@@ -7,7 +7,7 @@ import (
 // TestPersistErrorsRule: durability failures flip the persist component to
 // degraded immediately and to failing when they keep coming.
 func TestPersistErrorsRule(t *testing.T) {
-	s := New(Config{Hold: 1})
+	s := New(Config{})
 	tick(s, Sample{})
 	tick(s, Sample{PersistErrors: 0})
 	if got := ruleStatus(t, s, "persist-errors"); got != StatusOK {
@@ -22,7 +22,7 @@ func TestPersistErrorsRule(t *testing.T) {
 			t.Fatalf("persist component = %v, want degraded", c.Status)
 		}
 	}
-	// Sustained failures escalate at the StreakFailing threshold (5).
+	// Sustained failures escalate at the streakFailing threshold (5).
 	for e := 2.0; e <= 5; e++ {
 		tick(s, Sample{PersistErrors: e})
 	}
@@ -32,16 +32,17 @@ func TestPersistErrorsRule(t *testing.T) {
 	// Errors stop; the verdict decays after the hold.
 	tick(s, Sample{PersistErrors: 5})
 	tick(s, Sample{PersistErrors: 5})
+	tick(s, Sample{PersistErrors: 5})
 	if got := ruleStatus(t, s, "persist-errors"); got != StatusOK {
 		t.Fatalf("after recovery = %v, want ok", got)
 	}
 }
 
 // TestWALFsyncLatencyRule: the mean WAL fsync latency between samples is
-// judged against the FsyncDegradedSeconds budget (degraded) and 10x it
+// judged against the fsyncDegradedSeconds budget (degraded) and 10x it
 // (failing).
 func TestWALFsyncLatencyRule(t *testing.T) {
-	s := New(Config{Hold: 1}) // default budget 0.1s
+	s := New(Config{}) // budget 0.1s
 	tick(s, Sample{})
 	// 10 fsyncs at 1ms mean: healthy.
 	tick(s, Sample{PersistFsyncCount: 10, PersistFsyncSum: 0.01})
@@ -61,6 +62,7 @@ func TestWALFsyncLatencyRule(t *testing.T) {
 	// Back to 1ms; decays after the hold.
 	tick(s, Sample{PersistFsyncCount: 40, PersistFsyncSum: 22.02})
 	tick(s, Sample{PersistFsyncCount: 50, PersistFsyncSum: 22.03})
+	tick(s, Sample{PersistFsyncCount: 60, PersistFsyncSum: 22.04})
 	if got := ruleStatus(t, s, "wal-fsync-slow"); got != StatusOK {
 		t.Fatalf("after recovery = %v, want ok", got)
 	}

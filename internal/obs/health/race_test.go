@@ -19,7 +19,7 @@ func TestConcurrentSampling(t *testing.T) {
 	rec := event.Enable(1 << 10)
 	defer event.Disable()
 
-	s := Start(Config{Interval: 100 * time.Microsecond, Window: 32})
+	s := Start(Config{Interval: 100 * time.Microsecond})
 	defer s.Stop()
 
 	stop := make(chan struct{})

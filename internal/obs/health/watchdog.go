@@ -24,7 +24,7 @@ func ok() verdict { return verdict{} }
 type rule struct {
 	name      string
 	component string
-	eval      func(r *rule, s *Sampler, prev, cur *Sample) verdict
+	eval      func(r *rule, prev, cur *Sample) verdict
 
 	streak    int // consecutive firing samples, maintained by each eval
 	status    Status
@@ -34,49 +34,50 @@ type rule struct {
 	threshold float64
 }
 
-// newRules builds the watchdog set. Thresholds come from cfg (already
-// defaulted). Rules that need deltas return ok on the first sample.
+// newRules builds the watchdog set. Thresholds are the package constants;
+// cfg supplies the SLO budget. Rules that need deltas return ok on the first
+// sample.
 func newRules(cfg Config) []*rule {
 	return []*rule{
 		// Mailbox backlog growing with no drain progress: the overlay is
 		// accepting work faster than shards retire it, or a drain stalled.
-		{name: "mailbox-backlog", component: "manager", eval: func(r *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "mailbox-backlog", component: "manager", eval: func(r *rule, prev, cur *Sample) verdict {
 			if prev == nil || !(cur.MailboxDepth > prev.MailboxDepth && cur.Drains == prev.Drains) {
 				r.streak = 0
 				return ok()
 			}
 			r.streak++
 			switch {
-			case r.streak >= cfg.BacklogFailingStreak:
+			case r.streak >= backlogFailingStreak:
 				return verdict{StatusFailing,
 					fmt.Sprintf("mailbox depth rose %d consecutive samples without a drain", r.streak),
-					cur.MailboxDepth, float64(cfg.BacklogFailingStreak)}
-			case r.streak >= cfg.BacklogDegradedStreak:
+					cur.MailboxDepth, backlogFailingStreak}
+			case r.streak >= backlogDegradedStreak:
 				return verdict{StatusDegraded,
 					fmt.Sprintf("mailbox depth rose %d consecutive samples without a drain", r.streak),
-					cur.MailboxDepth, float64(cfg.BacklogDegradedStreak)}
+					cur.MailboxDepth, backlogDegradedStreak}
 			}
 			return ok()
 		}},
 		// Partial drains: an interval lost at least one shard's ratings
 		// outright — degraded immediately, failing when sustained.
-		{name: "partial-drain-streak", component: "manager", eval: func(r *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "partial-drain-streak", component: "manager", eval: func(r *rule, prev, cur *Sample) verdict {
 			if prev == nil || cur.PartialDrains <= prev.PartialDrains {
 				r.streak = 0
 				return ok()
 			}
 			r.streak++
 			st := StatusDegraded
-			if r.streak >= cfg.StreakFailing {
+			if r.streak >= streakFailing {
 				st = StatusFailing
 			}
 			return verdict{st,
 				fmt.Sprintf("%g partial drains this sample (streak %d)", cur.PartialDrains-prev.PartialDrains, r.streak),
-				cur.PartialDrains - prev.PartialDrains, float64(cfg.StreakFailing)}
+				cur.PartialDrains - prev.PartialDrains, streakFailing}
 		}},
 		// Replica-recovered drains: no data lost, but the overlay is running
 		// on mirrors — degraded while it persists.
-		{name: "drain-degraded", component: "manager", eval: func(_ *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "drain-degraded", component: "manager", eval: func(_ *rule, prev, cur *Sample) verdict {
 			if prev == nil || cur.ReplicaDrains <= prev.ReplicaDrains {
 				return ok()
 			}
@@ -90,7 +91,7 @@ func newRules(cfg Config) []*rule {
 		// sustained rerouting means reduced capacity, not lost data. The
 		// failing escalations are reserved for loss (partial drains) and
 		// liveness (backlog growth, all shards down).
-		{name: "failover-streak", component: "manager", eval: func(r *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "failover-streak", component: "manager", eval: func(r *rule, prev, cur *Sample) verdict {
 			if prev == nil || cur.Failovers <= prev.Failovers {
 				r.streak = 0
 				return ok()
@@ -102,7 +103,7 @@ func newRules(cfg Config) []*rule {
 		}},
 		// Shard outage: crashed shards awaiting restart. Degraded while any
 		// are down; failing when every shard is gone.
-		{name: "shard-outage", component: "manager", eval: func(_ *rule, _ *Sampler, _, cur *Sample) verdict {
+		{name: "shard-outage", component: "manager", eval: func(_ *rule, _, cur *Sample) verdict {
 			if cur.ShardsDown <= 0 {
 				return ok()
 			}
@@ -114,7 +115,7 @@ func newRules(cfg Config) []*rule {
 				fmt.Sprintf("%g of %g shards down", cur.ShardsDown, cur.Shards), cur.ShardsDown, 0}
 		}},
 		// EigenTrust hit its iteration cap without converging.
-		{name: "eigentrust-maxiter", component: "eigentrust", eval: func(_ *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "eigentrust-maxiter", component: "eigentrust", eval: func(_ *rule, prev, cur *Sample) verdict {
 			if prev == nil || cur.MaxIterHits <= prev.MaxIterHits {
 				return ok()
 			}
@@ -124,14 +125,14 @@ func newRules(cfg Config) []*rule {
 		}},
 		// Residual stall: MaxIter hits with a residual that is not shrinking
 		// — the iteration is spinning, not converging.
-		{name: "eigentrust-residual-stall", component: "eigentrust", eval: func(r *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "eigentrust-residual-stall", component: "eigentrust", eval: func(r *rule, prev, cur *Sample) verdict {
 			if prev == nil || cur.MaxIterHits <= prev.MaxIterHits || cur.Residual < prev.Residual {
 				r.streak = 0
 				return ok()
 			}
 			r.streak++
 			st := StatusDegraded
-			if r.streak >= cfg.ResidualStallStreak {
+			if r.streak >= residualStallStreak {
 				st = StatusFailing
 			}
 			return verdict{st,
@@ -140,7 +141,7 @@ func newRules(cfg Config) []*rule {
 		}},
 		// Interval SLO: the mean simulation-cycle wall time of the cycles
 		// completed since the last sample overran the configured budget.
-		{name: "interval-slo", component: "sim", eval: func(_ *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "interval-slo", component: "sim", eval: func(_ *rule, prev, cur *Sample) verdict {
 			if cfg.SLOInterval <= 0 || prev == nil || cur.CycleCount <= prev.CycleCount {
 				return ok()
 			}
@@ -160,28 +161,28 @@ func newRules(cfg Config) []*rule {
 		// erroring. The run continues (checkpoint failures degrade
 		// durability, not correctness) but acknowledged data may no longer
 		// survive a crash — degraded immediately, failing when sustained.
-		{name: "persist-errors", component: "persist", eval: func(r *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "persist-errors", component: "persist", eval: func(r *rule, prev, cur *Sample) verdict {
 			if prev == nil || cur.PersistErrors <= prev.PersistErrors {
 				r.streak = 0
 				return ok()
 			}
 			r.streak++
 			st := StatusDegraded
-			if r.streak >= cfg.StreakFailing {
+			if r.streak >= streakFailing {
 				st = StatusFailing
 			}
 			return verdict{st,
 				fmt.Sprintf("%g durability failures this sample (streak %d)", cur.PersistErrors-prev.PersistErrors, r.streak),
-				cur.PersistErrors - prev.PersistErrors, float64(cfg.StreakFailing)}
+				cur.PersistErrors - prev.PersistErrors, streakFailing}
 		}},
 		// WAL fsync latency: the mean fsync since the last sample overran
 		// the budget — the disk is slowing the durable ingest ack path.
-		{name: "wal-fsync-slow", component: "persist", eval: func(_ *rule, _ *Sampler, prev, cur *Sample) verdict {
+		{name: "wal-fsync-slow", component: "persist", eval: func(_ *rule, prev, cur *Sample) verdict {
 			if prev == nil || cur.PersistFsyncCount <= prev.PersistFsyncCount {
 				return ok()
 			}
 			mean := (cur.PersistFsyncSum - prev.PersistFsyncSum) / (cur.PersistFsyncCount - prev.PersistFsyncCount)
-			budget := cfg.FsyncDegradedSeconds
+			budget := fsyncDegradedSeconds
 			switch {
 			case mean > 10*budget:
 				return verdict{StatusFailing,
@@ -195,41 +196,31 @@ func newRules(cfg Config) []*rule {
 		// Leak heuristics: strictly monotonic goroutine/heap growth across
 		// the whole leak window. Plateaus and dips reset the suspicion —
 		// workloads legitimately grow, but never without a single pause.
-		{name: "goroutine-leak", component: "runtime", eval: func(_ *rule, s *Sampler, prev, cur *Sample) verdict {
-			if n := monotonicRun(s.ring, func(x *Sample) float64 { return float64(x.Goroutines) }); n >= cfg.LeakWindow {
-				return verdict{StatusDegraded,
-					fmt.Sprintf("goroutines rose strictly for %d samples (now %d)", n, cur.Goroutines),
-					float64(cur.Goroutines), float64(cfg.LeakWindow)}
-			}
-			return ok()
-		}},
-		{name: "heap-leak", component: "runtime", eval: func(_ *rule, s *Sampler, prev, cur *Sample) verdict {
-			if n := monotonicRun(s.ring, func(x *Sample) float64 { return float64(x.HeapBytes) }); n >= cfg.LeakWindow {
-				return verdict{StatusDegraded,
-					fmt.Sprintf("heap grew strictly for %d samples (now %d bytes)", n, cur.HeapBytes),
-					float64(cur.HeapBytes), float64(cfg.LeakWindow)}
-			}
-			return ok()
-		}},
+		leakRule("goroutine-leak", "goroutines rose strictly for %d samples (now %d)",
+			func(x *Sample) float64 { return float64(x.Goroutines) }),
+		leakRule("heap-leak", "heap grew strictly for %d samples (now %d bytes)",
+			func(x *Sample) float64 { return float64(x.HeapBytes) }),
 	}
 }
 
-// monotonicRun returns the length of the strictly-increasing suffix of the
-// window under key (in samples, counting the transitions' endpoints).
-func monotonicRun(ring []Sample, key func(*Sample) float64) int {
-	n := len(ring)
-	if n < 2 {
-		return n
-	}
-	run := 1
-	for i := n - 1; i > 0; i-- {
-		if key(&ring[i]) > key(&ring[i-1]) {
-			run++
+// leakRule builds a runtime rule that is degraded once key has risen
+// strictly across leakWindow samples. Its run is the length of the
+// window's strictly increasing suffix, counting its endpoints; it is kept
+// apart from r.streak, which /statusz reports, because these rules never
+// reported one.
+func leakRule(name, format string, key func(*Sample) float64) *rule {
+	run := 0
+	return &rule{name: name, component: "runtime", eval: func(_ *rule, prev, cur *Sample) verdict {
+		if prev != nil && key(cur) > key(prev) {
+			run = min(run+1, windowSize)
 		} else {
-			break
+			run = 1
 		}
-	}
-	return run
+		if run < leakWindow {
+			return ok()
+		}
+		return verdict{StatusDegraded, fmt.Sprintf(format, run, uint64(key(cur))), key(cur), leakWindow}
+	}}
 }
 
 // RuleStatus is one watchdog's externally visible state.

@@ -1,49 +1,21 @@
 package span
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"socialtrust/internal/obs/ring"
 )
 
 // WriteJSONL writes spans one JSON object per line — the trace artifact
-// persisted into the audit dir next to events.jsonl.
-func WriteJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline
-	for i := range spans {
-		if err := enc.Encode(&spans[i]); err != nil {
-			return fmt.Errorf("span: encode span %d: %w", spans[i].ID, err)
-		}
-	}
-	return bw.Flush()
-}
+// (trace_spans.jsonl) persisted into the audit dir next to the event
+// streams.
+func WriteJSONL(w io.Writer, spans []Span) error { return ring.WriteJSONL(w, spans) }
 
 // ReadJSONL parses a JSONL span stream written by WriteJSONL. Blank lines
 // are skipped; a malformed line is an error carrying its line number.
-func ReadJSONL(r io.Reader) ([]Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Span
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var s Span
-		if err := json.Unmarshal(b, &s); err != nil {
-			return nil, fmt.Errorf("span: line %d: %w", line, err)
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("span: read: %w", err)
-	}
-	return out, nil
-}
+func ReadJSONL(r io.Reader) ([]Span, error) { return ring.ReadJSONL[Span](r) }
 
 // chromeEvent is one Chrome trace-event "complete" record (ph "X"): the
 // schema chrome://tracing and Perfetto load directly. The thread ID carries

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"socialtrust/internal/obs/ring"
 )
 
 // Pipeline phases the attribution ledger recognizes. Spans with any other
@@ -123,20 +125,14 @@ const maxLedgerTraces = 1024
 
 // Recorder is a bounded ring buffer of finished spans plus the incremental
 // per-trace attribution ledger. All methods are safe for concurrent use and
-// nil-receiver safe (a nil Recorder records nothing), so call sites gate on
-// a single Current() load.
+// nil-receiver safe (a nil Recorder records nothing and reads as empty), so
+// call sites gate on a single Current() load.
 type Recorder struct {
 	epoch   time.Time
 	spanIDs atomic.Uint64
 	traces  atomic.Uint64
 	ambient atomic.Pointer[Context]
-
-	mu      sync.Mutex
-	buf     []Span // len(buf) == capacity, allocated up front
-	start   int    // index of the oldest buffered span
-	n       int    // buffered span count
-	seq     uint64 // total spans ever recorded
-	dropped uint64 // spans overwritten before being drained
+	ring    *ring.Ring[Span]
 
 	ledgerMu sync.Mutex
 	ledger   map[uint64]*Attribution
@@ -151,76 +147,34 @@ func NewRecorder(capacity int) *Recorder {
 	}
 	return &Recorder{
 		epoch:  time.Now(),
-		buf:    make([]Span, capacity),
+		ring:   ring.New[Span](capacity, nil),
 		ledger: make(map[uint64]*Attribution),
 	}
 }
 
-// Capacity returns the ring size.
-func (r *Recorder) Capacity() int { return len(r.buf) }
-
-// record appends one finished span, overwriting the oldest when full.
-func (r *Recorder) record(s Span) {
-	r.mu.Lock()
-	r.seq++
-	if r.n == len(r.buf) {
-		r.buf[r.start] = s
-		r.start++
-		if r.start == len(r.buf) {
-			r.start = 0
-		}
-		r.dropped++
-	} else {
-		i := r.start + r.n
-		if i >= len(r.buf) {
-			i -= len(r.buf)
-		}
-		r.buf[i] = s
-		r.n++
+// buf returns r's ring; nil for a nil r, whose reads answer zero.
+func (r *Recorder) buf() *ring.Ring[Span] {
+	if r == nil {
+		return nil
 	}
-	r.mu.Unlock()
+	return r.ring
 }
 
 // Drain copies the buffered spans out in finish order (oldest first) and
 // clears the ring. The attribution ledger is unaffected.
-func (r *Recorder) Drain() []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		j := r.start + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		out = append(out, r.buf[j])
-	}
-	r.start, r.n = 0, 0
-	return out
-}
+func (r *Recorder) Drain() []Span { return r.buf().Drain() }
 
 // Len returns the number of currently buffered spans.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
+func (r *Recorder) Len() int { return r.buf().Len() }
 
 // Recorded returns the total number of spans ever finished.
-func (r *Recorder) Recorded() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
+func (r *Recorder) Recorded() uint64 { return r.buf().Recorded() }
 
 // Dropped returns the number of spans lost to ring overwrites.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+func (r *Recorder) Dropped() uint64 { return r.buf().Dropped() }
+
+// Capacity returns the ring size.
+func (r *Recorder) Capacity() int { return r.buf().Capacity() }
 
 // credit folds one finished span into the per-trace ledger.
 func (r *Recorder) credit(trace uint64, phase string, root bool, secs float64) {
@@ -417,7 +371,7 @@ func (a *Active) End() {
 		return
 	}
 	d := time.Since(a.start)
-	a.rec.record(Span{
+	a.rec.ring.Push(Span{
 		Trace:   a.trace,
 		ID:      a.id,
 		Parent:  a.parent,

@@ -311,6 +311,18 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
+// TestNilRecorderReads pins that every read answers zero on a nil
+// recorder — the value Current returns while tracing is off.
+func TestNilRecorderReads(t *testing.T) {
+	var r *Recorder
+	if r.Drain() != nil || r.Len() != 0 || r.Recorded() != 0 || r.Dropped() != 0 || r.Capacity() != 0 {
+		t.Fatal("nil recorder read returned a non-zero value")
+	}
+	if _, ok := r.TakeAttribution(1); ok {
+		t.Fatal("nil recorder returned an attribution")
+	}
+}
+
 func TestDefaultCapacity(t *testing.T) {
 	if NewRecorder(0).Capacity() != DefaultCapacity {
 		t.Fatal("non-positive capacity did not default")

@@ -29,15 +29,6 @@ func benchmarkPowerIteration(b *testing.B, n, workers int) {
 func BenchmarkPowerIterationSerial500(b *testing.B)   { benchmarkPowerIteration(b, 500, 1) }
 func BenchmarkPowerIterationParallel500(b *testing.B) { benchmarkPowerIteration(b, 500, 4) }
 
-func BenchmarkIterativeUpdate500(b *testing.B) {
-	snap := benchSnapshot(500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := NewIterative(IterativeConfig{NumNodes: 500, Pretrusted: []int{0, 1, 2}})
-		e.Update(snap)
-	}
-}
-
 // BenchmarkEngineUpdate times one interval's Update — fold, CSR refresh and
 // power iteration — on a warm engine. The bulk-cluster case is that
 // workload's interval in snapshot order: 10k raters giving 40 ratings each

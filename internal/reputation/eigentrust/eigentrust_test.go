@@ -273,18 +273,3 @@ func TestResetNodeForgetsBothRoles(t *testing.T) {
 		t.Fatalf("reputation after ResetNode = %v", got)
 	}
 }
-
-func TestIterativeResetNode(t *testing.T) {
-	e := NewIterative(IterativeConfig{NumNodes: 4, Pretrusted: []int{0}})
-	e.Update(rating.Snapshot{Ratings: []rating.Rating{
-		{Rater: 0, Ratee: 1, Value: 5},
-		{Rater: 1, Ratee: 2, Value: 5},
-	}})
-	e.ResetNode(1)
-	if e.LocalTrust(0, 1) != 0 || e.LocalTrust(1, 2) != 0 {
-		t.Fatal("iterative sums involving node 1 survived ResetNode")
-	}
-	if e.Reputation(1) != 0 {
-		t.Fatal("iterative reputation survived ResetNode")
-	}
-}

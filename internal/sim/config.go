@@ -307,7 +307,8 @@ type Config struct {
 	// and on completion the span stream (trace_spans.jsonl) plus a Chrome
 	// trace-event export (trace_chrome.json, loadable in Perfetto) are
 	// written to this directory, ready for cmd/socialtrust-trace. Pointing
-	// it at AuditDir puts the spans next to events.jsonl. Like the flight
+	// it at AuditDir puts the spans next to the event streams
+	// (filter_decisions.jsonl, cycle_series.jsonl, ...). Like the flight
 	// recorder, the span recorder is process-global: traced runs must not
 	// execute concurrently. Tracing never changes results — reputations,
 	// detection tables and audit streams are bit-identical with it on or off.

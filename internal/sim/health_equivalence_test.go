@@ -46,7 +46,7 @@ func TestFullSimHealthBitIdentity(t *testing.T) {
 		obs.SetEnabled(true)
 		defer obs.SetEnabled(false)
 		if healthOn {
-			s := health.Start(health.Config{Interval: time.Millisecond, Window: 64})
+			s := health.Start(health.Config{Interval: time.Millisecond})
 			defer func() {
 				if s.Samples() == 0 {
 					t.Error("health-enabled run took no samples")

@@ -139,7 +139,8 @@ type intent struct {
 // written there on completion. When Config.TraceDir is set, the run
 // additionally executes with the interval span recorder enabled and the
 // trace artifacts (trace_spans.jsonl + trace_chrome.json) are written
-// there — pointing it at the audit dir puts the spans next to events.jsonl.
+// there — pointing it at the audit dir puts the spans next to the event
+// streams (filter_decisions.jsonl, cycle_series.jsonl, ...).
 func Run(cfg Config) (*Result, error) {
 	net, err := NewNetwork(cfg)
 	if err != nil {

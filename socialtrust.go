@@ -15,9 +15,8 @@
 //   - the interest model (interest sets, Ωs — Equations 1/7/11)
 //   - the rating ledger (per-interval t+/t− frequency counters)
 //   - three baseline reputation engines: EigenTrust (power iteration with
-//     pretrusted peers, plus the paper-evaluation iterative variant), an
-//     eBay-style per-interval-deduplicated accumulator, and a
-//     TrustGuard-style credibility-weighted engine
+//     pretrusted peers), an eBay-style per-interval-deduplicated
+//     accumulator, and a TrustGuard-style credibility-weighted engine
 //   - the SocialTrust filter itself, wrapping any Engine
 //   - the Section 5 P2P simulator with the PCM/MCM/MMM collusion models
 //   - the synthetic Overstock trace generator and Section 3 analyzers
@@ -507,8 +506,8 @@ func AttributeTrace(spans []TraceSpan) []TraceAttribution { return span.Attribut
 // Watchdog transitions land in the flight recorder as HealthEvents (their
 // own audit file) and in /statusz; cmd/socialtrust-top renders it all live.
 type (
-	// HealthConfig parameterizes the sampler (cadence, window, SLO budget,
-	// watchdog thresholds); its zero value is usable.
+	// HealthConfig parameterizes the sampler (cadence, SLO budget,
+	// registry); its zero value is usable.
 	HealthConfig = health.Config
 	// HealthSampler is the background sampler + watchdog evaluator.
 	HealthSampler = health.Sampler
