@@ -16,12 +16,11 @@ const (
 	envListen   = "SOCIALTRUST_SHARDD_LISTEN"
 	envStateDir = "SOCIALTRUST_SHARDD_STATE_DIR"
 	envHealth   = "SOCIALTRUST_SHARDD_HEALTH"
-	envFsync    = "SOCIALTRUST_SHARDD_FSYNC"
 	envLinger   = "SOCIALTRUST_SHARDD_LINGER"
 )
 
-// ParseFsync maps a policy name to persist's enum: "marks" (default, also
-// ""), "always", "never".
+// ParseFsync maps a policy name — socialtrust-shardd's -fsync flag — to
+// persist's enum: "marks" (default, also ""), "always", "never".
 func ParseFsync(s string) (persist.FsyncPolicy, error) {
 	switch s {
 	case "", "marks":
@@ -36,7 +35,8 @@ func ParseFsync(s string) (persist.FsyncPolicy, error) {
 }
 
 // ConfigFromEnv builds a worker Config from the SOCIALTRUST_SHARDD_*
-// environment Spawn sets. The listen address is required.
+// environment Spawn sets. The listen address is required; the WAL fsync
+// policy stays at its default.
 func ConfigFromEnv() (Config, error) {
 	cfg := Config{
 		Listen:     os.Getenv(envListen),
@@ -46,11 +46,6 @@ func ConfigFromEnv() (Config, error) {
 	if cfg.Listen == "" {
 		return cfg, fmt.Errorf("cluster: %s not set", envListen)
 	}
-	fsync, err := ParseFsync(os.Getenv(envFsync))
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Persist.Fsync = fsync
 	if s := os.Getenv(envLinger); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil {

@@ -1,8 +1,8 @@
-// Spawning and supervising a local worker fleet: Spawn launches N
-// socialtrust-shardd processes (by default re-executing the current binary,
-// which calls WorkerMainIfChild before flag parsing), wires a pipelined
-// Client across them, respawns workers that die unexpectedly, and tears the
-// fleet down with a graceful SIGTERM escalating to SIGKILL.
+// Spawning and supervising a local worker fleet: Spawn launches N shard
+// worker processes by re-executing the current binary (which calls
+// WorkerMainIfChild before flag parsing), wires a pipelined Client across
+// them, respawns workers that die unexpectedly, and tears the fleet down with
+// a graceful SIGTERM escalating to SIGKILL.
 package cluster
 
 import (
@@ -27,19 +27,9 @@ type SpawnOptions struct {
 	// StateDir, when set, gives each worker its own WAL directory
 	// (<StateDir>/worker-<i>). Empty disables worker-side durability.
 	StateDir string
-	// Fsync is the worker WAL fsync policy: "marks" (default), "always",
-	// "never".
-	Fsync string
 	// HealthBase, when non-zero, serves each worker's ops endpoint on
 	// 127.0.0.1:(HealthBase+i).
 	HealthBase int
-	// TCP switches the transport from unix domain sockets (the default) to
-	// TCP loopback on ports PortBase+i.
-	TCP      bool
-	PortBase int
-	// Command overrides the worker argv (default: re-exec this binary, which
-	// must call WorkerMainIfChild early in main).
-	Command []string
 	// NoRespawn disables the supervisor: a worker that dies stays dead.
 	NoRespawn bool
 	// Linger is passed through to the workers' drain linger window.
@@ -77,13 +67,11 @@ func Spawn(opts SpawnOptions) (*ProcCluster, error) {
 	if opts.Workers > opts.Shards {
 		opts.Workers = opts.Shards
 	}
-	argv := opts.Command
-	if len(argv) == 0 {
-		self, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: resolve self for worker exec: %w", err)
-		}
-		argv = []string{self}
+	// Workers re-exec this binary, which must call WorkerMainIfChild early
+	// in main.
+	self, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: resolve self for worker exec: %w", err)
 	}
 	// Unix socket paths are length-limited (~104 bytes), so the socket
 	// directory is a fresh short-named temp dir, not the state dir.
@@ -94,15 +82,8 @@ func Spawn(opts SpawnOptions) (*ProcCluster, error) {
 	pc := &ProcCluster{opts: opts, sockDir: sockDir}
 	addrs := make([]string, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		if opts.TCP {
-			addrs[i] = fmt.Sprintf("tcp:127.0.0.1:%d", opts.PortBase+i)
-		} else {
-			addrs[i] = "unix:" + filepath.Join(sockDir, fmt.Sprintf("w%d.sock", i))
-		}
-		env := append(os.Environ(),
-			envListen+"="+addrs[i],
-			envFsync+"="+opts.Fsync,
-		)
+		addrs[i] = "unix:" + filepath.Join(sockDir, fmt.Sprintf("w%d.sock", i))
+		env := append(os.Environ(), envListen+"="+addrs[i])
 		if opts.StateDir != "" {
 			env = append(env, envStateDir+"="+filepath.Join(opts.StateDir, fmt.Sprintf("worker-%d", i)))
 		}
@@ -113,7 +94,7 @@ func Spawn(opts SpawnOptions) (*ProcCluster, error) {
 			env = append(env, envLinger+"="+opts.Linger.String())
 		}
 		wp := &workerProc{idx: i, addr: addrs[i], env: env}
-		if err := pc.launch(wp, argv); err != nil {
+		if err := pc.launch(wp, self); err != nil {
 			_ = pc.Close()
 			return nil, err
 		}
@@ -124,8 +105,8 @@ func Spawn(opts SpawnOptions) (*ProcCluster, error) {
 }
 
 // launch starts one worker incarnation and its supervisor goroutine.
-func (pc *ProcCluster) launch(wp *workerProc, argv []string) error {
-	cmd := exec.Command(argv[0], argv[1:]...)
+func (pc *ProcCluster) launch(wp *workerProc, exe string) error {
+	cmd := exec.Command(exe)
 	cmd.Env = wp.env
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
@@ -156,7 +137,7 @@ func (pc *ProcCluster) launch(wp *workerProc, argv []string) error {
 				close(exited)
 				if !pc.closing.Load() && !pc.opts.NoRespawn {
 					mRespawns.Inc()
-					_ = pc.launch(wp, argv)
+					_ = pc.launch(wp, exe)
 				}
 				return
 			case <-tick.C:

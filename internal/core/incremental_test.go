@@ -101,9 +101,6 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 				if !reflect.DeepEqual(gotRep, wantRep) {
 					t.Fatalf("step %d: reports diverge:\nincremental: %+v\nreference:   %+v", step, gotRep, wantRep)
 				}
-				// Advance profile history identically on both sides.
-				inc.hist.Absorb(snap.Ratings)
-				ref.hist.Absorb(snap.Ratings)
 			}
 		})
 	}

@@ -14,10 +14,10 @@
 //	B4: frequent low ratings to a peer with many common interests (Ωs high)
 //
 // A matching pair's ratings are shrunk by the two-dimensional Gaussian
-// filter of Equation 9, centered on the expected closeness/similarity
-// profile, and additionally frequency-normalized — a suspected pair's
-// rating volume is scaled down to the average pair's frequency F, so spam
-// volume cannot substitute for trust — before the wrapped engine sees them.
+// filter of Equation 9, centered on the interval's system baseline, and
+// additionally frequency-normalized — a suspected pair's rating volume is
+// scaled down to the average pair's frequency F, so spam volume cannot
+// substitute for trust — before the wrapped engine sees them.
 package core
 
 import (
@@ -96,48 +96,35 @@ func (b Behavior) String() string {
 	return out
 }
 
-// BaselineMode selects what the Gaussian filter centers on.
-type BaselineMode int
-
+// Fixed filter parameters. The Gaussian of Equation 9 is centered on the
+// system baseline: the empirical distribution of Ωc/Ωs over non-suspicious
+// transacting pairs in the current interval — the paper's "average Ωc/Ωs of
+// a pair of transaction peers in the system based on the empirical result"
+// (Sections 4.1–4.2, with the Overstock calibration 0.423/1/0.13 as the
+// worked example).
 const (
-	// BaselineSystem centers the filter on the empirical distribution of
-	// Ωc/Ωs over non-suspicious transacting pairs in the current interval —
-	// the paper's "average Ωc/Ωs of a pair of transaction peers in the
-	// system based on the empirical result" (Sections 4.1–4.2, with the
-	// Overstock calibration 0.423/1/0.13 as the worked example).
-	BaselineSystem BaselineMode = iota
-	// BaselinePerRater centers the filter on the rater's own profile over
-	// the peers it has rated (the literal Ω̄ci of Equation 6), falling back
-	// to the system baseline when the rater has rated too few peers for a
-	// meaningful profile.
-	BaselinePerRater
+	// alpha is the Gaussian peak height α (paper: 1).
+	alpha = 1.0
+	// theta scales the adaptive frequency thresholds: a pair is
+	// frequency-suspicious when its interval count exceeds θ·F, F being the
+	// mean per-pair frequency. Ignored for a polarity whose
+	// Fixed*Threshold is positive.
+	theta = 3.0
+	// closenessLowQ / closenessHighQ are the quantiles of the baseline
+	// closeness distribution defining "very low"/"very high" closeness
+	// (Tcl, Tch). The similarity gates Tsl/Tsh follow the paper's Section
+	// 4.2 rule and sit at the baseline mean: B3 fires below it ("share few
+	// interests"), B4 at or above it ("share many interests").
+	closenessLowQ, closenessHighQ = 0.1, 0.9
 )
 
 // Config parameterizes SocialTrust.
 type Config struct {
 	NumNodes int
 
-	// Alpha is the Gaussian peak height α (paper: 1).
-	Alpha float64
-	// Theta scales adaptive frequency thresholds: a pair is
-	// frequency-suspicious when its interval count exceeds θ·F, F being the
-	// mean per-pair frequency (θ > 1; default 3). Ignored for a polarity
-	// when the corresponding Fixed*Threshold is positive.
-	Theta float64
 	// FixedPosThreshold / FixedNegThreshold, when positive, pin T+t / T−t.
 	FixedPosThreshold float64
 	FixedNegThreshold float64
-	// LowReputation is TR, below which a ratee counts as low-reputed for
-	// B2. Zero means 2/NumNodes — twice the average normalized reputation,
-	// which matches the paper's TR=0.01 at 200 nodes.
-	LowReputation float64
-
-	// Quantiles of the baseline closeness distribution defining "very
-	// low"/"very high" closeness (Tcl, Tch). Defaults: 0.1/0.9. The
-	// similarity gates Tsl/Tsh follow the paper's Section 4.2 rule and sit
-	// at the baseline mean: B3 fires below it ("share few interests"), B4
-	// at or above it ("share many interests").
-	ClosenessLowQ, ClosenessHighQ float64
 
 	// UseCloseness / UseSimilarity enable the two signal dimensions
 	// (both true by default via New; disable one for ablations).
@@ -149,44 +136,20 @@ type Config struct {
 	// WeightedSimilarity selects the request-weighted Equation 11.
 	WeightedSimilarity bool
 
-	// Baseline selects the Gaussian centering mode.
-	Baseline BaselineMode
-	// MinProfileSize is the minimum rated-peer count for a usable
-	// per-rater profile under BaselinePerRater (default 5).
-	MinProfileSize int
-
 	// Workers bounds the parallelism of per-pair signal computation
 	// (0 = GOMAXPROCS).
 	Workers int
 
-	// FullRecompute disables every incremental shortcut: the signal and
-	// profile caches are bypassed and all pair signals recompute from the
-	// live graph each Adjust. It is the reference mode the incremental
-	// engine is pinned bit-identical against
-	// (TestIncrementalMatchesFullRecompute, TestFullSimIncrementalBitIdentity);
-	// production deployments leave it false.
+	// FullRecompute disables every incremental shortcut: the signal cache
+	// is bypassed and all pair signals recompute from the live graph each
+	// Adjust. It is the reference mode the incremental engine is pinned
+	// bit-identical against (TestIncrementalMatchesFullRecompute,
+	// TestFullSimIncrementalBitIdentity); production deployments leave it
+	// false.
 	FullRecompute bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha == 0 {
-		c.Alpha = 1
-	}
-	if c.Theta == 0 {
-		c.Theta = 3
-	}
-	if c.LowReputation == 0 && c.NumNodes > 0 {
-		c.LowReputation = 2 / float64(c.NumNodes)
-	}
-	if c.ClosenessLowQ == 0 {
-		c.ClosenessLowQ = 0.1
-	}
-	if c.ClosenessHighQ == 0 {
-		c.ClosenessHighQ = 0.9
-	}
-	if c.MinProfileSize == 0 {
-		c.MinProfileSize = 5
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -249,7 +212,6 @@ type SocialTrust struct {
 	sets    []interest.Set
 	tracker *interest.Tracker
 	inner   reputation.Engine
-	hist    *rating.History
 
 	// lastMu guards last: Update (and Reset) publish the newest report
 	// while observers call LastReport from other goroutines (stress
@@ -284,15 +246,6 @@ type SocialTrust struct {
 	affScratch   []socialgraph.NodeID
 	seenScratch  []bool
 
-	// profClose/profSim memoize per-rater baseline profiles, keyed by the
-	// rater's closeness version and the rater's history version (bumped by
-	// rating.History exactly when the rater's rated-peer set changes). They
-	// are indexed by rater (not keyed by map) so the parallel classify
-	// phase can fill distinct slots without locking — rater-aligned blocks
-	// guarantee a single writer per slot.
-	profClose []profCacheEntry
-	profSim   []profCacheEntry
-
 	// adjustMu serializes Adjust (and therefore Update), which reuses the
 	// scratch buffers below across calls so a warm-cache interval allocates
 	// almost nothing. lowUtil counts consecutive intervals whose pair count
@@ -308,17 +261,8 @@ type SocialTrust struct {
 	behavScratch []Behavior
 	gwScratch    []float64
 	fsScratch    []float64
-	blockScratch []int
 	partScratch  []float64
 	lowUtil      int
-}
-
-// profCacheEntry is one memoized per-rater baseline profile.
-type profCacheEntry struct {
-	valid    bool
-	closeVer uint64 // rater closeness version (profClose only)
-	histVer  uint64 // rater history version (rated-peer set)
-	stats    BaselineStats
 }
 
 // sigMiss marks one pair of the current interval whose signals (or part of
@@ -366,23 +310,19 @@ func New(cfg Config, graph *socialgraph.Graph, sets []interest.Set, tracker *int
 		sets:      sets,
 		tracker:   tracker,
 		inner:     inner,
-		hist:      rating.NewHistory(cfg.NumNodes),
 		sigCache:  newSigCache(),
 		closeVer:  make([]uint64, cfg.NumNodes),
 		graphSeen: graph.Epoch(), // cache is empty; nothing older to invalidate
 		depHops:   dep,
-		profClose: make([]profCacheEntry, cfg.NumNodes),
-		profSim:   make([]profCacheEntry, cfg.NumNodes),
 	}
 }
 
 // Name implements reputation.Engine.
 func (s *SocialTrust) Name() string { return s.inner.Name() + "+SocialTrust" }
 
-// Reset implements reputation.Engine, clearing both the filter history and
-// the wrapped engine.
+// Reset implements reputation.Engine, clearing both the filter state and the
+// wrapped engine.
 func (s *SocialTrust) Reset() {
-	s.hist = rating.NewHistory(s.cfg.NumNodes)
 	s.lastMu.Lock()
 	s.last = Report{}
 	s.lastMu.Unlock()
@@ -390,56 +330,45 @@ func (s *SocialTrust) Reset() {
 	s.intervals = 0
 	s.adjustMu.Unlock()
 	s.sigCache.reset()
-	s.profClose = make([]profCacheEntry, s.cfg.NumNodes)
-	s.profSim = make([]profCacheEntry, s.cfg.NumNodes)
 	s.inner.Reset()
 }
 
-// FilterState is the filter's complete persistent state: the rating-profile
-// history driving per-rater baselines and the interval counter stamped on
-// FilterDecision events. The signal/profile caches are derived state — they
-// rebuild from the graph and history on the first Adjust after a restore —
-// so they are deliberately not part of the snapshot.
+// FilterState is the filter's complete persistent state: the interval
+// counter stamped on FilterDecision events. The signal cache is derived
+// state — it rebuilds from the graph on the first Adjust after a restore — so
+// it is deliberately not part of the snapshot.
 type FilterState struct {
-	Hist      rating.HistoryState
 	Intervals uint64
 }
 
-// ExportState deep-copies the filter state for snapshotting. The wrapped
-// engine's state is exported separately by the caller (it is engine-specific).
+// ExportState copies the filter state for snapshotting. The wrapped engine's
+// state is exported separately by the caller (it is engine-specific).
 func (s *SocialTrust) ExportState() FilterState {
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
-	return FilterState{Hist: s.hist.ExportState(), Intervals: s.intervals}
+	return FilterState{Intervals: s.intervals}
 }
 
 // ImportState restores a previously exported filter state bit-exactly. The
-// caches are cleared so the next Adjust recomputes from restored history.
+// signal cache is cleared so the next Adjust recomputes from the restored
+// graph.
 func (s *SocialTrust) ImportState(st FilterState) {
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
-	s.hist.ImportState(st.Hist)
 	s.intervals = st.Intervals
 	s.sigCache.reset()
 	for i := range s.closeVer {
 		s.closeVer[i] = 0
 	}
 	s.graphSeen = s.graph.Epoch()
-	s.profClose = make([]profCacheEntry, s.cfg.NumNodes)
-	s.profSim = make([]profCacheEntry, s.cfg.NumNodes)
 }
 
-// ResetNode implements reputation.Engine: the node's rating-profile history
-// is forgotten here and the reset is forwarded to the wrapped engine. The
-// caller is responsible for the social-graph side
-// (Graph.RemoveNodeEdges) and the request tracker, which this filter only
-// reads.
-func (s *SocialTrust) ResetNode(node int) {
-	// History bumps the per-rater versions of exactly the raters whose
-	// rated-peer set lost this node, invalidating just their profiles.
-	s.hist.ResetNode(node)
-	s.inner.ResetNode(node)
-}
+// ResetNode implements reputation.Engine by forwarding the reset to the
+// wrapped engine: the filter keeps no rating state of its own. The caller is
+// responsible for the social-graph side (Graph.RemoveNodeEdges, which also
+// invalidates the node's cached signals) and the request tracker, which this
+// filter only reads.
+func (s *SocialTrust) ResetNode(node int) { s.inner.ResetNode(node) }
 
 // Reputations implements reputation.Engine by delegating to the wrapped
 // engine (SocialTrust re-scales ratings, not the final vector).
@@ -464,11 +393,6 @@ func (s *SocialTrust) Update(snap rating.Snapshot) {
 	s.lastMu.Lock()
 	s.last = report
 	s.lastMu.Unlock()
-	// Profile history uses the original (unadjusted) ratings: the rater's
-	// observed behavior, not the filtered view, defines its profile.
-	asp := span.Ambient("core.absorb", span.PhaseAdjust).SetInt("ratings", int64(len(snap.Ratings)))
-	s.hist.Absorb(snap.Ratings)
-	asp.End()
 	s.inner.Update(adjusted)
 }
 
@@ -559,13 +483,16 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	// Closeness thresholds Tcl/Tch are percentiles of the baseline
 	// population; the similarity gates sit at the baseline mean
 	// (Section 4.2's (Ωs − Ω̄s) ≶ 0 rule).
-	tcl, tch := quantiles(base.closenessValues, s.cfg.ClosenessLowQ, s.cfg.ClosenessHighQ)
+	tcl, tch := quantiles(base.closenessValues, closenessLowQ, closenessHighQ)
 	tsl, tsh := base.similarity.Mean, base.similarity.Mean
 	if base.similarity.N == 0 {
 		tsl, tsh = 0, math.Inf(1)
 	}
 
 	reps := s.inner.Reputations()
+	// TR, below which a ratee counts as low-reputed for B2: twice the
+	// average normalized reputation, the paper's TR = 0.01 at 200 nodes.
+	lowRep := 2 / float64(s.cfg.NumNodes)
 
 	report := Report{
 		PosThreshold:       posT,
@@ -575,10 +502,9 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	}
 
 	// Classify phase: behavior masks, Gaussian weights and frequency scales
-	// land in index-aligned scratch, computed over contiguous rater-aligned
-	// blocks. Per-pair results are independent, so the partition never
-	// changes a value — it only decides which goroutine computes it — and
-	// rater alignment makes each per-rater profile cache slot single-writer.
+	// land in index-aligned scratch, computed over fixed pair blocks.
+	// Per-pair results are independent, so the partition never changes a
+	// value — it only decides which goroutine computes it.
 	if cap(s.behavScratch) < len(pairs) {
 		s.behavScratch = make([]Behavior, len(pairs))
 		s.gwScratch = make([]float64, len(pairs))
@@ -588,14 +514,12 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	gws := s.gwScratch[:len(pairs)]
 	fss := s.fsScratch[:len(pairs)]
 
-	target := 1
+	nb := (len(pairs) + adjustChunk - 1) / adjustChunk
 	if workers > 1 {
-		target = workers * blocksPerWorker
+		mAdjustBlocks.Add(int64(nb))
 	}
-	blocks := raterBlocks(pairs, target, s.blockScratch)
-	mAdjustBlocks.Add(int64(len(blocks) - 1))
-	csp := tsp.Child("adjust.classify", span.PhaseAdjust).SetInt("blocks", int64(len(blocks)-1))
-	forBlocks(blocks, workers, func(lo, hi int) {
+	csp := tsp.Child("adjust.classify", span.PhaseAdjust).SetInt("blocks", int64(nb))
+	forFixedBlocks(len(pairs), adjustChunk, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := counts[i]
 			sig := signals[i]
@@ -608,7 +532,7 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 				if s.cfg.UseCloseness && sig.closeness < tcl {
 					behaviors |= B1
 				}
-				if s.cfg.UseCloseness && sig.closeness >= tch && reps[pairs[i].Ratee] < s.cfg.LowReputation {
+				if s.cfg.UseCloseness && sig.closeness >= tch && reps[pairs[i].Ratee] < lowRep {
 					behaviors |= B2
 				}
 				if s.cfg.UseSimilarity && sig.similar < tsl {
@@ -629,12 +553,11 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 			// suspected, its rating volume is scaled down to the average
 			// pair's frequency F, so no flagged pair can out-shout a normal
 			// one no matter how fast it rates.
-			gws[i] = s.gaussianWeight(pairs[i].Rater, sig, base)
+			gws[i] = s.gaussianWeight(sig, base)
 			fss[i] = freqScale(c, behaviors, meanF)
 		}
 	})
 	csp.End()
-	s.blockScratch = blocks[:0]
 
 	// Ordered merge: one serial pass in sorted-pair order builds the weight
 	// map, report and flight-recorder decisions, so metric totals, report
@@ -667,10 +590,9 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 		}
 		weights[k] = w
 		if rec != nil {
-			// Re-derive the per-dimension stats for the evidence chain; the
-			// profile caches are warm from the classify pass, so this is two
-			// cache hits, not a recompute.
-			_, closeBase, simBase := s.gaussianWeightBases(k.Rater, signals[i], base)
+			// The evidence chain names the baseline stats of each enabled
+			// dimension.
+			closeBase, simBase := s.gaussianBases(base)
 			if decIdx == nil {
 				decIdx = make(map[rating.PairKey]int)
 			}
@@ -757,13 +679,11 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 // Parallel-phase tuning. parallelMinPairs gates goroutine fan-out: below
 // it every phase runs serially even when Workers > 1, so the paper-scale
 // 200-node warm path never pays spawn overhead. adjustChunk is the block
-// size of the index-partitioned phases and blocksPerWorker oversizes the
-// rater-aligned classify partition for load balance. None of these change
-// results — they only decide which goroutine computes them.
+// size of the index-partitioned phases. Neither changes results — they only
+// decide which goroutine computes them.
 const (
 	parallelMinPairs = 2048
 	adjustChunk      = 2048
-	blocksPerWorker  = 4
 )
 
 // forCountedBlocks runs fn(b) for every block index in [0, nb), fanned over
@@ -813,41 +733,6 @@ func forFixedBlocks(n, chunk, workers int, fn func(lo, hi int)) {
 	})
 }
 
-// forBlocks covers the half-open ranges [bounds[b], bounds[b+1]).
-func forBlocks(bounds []int, workers int, fn func(lo, hi int)) {
-	forCountedBlocks(len(bounds)-1, workers, func(b int) {
-		fn(bounds[b], bounds[b+1])
-	})
-}
-
-// raterBlocks partitions the rater-sorted pair list into at most target
-// contiguous ranges, advancing every cut to the next rater boundary so one
-// rater's run never spans two blocks — that rater's profile-cache slot then
-// has exactly one writer during the parallel classify phase.
-func raterBlocks(pairs []rating.PairKey, target int, scratch []int) []int {
-	bounds := append(scratch[:0], 0)
-	if len(pairs) == 0 {
-		return bounds
-	}
-	if target < 1 {
-		target = 1
-	}
-	step := (len(pairs) + target - 1) / target
-	for pos := 0; pos < len(pairs); {
-		cut := pos + step
-		if cut >= len(pairs) {
-			cut = len(pairs)
-		} else {
-			for cut < len(pairs) && pairs[cut].Rater == pairs[cut-1].Rater {
-				cut++
-			}
-		}
-		bounds = append(bounds, cut)
-		pos = cut
-	}
-	return bounds
-}
-
 // Scratch-shrink policy: one huge interval must not pin peak-sized scratch
 // forever. When the pair count stays under a quarter of the scratch
 // capacity for shrinkAfter consecutive intervals, every per-pair buffer is
@@ -886,8 +771,7 @@ func (s *SocialTrust) maybeShrinkScratch(nPairs int) {
 // graph: it drains the touch log accumulated since the last sync, walks the
 // affected set — every node within depHops friendship hops of a touched
 // node, the dependency radius of one closeness computation — and bumps
-// exactly those raters' versions, so their cached signals and profiles stop
-// matching. When the touch log cannot answer (overflow, or a global
+// exactly those raters' versions, so their cached signals stop matching. When the touch log cannot answer (overflow, or a global
 // mutation such as ResetInteractions) every version bumps: full
 // invalidation, the pre-incremental behavior. Runs under adjustMu; on a
 // quiescent graph it is a single atomic load.
@@ -1063,17 +947,17 @@ func (s *SocialTrust) thresholdsFrom(total, n int) (pos, neg float64) {
 	}
 	f := meanFrom(total, n)
 	if pos <= 0 {
-		pos = s.cfg.Theta * f
+		pos = theta * f
 	}
 	if neg <= 0 {
-		neg = s.cfg.Theta * f
+		neg = theta * f
 	}
 	return pos, neg
 }
 
 // baseline aggregates the empirical signal distribution over non-suspicious
 // pairs (frequency within thresholds), the population the Gaussian centers
-// on under BaselineSystem.
+// on.
 type baseline struct {
 	closeness        BaselineStats
 	similarity       BaselineStats
@@ -1161,84 +1045,27 @@ func quantiles(xs []float64, loQ, hiQ float64) (lo, hi float64) {
 //
 //	w = α · exp(−[(Ωc−Ω̄c)²/(2|maxΩc−minΩc|²) + (Ωs−Ω̄s)²/(2|maxΩs−minΩs|²)])
 //
-// The center/range come from the configured baseline mode. A degenerate
-// range (max == min) keeps the weight at α when the value sits on the
-// center and collapses it to ~0 otherwise.
-func (s *SocialTrust) gaussianWeight(rater int, sig pairSignals, base baseline) float64 {
-	w, _, _ := s.gaussianWeightBases(rater, sig, base)
-	return w
+// centered on the interval's system baseline (Ω̄ its mean, the range its
+// width). A disabled dimension contributes no term. A degenerate range
+// (max == min) keeps the weight at α when the value sits on the center and
+// collapses it to ~0 otherwise.
+func (s *SocialTrust) gaussianWeight(sig pairSignals, base baseline) float64 {
+	closeSt, simSt := s.gaussianBases(base)
+	return alpha * math.Exp(-(deviation(sig.closeness, closeSt) + deviation(sig.similar, simSt)))
 }
 
-// gaussianWeightBases is gaussianWeight plus the baseline stats actually
-// chosen per dimension (system or per-rater profile) — the evidence the
-// flight recorder attaches to each FilterDecision. A disabled dimension
-// returns zero-value stats (N == 0).
-func (s *SocialTrust) gaussianWeightBases(rater int, sig pairSignals, base baseline) (float64, BaselineStats, BaselineStats) {
-	exponent := 0.0
-	var closeSt, simSt BaselineStats
+// gaussianBases returns the baseline stats the Gaussian centers each
+// dimension on — the evidence the flight recorder attaches to each
+// FilterDecision. A disabled dimension returns zero-value stats (N == 0),
+// whose deviation term is 0.
+func (s *SocialTrust) gaussianBases(base baseline) (closeSt, simSt BaselineStats) {
 	if s.cfg.UseCloseness {
-		closeSt = s.chooseBaseline(rater, base.closeness, s.profileCloseness)
-		exponent += deviation(sig.closeness, closeSt)
+		closeSt = base.closeness
 	}
 	if s.cfg.UseSimilarity {
-		simSt = s.chooseBaseline(rater, base.similarity, s.profileSimilarity)
-		exponent += deviation(sig.similar, simSt)
+		simSt = base.similarity
 	}
-	return s.cfg.Alpha * math.Exp(-exponent), closeSt, simSt
-}
-
-// chooseBaseline resolves the Gaussian center: the system baseline, or the
-// rater's own profile when configured and large enough.
-func (s *SocialTrust) chooseBaseline(rater int, system BaselineStats, profile func(int) BaselineStats) BaselineStats {
-	if s.cfg.Baseline == BaselineSystem {
-		return system
-	}
-	p := profile(rater)
-	if p.N < s.cfg.MinProfileSize {
-		return system
-	}
-	return p
-}
-
-func (s *SocialTrust) profileCloseness(rater int) BaselineStats {
-	cv, hv := s.closeVer[rater], s.hist.Version(rater)
-	if !s.cfg.FullRecompute {
-		if e := &s.profClose[rater]; e.valid && e.closeVer == cv && e.histVer == hv {
-			return e.stats
-		}
-	}
-	peers := s.hist.RateesOf(rater)
-	ids := make([]socialgraph.NodeID, len(peers))
-	for i, p := range peers {
-		ids[i] = socialgraph.NodeID(p)
-	}
-	prof := s.graph.ProfileCloseness(socialgraph.NodeID(rater), ids, s.cfg.Closeness)
-	st := BaselineStats{Mean: prof.Mean, Min: prof.Min, Max: prof.Max, N: prof.N}
-	if !s.cfg.FullRecompute {
-		s.profClose[rater] = profCacheEntry{valid: true, closeVer: cv, histVer: hv, stats: st}
-	}
-	return st
-}
-
-func (s *SocialTrust) profileSimilarity(rater int) BaselineStats {
-	// Unweighted similarity profiles depend only on the (static) interest
-	// sets and the rating history, so the rater's history version alone keys
-	// the cache; the weighted form reads the live request tracker and is
-	// never cached.
-	static := !s.cfg.WeightedSimilarity && !s.cfg.FullRecompute
-	hv := s.hist.Version(rater)
-	if static {
-		if e := &s.profSim[rater]; e.valid && e.histVer == hv {
-			return e.stats
-		}
-	}
-	peers := s.hist.RateesOf(rater)
-	prof := interest.ProfileSimilarity(s.sets[rater], rater, peers, s.sets, s.cfg.WeightedSimilarity, s.tracker)
-	st := BaselineStats{Mean: prof.Mean, Min: prof.Min, Max: prof.Max, N: prof.N}
-	if static {
-		s.profSim[rater] = profCacheEntry{valid: true, histVer: hv, stats: st}
-	}
-	return st
+	return closeSt, simSt
 }
 
 // freqScale returns the frequency-normalization factor min(1, F/t) for the

@@ -363,27 +363,6 @@ func TestAblationSimilarityOnly(t *testing.T) {
 	}
 }
 
-func TestPerRaterBaselineMode(t *testing.T) {
-	f := newFixture()
-	st := f.socialTrust(Config{Baseline: BaselinePerRater, MinProfileSize: 2})
-	// Two intervals so the history builds rater profiles.
-	for cycle := 0; cycle < 2; cycle++ {
-		f.normalTraffic()
-		f.collusionTraffic(50)
-		st.Update(f.ledger.EndInterval())
-	}
-	report := st.LastReport()
-	foundColluder := false
-	for _, a := range report.Adjusted {
-		if a.Pair.Rater >= 10 {
-			foundColluder = true
-		}
-	}
-	if !foundColluder {
-		t.Fatal("per-rater baseline mode should still flag colluders")
-	}
-}
-
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []PairAdjustment {
 		f := newFixture()
@@ -431,11 +410,57 @@ func TestGaussianWeightBoundedProperty(t *testing.T) {
 			closeness:  orderedStats(clamp(mean1), clamp(min1), clamp(max1)),
 			similarity: orderedStats(clamp(mean2), clamp(min2), clamp(max2)),
 		}
-		w := st.gaussianWeight(0, pairSignals{closeness: clamp(c), similar: clamp(s)}, b)
-		return w > 0 && w <= st.cfg.Alpha+1e-12 && !math.IsNaN(w)
+		w := st.gaussianWeight(pairSignals{closeness: clamp(c), similar: clamp(s)}, b)
+		return w > 0 && w <= alpha+1e-12 && !math.IsNaN(w)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGaussianWeightHandComputed pins Equations 6, 8 and 9 at points worked
+// by hand. Each dimension contributes the exponent (x − mean)²/(2·width²),
+// where width is Hi − Lo when the robust range is set (Hi > Lo) and
+// Max − Min otherwise:
+//
+//	Eq. 6, Ωc = 0.2, mean 0.5, Lo/Hi 0.2/0.8 (Min/Max 0/1 ignored):
+//	    (0.2 − 0.5)² / (2·0.6²) = 0.09/0.72 = 0.125
+//	Eq. 8, Ωs = 0.9, mean 0.4, Lo = Hi = 0.4 (no robust range), Min/Max 0/1:
+//	    (0.9 − 0.4)² / (2·1²) = 0.25/2 = 0.125
+//	Eq. 9 sums the enabled terms: w = α·e^−(0.125 + 0.125) = e^−0.25
+//
+// A disabled dimension adds nothing, so each single-signal mode gives
+// e^−0.125. A degenerate range (width < 1e−12) keeps w = α on the center and
+// collapses it to e^−50 off it.
+func TestGaussianWeightHandComputed(t *testing.T) {
+	closeness := BaselineStats{Mean: 0.5, Min: 0, Max: 1, Lo: 0.2, Hi: 0.8, N: 10}
+	similarity := BaselineStats{Mean: 0.4, Min: 0, Max: 1, Lo: 0.4, Hi: 0.4, N: 10}
+	degenerate := BaselineStats{Mean: 0.5, Min: 0.5, Max: 0.5, N: 3}
+	sig := pairSignals{closeness: 0.2, similar: 0.9}
+	both, closeOnly, simOnly := Config{}, Config{UseCloseness: true}, Config{UseSimilarity: true}
+	cases := []struct {
+		name string
+		cfg  Config
+		sig  pairSignals
+		base baseline
+		want float64
+	}{
+		{"both", both, sig, baseline{closeness: closeness, similarity: similarity}, math.Exp(-0.25)},
+		{"closeness only", closeOnly, sig, baseline{closeness: closeness, similarity: similarity}, math.Exp(-0.125)},
+		{"similarity only", simOnly, sig, baseline{closeness: closeness, similarity: similarity}, math.Exp(-0.125)},
+		{"empty baseline", both, sig, baseline{}, 1},
+		{"degenerate on center", closeOnly, pairSignals{closeness: 0.5}, baseline{closeness: degenerate}, 1},
+		{"degenerate off center", closeOnly, pairSignals{closeness: 0.6}, baseline{closeness: degenerate}, math.Exp(-50)},
+		{"degenerate beside a live term", both, pairSignals{closeness: 0.5, similar: 0.9}, baseline{closeness: degenerate, similarity: similarity}, math.Exp(-0.125)},
+	}
+	f := newFixture()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := f.socialTrust(c.cfg).gaussianWeight(c.sig, c.base)
+			if math.Abs(got-c.want) > 1e-12*c.want {
+				t.Fatalf("weight = %.17g, want %.17g", got, c.want)
+			}
+		})
 	}
 }
 

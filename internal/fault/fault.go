@@ -303,14 +303,24 @@ func (p *Plan) ExportState() State {
 	return st
 }
 
-// ImportState restores a previously exported state into a plan built with the
-// same Config and shard count, discarding stream draws so future verdicts
-// match the exporting plan's continuation exactly.
+// Validate reports whether the state fits a plan over the given shard count:
+// one outage deadline and one delivery-stream position per shard. A state
+// read from a file must pass it before ImportState.
+func (st State) Validate(shards int) error {
+	if len(st.DownUntil) != shards || len(st.DeliveryDraws) != shards {
+		return fmt.Errorf("fault: state with %d/%d outage/delivery entries, want %d shards", len(st.DownUntil), len(st.DeliveryDraws), shards)
+	}
+	return nil
+}
+
+// ImportState restores a previously exported state, which must pass Validate,
+// into a plan built with the same Config and shard count, discarding stream
+// draws so future verdicts match the exporting plan's continuation exactly.
 func (p *Plan) ImportState(st State) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(st.DownUntil) != p.shards || len(st.DeliveryDraws) != p.shards {
-		panic(fmt.Sprintf("fault: state for %d shards imported into %d-shard plan", len(st.DownUntil), p.shards))
+	if err := st.Validate(p.shards); err != nil {
+		panic(err)
 	}
 	p.interval = st.Interval
 	p.downUntil = append(p.downUntil[:0], st.DownUntil...)

@@ -206,41 +206,3 @@ func WeightedSimilarity(a, b Set, i, j int, t *Tracker) float64 {
 	}
 	return sum / float64(minLen)
 }
-
-// Profile summarizes node i's similarity to a set of peers it has rated —
-// the (mean, min, max) triple the Gaussian filter of Equation 8 centers on.
-type Profile struct {
-	Mean, Min, Max float64
-	N              int
-}
-
-// ProfileSimilarity computes the Profile of node i (interest set a) against
-// each peer, using WeightedSimilarity when tracker is non-nil and weighted
-// is true, else the plain Similarity.
-func ProfileSimilarity(a Set, i int, peers []int, sets []Set, weighted bool, t *Tracker) Profile {
-	var prof Profile
-	for idx, j := range peers {
-		var s float64
-		if weighted {
-			s = WeightedSimilarity(a, sets[j], i, j, t)
-		} else {
-			s = Similarity(a, sets[j])
-		}
-		if idx == 0 {
-			prof.Min, prof.Max = s, s
-		} else {
-			if s < prof.Min {
-				prof.Min = s
-			}
-			if s > prof.Max {
-				prof.Max = s
-			}
-		}
-		prof.Mean += s
-		prof.N++
-	}
-	if prof.N > 0 {
-		prof.Mean /= float64(prof.N)
-	}
-	return prof
-}

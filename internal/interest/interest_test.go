@@ -187,25 +187,6 @@ func TestWeightedSimilarityDefeatsProfilePadding(t *testing.T) {
 	}
 }
 
-func TestProfileSimilarity(t *testing.T) {
-	sets := []Set{NewSet(1, 2), NewSet(1, 2), NewSet(1), NewSet(9)}
-	prof := ProfileSimilarity(sets[0], 0, []int{1, 2, 3}, sets, false, nil)
-	if prof.N != 3 {
-		t.Fatalf("N = %d", prof.N)
-	}
-	if prof.Max != 1 || prof.Min != 0 {
-		t.Fatalf("Min/Max = %v/%v", prof.Min, prof.Max)
-	}
-	want := (1.0 + 1.0 + 0.0) / 3 // sims: 1 (identical), 1 ({1}/min1), 0
-	if math.Abs(prof.Mean-want) > 1e-12 {
-		t.Fatalf("Mean = %v, want %v", prof.Mean, want)
-	}
-	empty := ProfileSimilarity(sets[0], 0, nil, sets, false, nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty profile = %+v", empty)
-	}
-}
-
 // --- properties ---
 
 func TestSimilarityBoundedSymmetricProperty(t *testing.T) {

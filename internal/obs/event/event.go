@@ -55,8 +55,8 @@ type FilterDecision struct {
 	PosThreshold float64 `json:"pos_threshold"`
 	NegThreshold float64 `json:"neg_threshold"`
 
-	// The baseline the Gaussian was centered on for each dimension (system
-	// or per-rater profile, whichever was chosen), as mean/width/population.
+	// The baseline the Gaussian was centered on for each dimension (the
+	// interval's system baseline), as mean/width/population.
 	// N == 0 means the dimension was disabled or had no baseline.
 	ClosenessBaseMean   float64 `json:"closeness_base_mean"`
 	ClosenessBaseWidth  float64 `json:"closeness_base_width"`

@@ -75,21 +75,6 @@ func BenchmarkEndInterval(b *testing.B) {
 	})
 }
 
-// BenchmarkHistoryAbsorb folds one bulk-cluster interval (412k ratings over
-// about 40k pairs, in snapshot order) into a warm history that has already
-// absorbed it once — the steady state, where every pair is known.
-func BenchmarkHistoryAbsorb(b *testing.B) {
-	const nodes = 10000
-	snap := SnapshotOrder(bulkInterval(nodes))
-	h := NewHistory(nodes)
-	h.Absorb(snap)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Absorb(snap)
-	}
-}
-
 // bulkInterval draws one bulk-cluster-shaped interval over nodes peers from a
 // fixed seed: each peer rates 4 partners 40 times in all (a fifth of the
 // ratings negative, categories uniform over 16), 50 couples add 120 ratings

@@ -8,7 +8,6 @@ package rating
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 )
 
@@ -379,131 +378,4 @@ func Frequencies(counts map[PairKey]PairCounts) FrequencyStats {
 		fs.MeanNegative = sumN / float64(nN)
 	}
 	return fs
-}
-
-// History keeps, for every rater, the sorted set of peers it has ever rated
-// — the peer set the Gaussian filter centers that rater's baseline on
-// (Eq. 6/8/9) — and a version per rater that changes with the set. It is not
-// concurrency-safe; feed it drained Snapshots from the single-threaded
-// reputation-update phase.
-type History struct {
-	ratees [][]int // rater -> peers it has rated, ascending
-	// vers holds one version per rater, bumped exactly when that rater's
-	// rated-peer (ratee) set changes — the invalidation signal for per-rater
-	// profile caches, which depend only on the set.
-	vers []uint64
-}
-
-// NewHistory creates an empty history for numNodes peers.
-func NewHistory(numNodes int) *History {
-	return &History{ratees: make([][]int, numNodes), vers: make([]uint64, numNodes)}
-}
-
-// Version returns the rater's rated-peer-set version: it changes if and only
-// if RateesOf(rater) would return a different set than at the last call.
-func (h *History) Version(rater int) uint64 { return h.vers[rater] }
-
-// Absorb adds every ratee of the drained interval to its rater's set. Ratings
-// of one pair that arrive next to each other — snapshot order puts them so —
-// cost one lookup together.
-func (h *History) Absorb(ratings []Rating) {
-	for i, r := range ratings {
-		if i > 0 && ratings[i-1].Rater == r.Rater && ratings[i-1].Ratee == r.Ratee {
-			continue // the run's first rating already looked the pair up
-		}
-		row := h.ratees[r.Rater]
-		if k, found := slices.BinarySearch(row, r.Ratee); !found {
-			h.ratees[r.Rater] = slices.Insert(row, k, r.Ratee)
-			h.vers[r.Rater]++
-		}
-	}
-}
-
-// ResetNode forgets the node in either role. The node's own version bumps
-// when it had rated anyone, and so does every rater whose rated-peer set
-// contained the node.
-func (h *History) ResetNode(node int) {
-	if len(h.ratees[node]) > 0 {
-		h.ratees[node] = nil
-		h.vers[node]++
-	}
-	for rater, row := range h.ratees {
-		if k, found := slices.BinarySearch(row, node); found {
-			h.ratees[rater] = slices.Delete(row, k, k+1)
-			h.vers[rater]++
-		}
-	}
-}
-
-// RateesOf returns the sorted set of peers that rater has ever rated — the
-// peer set the Gaussian filter profiles a rater against. The slice is the
-// history's own: callers must not modify it, and it is valid until the next
-// Absorb, ResetNode or ImportState.
-func (h *History) RateesOf(rater int) []int {
-	row := h.ratees[rater]
-	return row[:len(row):len(row)]
-}
-
-// HistoryState is the serializable form of a History, captured by
-// ExportState and reinstated by ImportState. Ratees holds each non-empty
-// rated-peer set as an ascending slice, so the payload is canonical.
-// Snapshots written before the history dropped its per-pair aggregates also
-// carry Sums, Counts and Raters fields; gob skips them on decode.
-type HistoryState struct {
-	NumNodes int
-	Ratees   map[int][]int
-	Vers     []uint64
-}
-
-// Validate reports whether the state fits a numNodes-node history: one
-// version per node, every rater and ratee in [0, numNodes), no self pair,
-// and every ratee list strictly ascending. A state read from a file must pass
-// it before ImportState.
-func (st HistoryState) Validate(numNodes int) error {
-	if st.NumNodes != numNodes || len(st.Vers) != numNodes {
-		return fmt.Errorf("rating: history state for %d nodes with %d versions, want %d", st.NumNodes, len(st.Vers), numNodes)
-	}
-	for rater, list := range st.Ratees {
-		if rater < 0 || rater >= numNodes {
-			return fmt.Errorf("rating: history rater %d outside [0, %d)", rater, numNodes)
-		}
-		for k, ratee := range list {
-			switch {
-			case ratee < 0 || ratee >= numNodes:
-				return fmt.Errorf("rating: history ratee %d of rater %d outside [0, %d)", ratee, rater, numNodes)
-			case ratee == rater:
-				return fmt.Errorf("rating: history self pair for node %d", rater)
-			case k > 0 && ratee <= list[k-1]:
-				return fmt.Errorf("rating: history ratees of rater %d not strictly ascending", rater)
-			}
-		}
-	}
-	return nil
-}
-
-// ExportState deep-copies the rated-peer sets and versions for snapshotting.
-func (h *History) ExportState() HistoryState {
-	st := HistoryState{NumNodes: len(h.ratees), Ratees: make(map[int][]int), Vers: slices.Clone(h.vers)}
-	for rater, row := range h.ratees {
-		if len(row) > 0 {
-			st.Ratees[rater] = slices.Clone(row)
-		}
-	}
-	return st
-}
-
-// ImportState replaces the history's contents with a previously exported
-// state, which must pass Validate for the history's node count. RateesOf and
-// Version afterwards match the instance the state was exported from.
-func (h *History) ImportState(st HistoryState) {
-	if err := st.Validate(len(h.ratees)); err != nil {
-		panic(err)
-	}
-	clear(h.ratees)
-	for rater, list := range st.Ratees {
-		if len(list) > 0 {
-			h.ratees[rater] = slices.Clone(list)
-		}
-	}
-	h.vers = append(h.vers[:0], st.Vers...)
 }

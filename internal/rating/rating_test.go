@@ -138,40 +138,6 @@ func TestFrequencies(t *testing.T) {
 	}
 }
 
-func TestHistory(t *testing.T) {
-	h := NewHistory(8)
-	h.Absorb([]Rating{
-		{Rater: 0, Ratee: 1, Value: 1},
-		{Rater: 0, Ratee: 1, Value: 1},
-		{Rater: 0, Ratee: 2, Value: -1},
-		{Rater: 3, Ratee: 1, Value: 0.5},
-	})
-	ratees := h.RateesOf(0)
-	if len(ratees) != 2 || ratees[0] != 1 || ratees[1] != 2 {
-		t.Fatalf("RateesOf = %v", ratees)
-	}
-	if got := h.RateesOf(1); len(got) != 0 {
-		t.Fatalf("direction matters: RateesOf(1) = %v", got)
-	}
-	if h.Version(0) != 2 || h.Version(3) != 1 || h.Version(1) != 0 {
-		t.Fatalf("versions %d %d %d, want 2 1 0", h.Version(0), h.Version(3), h.Version(1))
-	}
-	h.Absorb([]Rating{{Rater: 0, Ratee: 2, Value: 1}})
-	if h.Version(0) != 2 {
-		t.Fatal("re-rating a known peer changed the version")
-	}
-}
-
-func TestHistoryAbsorbAdjustedValues(t *testing.T) {
-	// Post-Gaussian values, zero included, still record the rated peer: the
-	// profile is the set of peers rated, whatever the weight.
-	h := NewHistory(4)
-	h.Absorb([]Rating{{Rater: 0, Ratee: 1, Value: 0.25}, {Rater: 0, Ratee: 3, Value: 0}})
-	if got := h.RateesOf(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("RateesOf = %v, want [1 3]", got)
-	}
-}
-
 // --- properties ---
 
 func TestLedgerConservationProperty(t *testing.T) {
@@ -220,28 +186,6 @@ func TestLedgerConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistoryResetNode(t *testing.T) {
-	h := NewHistory(4)
-	h.Absorb([]Rating{
-		{Rater: 0, Ratee: 1, Value: 1},
-		{Rater: 1, Ratee: 2, Value: 1},
-		{Rater: 3, Ratee: 1, Value: 1},
-	})
-	h.ResetNode(1)
-	if len(h.RateesOf(0)) != 0 || len(h.RateesOf(1)) != 0 || len(h.RateesOf(3)) != 0 {
-		t.Fatal("rated-peer entries involving node 1 survived ResetNode")
-	}
-	for node, want := range []uint64{2, 2, 0, 2} {
-		if got := h.Version(node); got != want {
-			t.Fatalf("Version(%d) = %d, want %d", node, got, want)
-		}
-	}
-	h.ResetNode(2) // rated nobody, rated by nobody now: no version moves
-	if h.Version(2) != 0 || h.Version(0) != 2 {
-		t.Fatal("resetting an unrelated node bumped a version")
 	}
 }
 

@@ -117,10 +117,20 @@ func (e *Engine) ExportState() State {
 	return State{Scores: append([]float64(nil), e.scores...)}
 }
 
-// ImportState restores a previously exported state bit-exactly.
+// Validate reports whether the state fits a numNodes-node engine: one score
+// per node. A state read from a file must pass it before ImportState.
+func (st State) Validate(numNodes int) error {
+	if len(st.Scores) != numNodes {
+		return fmt.Errorf("ebay: state with %d scores, want %d", len(st.Scores), numNodes)
+	}
+	return nil
+}
+
+// ImportState restores a previously exported state, which must pass
+// Validate, bit-exactly.
 func (e *Engine) ImportState(st State) {
-	if len(st.Scores) != e.numNodes {
-		panic(fmt.Sprintf("ebay: state with %d scores imported into %d-node engine", len(st.Scores), e.numNodes))
+	if err := st.Validate(e.numNodes); err != nil {
+		panic(err)
 	}
 	e.scores = append(e.scores[:0], st.Scores...)
 }

@@ -254,10 +254,22 @@ func (e *Engine) ExportState() State {
 	return st
 }
 
-// ImportState restores a previously exported state bit-exactly.
+// Validate reports whether the state fits a numNodes-node engine: one
+// history sum, history count and reputation per node. A state read from a
+// file must pass it before ImportState.
+func (st State) Validate(numNodes int) error {
+	if len(st.HistSum) != numNodes || len(st.HistN) != numNodes || len(st.Rep) != numNodes {
+		return fmt.Errorf("trustguard: state with %d/%d/%d history sums/counts/reputations, want %d",
+			len(st.HistSum), len(st.HistN), len(st.Rep), numNodes)
+	}
+	return nil
+}
+
+// ImportState restores a previously exported state, which must pass
+// Validate, bit-exactly.
 func (e *Engine) ImportState(st State) {
-	if len(st.HistSum) != e.cfg.NumNodes {
-		panic(fmt.Sprintf("trustguard: state for %d nodes imported into %d-node engine", len(st.HistSum), e.cfg.NumNodes))
+	if err := st.Validate(e.cfg.NumNodes); err != nil {
+		panic(err)
 	}
 	e.opinions = make(map[rating.PairKey]*opinion, len(st.Opinions))
 	for _, o := range st.Opinions {

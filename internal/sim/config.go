@@ -271,7 +271,7 @@ type Config struct {
 	Workers int // parallelism of the query-intent phase; 0 = GOMAXPROCS
 
 	// FullRecompute disables the incremental interval engine end to end:
-	// the SocialTrust signal/profile caches are bypassed and EigenTrust
+	// the SocialTrust signal cache is bypassed and EigenTrust
 	// rebuilds its trust matrix from scratch every interval. It is the
 	// reference mode TestFullSimIncrementalBitIdentity pins the incremental
 	// path against; production runs leave it false.
@@ -290,7 +290,7 @@ type Config struct {
 	// is journaled to its manager shard's write-ahead log under
 	// <StateDir>/shards before it is acknowledged, and a snapshot of the
 	// complete run state — ledger history, social graph, reputation vectors,
-	// filter history, RNG stream positions, fault-plan state and the audit
+	// filter state, RNG stream positions, fault-plan state and the audit
 	// event stream — is written atomically at every interval boundary. A run
 	// restarted over the same directory after a crash loads the last
 	// snapshot, replays the WAL tails (truncating a torn final record), and

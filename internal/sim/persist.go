@@ -32,10 +32,9 @@ import (
 // runState is the gob-serialized interval-boundary snapshot of a run: the
 // fingerprinted configuration, every Result accumulator, the per-node and
 // per-stream random positions, and the persistent state of each substrate
-// (graph, filter history, engine, fault plan). Exactly one of the Engine*
-// pointers is set, matching the configured engine kind. Events carries the
-// audit stream drained into checkpoints so far; EventSeq its high-water
-// sequence number.
+// (graph, filter, engine, fault plan). Exactly one of the Engine* pointers is
+// set, matching the configured engine kind. Events carries the audit stream
+// drained into checkpoints so far; EventSeq its high-water sequence number.
 type runState struct {
 	Fingerprint string
 	// Cycle counts completed simulation cycles — the resumed run's first
@@ -126,21 +125,65 @@ func (n *Network) initPersist() error {
 		if st.Fingerprint != n.fingerprint() {
 			return fmt.Errorf("sim: snapshot in %s was written by a different configuration; use a fresh state dir or rerun with identical parameters", cfg.StateDir)
 		}
-		// The filter history and the engine index per-node rows by the IDs
-		// they hold, so a malformed snapshot is refused here, not on resume.
-		var err error
-		if st.Filter != nil {
-			err = st.Filter.Hist.Validate(cfg.NumNodes)
-		}
-		if err == nil && st.EngineET != nil {
-			err = st.EngineET.Validate(cfg.NumNodes)
-		}
-		if err != nil {
+		if err := n.checkResume(&st); err != nil {
 			return fmt.Errorf("sim: state dir %s: malformed snapshot: %w", cfg.StateDir, err)
 		}
 		n.resume = &st
 	}
 	return nil
+}
+
+// checkResume refuses a snapshot that matches the fingerprint but not the
+// run it would resume: applyResume indexes per-node and per-shard state by
+// position and imports the substrate states this configuration builds, so
+// each must be present and sized for it. A CRC-valid but malformed file is
+// then an error at construction, not a panic mid-resume.
+func (n *Network) checkResume(st *runState) error {
+	cfg := n.Cfg
+	if err := st.Graph.Validate(cfg.NumNodes); err != nil {
+		return err
+	}
+	for _, l := range []struct {
+		name      string
+		got, want int
+	}{
+		{"reputation vector", len(st.Reps), cfg.NumNodes},
+		{"online flags", len(st.Online), cfg.NumNodes},
+		{"node QoS", len(st.NodeGood), cfg.NumNodes},
+		{"node honeymoons", len(st.NodeHoneymoon), cfg.NumNodes},
+		{"node stream positions", len(st.NodeRNGDraws), cfg.NumNodes},
+		{"colluder last-above cycles", len(st.LastAbove), cfg.NumColluders},
+		{"colluder ever-above flags", len(st.EverAbove), cfg.NumColluders},
+		{"drained shard marks", len(st.DrainedSeqs), cfg.Managers},
+	} {
+		if l.got != l.want {
+			return fmt.Errorf("%s has %d entries, want %d", l.name, l.got, l.want)
+		}
+	}
+	if n.Filter != nil && st.Filter == nil {
+		return fmt.Errorf("filter state missing")
+	}
+	var err error
+	switch n.inner.(type) {
+	case *eigentrust.Engine:
+		err = checkState("EigenTrust engine", st.EngineET, cfg.NumNodes)
+	case *ebay.Engine:
+		err = checkState("eBay engine", st.EngineEBay, cfg.NumNodes)
+	case *trustguard.Engine:
+		err = checkState("TrustGuard engine", st.EngineTG, cfg.NumNodes)
+	}
+	if err == nil && n.FaultPlan != nil {
+		err = checkState("fault plan", st.Fault, cfg.Managers)
+	}
+	return err
+}
+
+// checkState requires a snapshot substate and validates it against size.
+func checkState[S interface{ Validate(int) error }](name string, st *S, size int) error {
+	if st == nil {
+		return fmt.Errorf("%s state missing", name)
+	}
+	return (*st).Validate(size)
 }
 
 // startFresh prepares a durable run over a directory with no snapshot: stale
@@ -260,36 +303,22 @@ func (n *Network) applyResume(res *Result, lastAbove []int, everAbove []bool) ([
 	persist.RecoveryStarted()
 	obs.Logger().Info("resuming from interval-boundary snapshot",
 		"state_dir", n.Cfg.StateDir, "cycle", st.Cycle, "seq", st.Seq)
+	// checkResume vetted every state below at construction.
 	n.Graph.ImportState(st.Graph)
 	if n.Filter != nil {
-		if st.Filter == nil {
-			panic("sim: snapshot is missing the filter state")
-		}
 		n.Filter.ImportState(*st.Filter)
 	}
 	switch e := n.inner.(type) {
 	case *eigentrust.Engine:
-		if st.EngineET == nil {
-			panic("sim: snapshot is missing the EigenTrust engine state")
-		}
 		e.ImportState(*st.EngineET)
 	case *ebay.Engine:
-		if st.EngineEBay == nil {
-			panic("sim: snapshot is missing the eBay engine state")
-		}
 		e.ImportState(*st.EngineEBay)
 	case *trustguard.Engine:
-		if st.EngineTG == nil {
-			panic("sim: snapshot is missing the TrustGuard engine state")
-		}
 		e.ImportState(*st.EngineTG)
 	default:
 		panic(fmt.Sprintf("sim: engine %T has no snapshot support", n.inner))
 	}
 	if n.FaultPlan != nil {
-		if st.Fault == nil {
-			panic("sim: snapshot is missing the fault plan state")
-		}
 		n.FaultPlan.ImportState(*st.Fault)
 	}
 	for i, node := range n.Nodes {

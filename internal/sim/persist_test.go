@@ -5,13 +5,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"socialtrust/internal/fault"
 	"socialtrust/internal/obs/event"
 	"socialtrust/internal/persist"
 	"socialtrust/internal/rating"
+	"socialtrust/internal/reputation/ebay"
 	"socialtrust/internal/reputation/eigentrust"
+	"socialtrust/internal/socialgraph"
 )
 
 // runOutcome is everything a durability comparison judges: the full Result
@@ -289,36 +292,76 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 	net.abandon()
 }
 
-// TestResumeRefusesMalformedSnapshot pins that a CRC-valid snapshot whose
-// filter history or engine state does not fit the configured population is
-// refused with an error at construction, one case per rule, instead of
-// panicking when the resume indexes per-node rows by its IDs.
+// TestResumeRefusesMalformedSnapshot pins that a CRC-valid snapshot that does
+// not fit the configured run is refused with an error at construction, one
+// case per rule, instead of panicking when the resume indexes per-node and
+// per-shard rows or imports a state the configuration needs.
 func TestResumeRefusesMalformedSnapshot(t *testing.T) {
-	cfg := smallConfig(MCM, EngineEigenTrust, 0.2, true)
-	dir := t.TempDir()
-	runUntilCrash(t, cfg, dir, haltPoint{cycle: 2, qc: 0})
-	path := filepath.Join(dir, "snapshot.st")
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	configs := map[string]Config{
+		"eigentrust": smallConfig(MCM, EngineEigenTrust, 0.2, true),
+		"ebay":       smallConfig(MCM, EngineEBay, 0.2, true),
+		"trustguard": smallConfig(MCM, EngineTrustGuard, 0.2, true),
 	}
-	n := cfg.NumNodes
+	faulty := configs["eigentrust"]
+	faulty.Managers = 2
+	faulty.Faults = fault.Config{Seed: 3, Drop: 0.1}
+	configs["faults"] = faulty
+	n := faulty.NumNodes
+	friend := []socialgraph.Relationship{{Kind: socialgraph.Friendship}}
 	cases := []struct {
-		name   string
-		mutate func(*runState)
+		name, cfg string
+		mutate    func(*runState)
 	}{
-		{"history version count", func(st *runState) { st.Filter.Hist.Vers = st.Filter.Hist.Vers[:n-1] }},
-		{"history rater out of range", func(st *runState) { st.Filter.Hist.Ratees[n] = []int{0} }},
-		{"history ratee out of range", func(st *runState) { st.Filter.Hist.Ratees[0] = []int{1, n + 5} }},
-		{"history self pair", func(st *runState) { st.Filter.Hist.Ratees[3] = []int{3} }},
-		{"engine trust vector length", func(st *runState) { st.EngineET.T = append(st.EngineET.T, 0) }},
-		{"engine rater out of range", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: -1, Ratee: 0}] = 1 }},
-		{"engine ratee out of range", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: 0, Ratee: n}] = 1 }},
-		{"engine self pair", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: 4, Ratee: 4}] = 1 }},
+		{"graph node count", "eigentrust", func(st *runState) { st.Graph.NumNodes = n + 1 }},
+		{"graph interaction rows", "eigentrust", func(st *runState) { st.Graph.Interactions = st.Graph.Interactions[:n-1] }},
+		{"graph edge out of range", "eigentrust", func(st *runState) {
+			st.Graph.Edges = append(st.Graph.Edges, socialgraph.EdgeState{I: 0, J: socialgraph.NodeID(n + 3), Rels: friend})
+		}},
+		{"graph self edge", "eigentrust", func(st *runState) {
+			st.Graph.Edges = append(st.Graph.Edges, socialgraph.EdgeState{I: 4, J: 4, Rels: friend})
+		}},
+		{"graph interaction out of range", "eigentrust", func(st *runState) {
+			st.Graph.Interactions[0] = map[socialgraph.NodeID]float64{socialgraph.NodeID(n): 1}
+		}},
+		{"reputation vector length", "eigentrust", func(st *runState) { st.Reps = st.Reps[:n-1] }},
+		{"online flags length", "eigentrust", func(st *runState) { st.Online = st.Online[:n-1] }},
+		{"node QoS length", "eigentrust", func(st *runState) { st.NodeGood = st.NodeGood[:n-1] }},
+		{"node honeymoon length", "eigentrust", func(st *runState) { st.NodeHoneymoon = append(st.NodeHoneymoon, 0) }},
+		{"node stream position length", "eigentrust", func(st *runState) { st.NodeRNGDraws = st.NodeRNGDraws[:n-1] }},
+		{"colluder last-above length", "eigentrust", func(st *runState) { st.LastAbove = st.LastAbove[:1] }},
+		{"colluder ever-above length", "eigentrust", func(st *runState) { st.EverAbove = nil }},
+		{"drained shard marks missing", "eigentrust", func(st *runState) { st.DrainedSeqs = nil }},
+		{"filter state missing", "eigentrust", func(st *runState) { st.Filter = nil }},
+		{"engine state of another kind", "eigentrust", func(st *runState) {
+			st.EngineET, st.EngineEBay = nil, &ebay.State{Scores: make([]float64, n)}
+		}},
+		{"engine trust vector length", "eigentrust", func(st *runState) { st.EngineET.T = append(st.EngineET.T, 0) }},
+		{"engine rater out of range", "eigentrust", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: -1, Ratee: 0}] = 1 }},
+		{"engine ratee out of range", "eigentrust", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: 0, Ratee: n}] = 1 }},
+		{"engine self pair", "eigentrust", func(st *runState) { st.EngineET.Sums[rating.PairKey{Rater: 4, Ratee: 4}] = 1 }},
+		{"eBay score count", "ebay", func(st *runState) { st.EngineEBay.Scores = st.EngineEBay.Scores[:n-1] }},
+		{"TrustGuard history count", "trustguard", func(st *runState) { st.EngineTG.HistN = st.EngineTG.HistN[:n-1] }},
+		{"TrustGuard reputation count", "trustguard", func(st *runState) { st.EngineTG.Rep = append(st.EngineTG.Rep, 0) }},
+		{"fault state missing", "faults", func(st *runState) { st.Fault = nil }},
+		{"fault outage shard count", "faults", func(st *runState) { st.Fault.DownUntil = st.Fault.DownUntil[:1] }},
+		{"fault delivery shard count", "faults", func(st *runState) { st.Fault.DeliveryDraws = append(st.Fault.DeliveryDraws, 0) }},
+	}
+	// One crashed run per configuration supplies the well-formed snapshot
+	// every case of that configuration starts from.
+	dirs, origs := map[string]string{}, map[string][]byte{}
+	for name, cfg := range configs {
+		dirs[name] = t.TempDir()
+		runUntilCrash(t, cfg, dirs[name], haltPoint{cycle: 2, qc: 0})
+		orig, err := os.ReadFile(filepath.Join(dirs[name], "snapshot.st"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		origs[name] = orig
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := os.WriteFile(path, orig, 0o644); err != nil {
+			path := filepath.Join(dirs[c.cfg], "snapshot.st")
+			if err := os.WriteFile(path, origs[c.cfg], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var st runState
@@ -329,11 +372,15 @@ func TestResumeRefusesMalformedSnapshot(t *testing.T) {
 			if err := persist.WriteSnapshot(path, &st); err != nil {
 				t.Fatal(err)
 			}
-			resumed := cfg
-			resumed.StateDir = dir
-			if net, err := NewNetwork(resumed); err == nil {
+			cfg := configs[c.cfg]
+			cfg.StateDir = dirs[c.cfg]
+			net, err := NewNetwork(cfg)
+			if err == nil {
 				net.abandon()
 				t.Fatal("a malformed snapshot was accepted for resume")
+			}
+			if !strings.Contains(err.Error(), "malformed snapshot") {
+				t.Fatalf("refused for the wrong reason: %v", err)
 			}
 		})
 	}

@@ -155,8 +155,7 @@ func newBatchScratch(n int) *batchScratch {
 	return s
 }
 
-// closenessBatch is the shared state of one ClosenessFrom/ProfileCloseness
-// pass: every quantity that depends only on the source node i is computed
+// closenessBatch is the shared state of one ClosenessFrom pass: every quantity that depends only on the source node i is computed
 // once and memoized across ratees. Callers hold the topology read lock for
 // the batch's whole lifetime.
 type closenessBatch struct {
@@ -298,44 +297,4 @@ func (b *closenessBatch) buildBFS() {
 	}
 	b.deepest = int32(start)
 	b.bfsDone = true
-}
-
-// ClosenessProfile summarizes node i's closeness to a set of peers it has
-// rated — the (mean, min, max) triple the Gaussian filter of Equation 6
-// centers on.
-type ClosenessProfile struct {
-	Mean, Min, Max float64
-	N              int
-}
-
-// ProfileCloseness computes the ClosenessProfile of node i over peers.
-// An empty peer set yields a zero profile. It runs on the batched
-// closeness path, sharing one BFS and memo table across the peer set.
-func (g *Graph) ProfileCloseness(i NodeID, peers []NodeID, p ClosenessParams) ClosenessProfile {
-	g.validate(i)
-	g.validate(peers...)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	b := g.newClosenessBatch(i, p)
-	var prof ClosenessProfile
-	for idx, j := range peers {
-		c := b.closeness(j)
-		if idx == 0 {
-			prof.Min, prof.Max = c, c
-		} else {
-			if c < prof.Min {
-				prof.Min = c
-			}
-			if c > prof.Max {
-				prof.Max = c
-			}
-		}
-		prof.Mean += c
-		prof.N++
-	}
-	b.release()
-	if prof.N > 0 {
-		prof.Mean /= float64(prof.N)
-	}
-	return prof
 }

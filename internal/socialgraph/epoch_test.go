@@ -119,34 +119,6 @@ func TestClosenessFromMatchesPerPair(t *testing.T) {
 	}
 }
 
-// TestProfileClosenessMatchesPerPair pins that the batched ProfileCloseness
-// still folds exactly the per-pair closeness values.
-func TestProfileClosenessMatchesPerPair(t *testing.T) {
-	g := randomGraph(120, 4)
-	p := DefaultClosenessParams()
-	peers := []NodeID{3, 17, 44, 90, 119, 60}
-	prof := g.ProfileCloseness(5, peers, p)
-	var mean, min, max float64
-	for idx, j := range peers {
-		c := g.Closeness(5, j, p)
-		if idx == 0 {
-			min, max = c, c
-		} else {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		mean += c
-	}
-	mean /= float64(len(peers))
-	if prof.Mean != mean || prof.Min != min || prof.Max != max || prof.N != len(peers) {
-		t.Fatalf("ProfileCloseness = %+v, want mean=%v min=%v max=%v n=%d", prof, mean, min, max, len(peers))
-	}
-}
-
 // randomGraph builds a connected pseudo-random graph with interactions,
 // sparse enough that all three closeness branches are exercised.
 func randomGraph(n, extraDeg int) *Graph {

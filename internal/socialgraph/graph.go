@@ -99,9 +99,9 @@ type halfEdge struct {
 //
 // Every mutator — AddRelationship, RecordInteraction, RemoveNodeEdges,
 // ResetInteractions — bumps a monotonically increasing epoch counter
-// (Epoch). Any value derived purely from graph state (closeness, profiles)
-// is valid for as long as the epoch is unchanged, which is the invalidation
-// contract the core package's signal cache is built on.
+// (Epoch). Any value derived purely from graph state (closeness) is valid
+// for as long as the epoch is unchanged, which is the invalidation contract
+// the core package's signal cache is built on.
 //
 // Mutators additionally record which nodes they touched in a bounded touch
 // log (TouchedSince), so consumers can invalidate derived state in
@@ -120,7 +120,7 @@ type Graph struct {
 	adj [][]halfEdge // per node, sorted by halfEdge.to
 
 	// scratch pools the breadth-first-search state of batched closeness
-	// (ClosenessFrom, ProfileCloseness), one per concurrent caller.
+	// (ClosenessFrom), one per concurrent caller.
 	scratch sync.Pool
 
 	interactions []interactionRow
@@ -612,6 +612,30 @@ type State struct {
 	Interactions []map[NodeID]float64
 }
 
+// Validate reports whether the state fits a numNodes-node graph: the node
+// count, every edge between two distinct nodes in [0, numNodes), and one
+// interaction row per node whose keys are in range. A state read from a file
+// must pass it before ImportState.
+func (st State) Validate(numNodes int) error {
+	if st.NumNodes != numNodes || len(st.Interactions) != numNodes {
+		return fmt.Errorf("socialgraph: state for %d nodes with %d interaction rows, want %d", st.NumNodes, len(st.Interactions), numNodes)
+	}
+	inRange := func(v NodeID) bool { return v >= 0 && int(v) < numNodes }
+	for _, e := range st.Edges {
+		if !inRange(e.I) || !inRange(e.J) || e.I == e.J {
+			return fmt.Errorf("socialgraph: state edge %d-%d is a self edge or outside [0, %d)", e.I, e.J, numNodes)
+		}
+	}
+	for i, row := range st.Interactions {
+		for j := range row {
+			if !inRange(j) {
+				return fmt.Errorf("socialgraph: state interaction %d->%d outside [0, %d)", i, j, numNodes)
+			}
+		}
+	}
+	return nil
+}
+
 // ExportState deep-copies the graph's persistent content in canonical
 // order: walking the sorted adjacency lists in node order emits the edges
 // in (I, J) order.
@@ -642,12 +666,13 @@ func (g *Graph) ExportState() State {
 }
 
 // ImportState replaces the graph's topology and interaction table with a
-// previously exported state and signals full invalidation to derived-state
-// consumers. Every relationship list and interaction count afterwards is
-// bit-identical to the exporting instance.
+// previously exported state, which must pass Validate for the graph's node
+// count, and signals full invalidation to derived-state consumers. Every
+// relationship list and interaction count afterwards is bit-identical to the
+// exporting instance.
 func (g *Graph) ImportState(st State) {
-	if st.NumNodes != g.n {
-		panic(fmt.Sprintf("socialgraph: state for %d nodes imported into %d-node graph", st.NumNodes, g.n))
+	if err := st.Validate(g.n); err != nil {
+		panic(err)
 	}
 	g.mu.Lock()
 	g.adj = make([][]halfEdge, g.n)

@@ -329,31 +329,6 @@ func TestWeightedDampsRelationshipStuffing(t *testing.T) {
 	}
 }
 
-func TestProfileCloseness(t *testing.T) {
-	g := New(4)
-	g.AddRelationship(0, 1, Relationship{Kind: Friendship})
-	g.AddRelationship(0, 2, Relationship{Kind: Friendship})
-	g.AddRelationship(0, 2, Relationship{Kind: Kinship})
-	g.RecordInteraction(0, 1, 1)
-	g.RecordInteraction(0, 2, 3)
-	p := DefaultClosenessParams()
-	prof := g.ProfileCloseness(0, []NodeID{1, 2}, p)
-	c1, c2 := g.Closeness(0, 1, p), g.Closeness(0, 2, p)
-	if prof.N != 2 {
-		t.Fatalf("N = %d", prof.N)
-	}
-	if math.Abs(prof.Mean-(c1+c2)/2) > 1e-12 {
-		t.Fatalf("Mean = %v", prof.Mean)
-	}
-	if prof.Min != math.Min(c1, c2) || prof.Max != math.Max(c1, c2) {
-		t.Fatalf("Min/Max = %v/%v", prof.Min, prof.Max)
-	}
-	empty := g.ProfileCloseness(0, nil, p)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty profile = %+v", empty)
-	}
-}
-
 // --- properties ---
 
 func TestClosenessNonNegativeProperty(t *testing.T) {
