@@ -109,6 +109,8 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Fatalf("shard %d: replica snapshot on an unreplicated overlay", s)
 		}
 		got := ds.Primary.Ratings
+		// Take the pair runs before sortBySeq reorders the drained slice.
+		runs := rating.PairRuns(got, nil)
 		sortBySeq(got)
 		exp := want[s]
 		sortBySeq(exp)
@@ -120,11 +122,19 @@ func TestClusterEndToEnd(t *testing.T) {
 				t.Fatalf("shard %d rating %d: got %+v want %+v", s, i, got[i], exp[i])
 			}
 		}
-		// The snapshot's recomputed pair counters must match the ledger rule.
-		for key, c := range ds.Primary.Counts {
+		// The drained snapshot's pair runs must carry the ledger rule's
+		// counters, one run per distinct pair.
+		pairs := map[rating.PairKey]bool{}
+		for _, r := range exp {
+			pairs[rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}] = true
+		}
+		if len(runs) != len(pairs) {
+			t.Fatalf("shard %d: %d pair runs for %d distinct pairs", s, len(runs), len(pairs))
+		}
+		for _, run := range runs {
 			var pos, neg int
 			for _, r := range exp {
-				if r.Rater == key.Rater && r.Ratee == key.Ratee {
+				if r.Rater == run.Rater && r.Ratee == run.Ratee {
 					if r.Value > 0 {
 						pos++
 					} else if r.Value < 0 {
@@ -132,8 +142,8 @@ func TestClusterEndToEnd(t *testing.T) {
 					}
 				}
 			}
-			if c.Positive != pos || c.Negative != neg {
-				t.Fatalf("shard %d pair %+v: counts %+v, want +%d -%d", s, key, c, pos, neg)
+			if run.Positive != pos || run.Negative != neg {
+				t.Fatalf("shard %d pair %+v: counts %+v, want +%d -%d", s, run.PairKey, run.PairCounts, pos, neg)
 			}
 		}
 	}

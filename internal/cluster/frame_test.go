@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -191,7 +192,9 @@ func TestSubmitReplyRoundTrip(t *testing.T) {
 // TestDrainReplyNodeRange checks that a drain reply is decoded against the
 // overlay's node count. A rating naming a node outside it, such as ratee 99
 // on an 8-node overlay, makes the frame corrupt. The drain then fails
-// instead of handing the engine an index past its per-node arrays.
+// instead of handing the engine an index past its per-node arrays. A
+// rating no ledger accepts — a NaN or infinite value, a self-rating — makes
+// the frame corrupt too.
 func TestDrainReplyNodeRange(t *testing.T) {
 	const numNodes = 8
 	good := rating.Rating{Rater: 3, Ratee: 7, Value: 1, Cycle: 2, Seq: 5}
@@ -206,6 +209,10 @@ func TestDrainReplyNodeRange(t *testing.T) {
 		{"ratee numNodes", manager.DrainSnapshots{Primary: snap(rating.Rating{Rater: 1, Ratee: numNodes, Value: 1})}, false},
 		{"replica rater -1", manager.DrainSnapshots{Primary: snap(good), HasReplica: true,
 			Replica: snap(rating.Rating{Rater: -1, Ratee: 2, Value: -1})}, false},
+		{"value NaN", manager.DrainSnapshots{Primary: snap(good, rating.Rating{Rater: 1, Ratee: 2, Value: math.NaN()})}, false},
+		{"replica value +Inf", manager.DrainSnapshots{Primary: snap(good), HasReplica: true,
+			Replica: snap(rating.Rating{Rater: 1, Ratee: 2, Value: math.Inf(1)})}, false},
+		{"self-rating", manager.DrainSnapshots{Primary: snap(rating.Rating{Rater: 4, Ratee: 4, Value: 1})}, false},
 	}
 	for _, tc := range cases {
 		w := &wire{b: appendDrainReply(nil, tc.ds)}
@@ -220,8 +227,7 @@ func TestDrainReplyNodeRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want := rating.Snapshot{Ratings: []rating.Rating{good}, MaxSeq: 5,
-			Counts: map[rating.PairKey]rating.PairCounts{{Rater: 3, Ratee: 7}: {Positive: 1}}}
+		want := rating.Snapshot{Ratings: []rating.Rating{good}, MaxSeq: 5}
 		if !ds.HasReplica || !reflect.DeepEqual(ds.Primary, want) || !reflect.DeepEqual(ds.Replica, want) {
 			t.Fatalf("%s: decoded %+v, want primary and replica %+v", tc.name, ds, want)
 		}

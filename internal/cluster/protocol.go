@@ -104,10 +104,8 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendSnapshot encodes an interval snapshot as its ratings plus the max
-// sequence mark. The per-pair frequency counters are fully derivable from the
-// ratings (every ledger add updates both views), so the receiver recomputes
-// them instead of shipping the map.
+// appendSnapshot encodes an interval snapshot as its ratings, in the
+// snapshot order they were drained in, plus the max sequence mark.
 func appendSnapshot(b []byte, s rating.Snapshot) []byte {
 	b = appendRatings(b, s.Ratings)
 	return binary.LittleEndian.AppendUint64(b, s.MaxSeq)
@@ -260,34 +258,27 @@ func (w *wire) entries() []manager.BatchEntry {
 
 func (w *wire) bool() bool { return w.u8() != 0 }
 
-// snapshot decodes an interval snapshot of a numNodes-node overlay,
-// recomputing the per-pair frequency counters from the ratings — the exact
-// inverse of the ledger's add path (Value>0 counts positive, Value<0
-// negative, zero counts neither). A rating that names a node outside
-// [0, numNodes) is corrupt: the reputation engines index per-node state by
-// both IDs.
+// snapshot decodes an interval snapshot of a numNodes-node overlay. A
+// rating that names a node outside [0, numNodes) is corrupt — the reputation
+// engines index per-node state by both IDs — and so is one that no ledger
+// accepts (rating.Validate), such as a NaN or infinite value.
 func (w *wire) snapshot(numNodes int) rating.Snapshot {
 	rs := w.ratings()
 	maxSeq := w.u64()
 	if w.err != nil {
 		return rating.Snapshot{}
 	}
-	snap := rating.Snapshot{Ratings: rs, MaxSeq: maxSeq, Counts: make(map[rating.PairKey]rating.PairCounts)}
 	for _, r := range rs {
 		if r.Rater < 0 || r.Rater >= numNodes || r.Ratee < 0 || r.Ratee >= numNodes {
 			w.fail("rating %d→%d names a node outside [0, %d)", r.Rater, r.Ratee, numNodes)
 			return rating.Snapshot{}
 		}
-		key := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
-		c := snap.Counts[key]
-		if r.Value > 0 {
-			c.Positive++
-		} else if r.Value < 0 {
-			c.Negative++
+		if err := rating.Validate(&r); err != nil {
+			w.fail("%v", err)
+			return rating.Snapshot{}
 		}
-		snap.Counts[key] = c
 	}
-	return snap
+	return rating.Snapshot{Ratings: rs, MaxSeq: maxSeq}
 }
 
 // drainReply decodes a drain reply body (appendDrainReply) for a

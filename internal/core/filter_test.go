@@ -30,16 +30,22 @@ func TestFreqScale(t *testing.T) {
 	}
 }
 
+// TestMeanPairFrequency pins F, the mean total rating count per pair: 1 for
+// an empty interval, the plain mean otherwise, floored at 1.
 func TestMeanPairFrequency(t *testing.T) {
-	if f := meanPairFrequency(nil); f != 1 {
-		t.Fatalf("empty meanF = %v, want 1", f)
+	cases := []struct {
+		total, pairs int
+		want         float64
+	}{
+		{0, 0, 1},
+		{6, 2, 3}, // pairs of 2 and 3+1 ratings
+		{1, 4, 1}, // mean 0.25, floored
+		{7, 2, 3.5},
 	}
-	counts := map[rating.PairKey]rating.PairCounts{
-		{Rater: 0, Ratee: 1}: {Positive: 2},
-		{Rater: 1, Ratee: 2}: {Positive: 3, Negative: 1},
-	}
-	if f := meanPairFrequency(counts); f != 3 {
-		t.Fatalf("meanF = %v, want 3", f)
+	for _, c := range cases {
+		if f := meanFrom(c.total, c.pairs); f != c.want {
+			t.Errorf("meanFrom(%d, %d) = %v, want %v", c.total, c.pairs, f, c.want)
+		}
 	}
 }
 

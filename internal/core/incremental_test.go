@@ -153,7 +153,7 @@ func TestStaleCacheNeverConsultedAfterInvalidation(t *testing.T) {
 	if cap(st.sigScratch) < 2 {
 		st.sigScratch = make([]pairSignals, 2)
 	}
-	pairs := []rating.PairKey{near, far}
+	pairs := []rating.PairRun{{PairKey: near}, {PairKey: far}}
 	sigs := make([]pairSignals, 2)
 	st.adjustMu.Lock()
 	st.syncGraph()
@@ -209,7 +209,7 @@ func TestQuietIntervalAdjustAllocations(t *testing.T) {
 	const quietAllocBudget = 9 // measured 6 on go1.24; headroom for map-iter noise
 	st, snap := perfScenario(200, 1)
 	st.Adjust(snap) // prime caches and scratch
-	quiet := rating.Snapshot{Counts: map[rating.PairKey]rating.PairCounts{}}
+	quiet := rating.Snapshot{}
 	st.Adjust(quiet)
 	got := testing.AllocsPerRun(20, func() {
 		st.Adjust(quiet)

@@ -21,7 +21,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -248,16 +247,20 @@ type SocialTrust struct {
 
 	// adjustMu serializes Adjust (and therefore Update), which reuses the
 	// scratch buffers below across calls so a warm-cache interval allocates
-	// almost nothing. lowUtil counts consecutive intervals whose pair count
-	// stayed far below the scratch capacity (see maybeShrinkScratch).
+	// almost nothing. runScratch holds the interval's pair runs in snapshot
+	// order and pairScratch the same runs in (rater, ratee) order; raterStart
+	// is the counting sort's NumNodes+1 offsets, allocated once like
+	// closeVer. lowUtil counts consecutive intervals whose pair count stayed
+	// far below the scratch capacity (see maybeShrinkScratch).
 	adjustMu     sync.Mutex
-	pairScratch  []rating.PairKey
+	runScratch   []rating.PairRun
+	pairScratch  []rating.PairRun
+	raterStart   []int
 	sigScratch   []pairSignals
 	missScratch  []sigMiss
 	groupScratch []int
 	closeVals    []float64
 	simVals      []float64
-	countScratch []rating.PairCounts
 	behavScratch []Behavior
 	gwScratch    []float64
 	fsScratch    []float64
@@ -305,15 +308,16 @@ func New(cfg Config, graph *socialgraph.Graph, sets []interest.Set, tracker *int
 		dep = 2
 	}
 	return &SocialTrust{
-		cfg:       cfg,
-		graph:     graph,
-		sets:      sets,
-		tracker:   tracker,
-		inner:     inner,
-		sigCache:  newSigCache(),
-		closeVer:  make([]uint64, cfg.NumNodes),
-		graphSeen: graph.Epoch(), // cache is empty; nothing older to invalidate
-		depHops:   dep,
+		cfg:        cfg,
+		graph:      graph,
+		sets:       sets,
+		tracker:    tracker,
+		inner:      inner,
+		sigCache:   newSigCache(),
+		closeVer:   make([]uint64, cfg.NumNodes),
+		raterStart: make([]int, cfg.NumNodes+1),
+		graphSeen:  graph.Epoch(), // cache is empty; nothing older to invalidate
+		depHops:    dep,
 	}
 }
 
@@ -403,10 +407,12 @@ type pairSignals struct {
 }
 
 // Adjust computes per-pair weights for one interval snapshot and returns a
-// new snapshot with re-weighted rating values plus the filtering report. It
-// does not mutate the input and does not advance filter state, so it can be
-// used standalone for what-if analysis. Concurrent Adjust calls serialize
-// on an internal lock (they share the signal cache and scratch buffers).
+// new snapshot with re-weighted rating values plus the filtering report. The
+// returned ratings are in snapshot order, as a drained snapshot's already
+// are. It does not mutate the input and does not advance filter state, so it
+// can be used standalone for what-if analysis. Concurrent Adjust calls
+// serialize on an internal lock (they share the signal cache and scratch
+// buffers).
 func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	sp := mAdjustLat.Start()
 	defer sp.End()
@@ -431,19 +437,19 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	// allocates (the decisions slice stays nil).
 	rec := event.Current()
 	var decisions []event.FilterDecision
-	var decIdx map[rating.PairKey]int
 
-	pairs := s.pairScratch[:0]
-	for k := range snap.Counts {
-		pairs = append(pairs, k)
+	// The interval's pairs are the runs of its snapshot-ordered ratings. A
+	// snapshot out of (ratee, rater) order — one a caller built by hand —
+	// shows as runs that do not strictly increase, and is put in snapshot
+	// order first.
+	rs := snap.Ratings
+	runs := rating.PairRuns(rs, s.runScratch[:0])
+	if !runsIncrease(runs) {
+		rs = rating.SnapshotOrder(rs)
+		runs = rating.PairRuns(rs, runs[:0])
 	}
-	slices.SortFunc(pairs, func(a, b rating.PairKey) int {
-		if c := cmp.Compare(a.Rater, b.Rater); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Ratee, b.Ratee)
-	})
-	s.pairScratch = pairs[:0]
+	s.runScratch = runs[:0]
+	pairs := s.byRater(runs)
 
 	if cap(s.sigScratch) < len(pairs) {
 		s.sigScratch = make([]pairSignals, len(pairs))
@@ -453,31 +459,19 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	s.computeSignals(pairs, signals)
 	ssp.End()
 
-	// Hoist the per-pair count lookups out of every later phase: one pass
-	// over fixed-size index blocks (concurrent map reads are safe) leaves a
-	// slice aligned with the sorted pair order.
-	if cap(s.countScratch) < len(pairs) {
-		s.countScratch = make([]rating.PairCounts, len(pairs))
-	}
-	counts := s.countScratch[:len(pairs)]
 	workers := s.cfg.Workers
 	if len(pairs) < parallelMinPairs {
 		workers = 1 // goroutine fan-out costs more than it saves
 	}
-	forFixedBlocks(len(pairs), adjustChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			counts[i] = snap.Counts[pairs[i]]
-		}
-	})
 
 	totalRatings := 0
-	for _, c := range counts {
-		totalRatings += c.Total()
+	for i := range pairs {
+		totalRatings += pairs[i].Total()
 	}
 	bsp := tsp.Child("adjust.baseline", span.PhaseAdjust)
 	posT, negT := s.thresholdsFrom(totalRatings, len(pairs))
 	meanF := meanFrom(totalRatings, len(pairs))
-	base := s.systemBaseline(signals, counts, posT, negT)
+	base := s.systemBaseline(signals, pairs, posT, negT)
 	bsp.End()
 
 	// Closeness thresholds Tcl/Tch are percentiles of the baseline
@@ -521,7 +515,7 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	csp := tsp.Child("adjust.classify", span.PhaseAdjust).SetInt("blocks", int64(nb))
 	forFixedBlocks(len(pairs), adjustChunk, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			c := counts[i]
+			c := pairs[i].PairCounts
 			sig := signals[i]
 			var behaviors Behavior
 			// High-side comparisons are inclusive: similarity is a ratio of
@@ -559,18 +553,17 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	})
 	csp.End()
 
-	// Ordered merge: one serial pass in sorted-pair order builds the weight
-	// map, report and flight-recorder decisions, so metric totals, report
-	// ordering and event streams are identical no matter how the classify
-	// phase was partitioned.
+	// Ordered merge: one serial pass in sorted-pair order builds the report
+	// and flight-recorder decisions, so metric totals, report ordering and
+	// event streams are identical no matter how the classify phase was
+	// partitioned.
 	msp := tsp.Child("adjust.merge", span.PhaseAdjust)
-	var weights map[rating.PairKey]float64
-	for i, k := range pairs {
+	for i := range pairs {
 		behaviors := behav[i]
 		if behaviors == 0 {
 			continue
 		}
-		c := counts[i]
+		k, c := pairs[i].PairKey, pairs[i].PairCounts
 		mPairsAdjusted.Inc()
 		mRatingsAdjusted.Add(int64(c.Total()))
 		for bit, counter := range mFilteredByBehavior {
@@ -585,18 +578,10 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 			}
 		}
 		w := gws[i] * fss[i]
-		if weights == nil {
-			weights = make(map[rating.PairKey]float64)
-		}
-		weights[k] = w
 		if rec != nil {
 			// The evidence chain names the baseline stats of each enabled
 			// dimension.
 			closeBase, simBase := s.gaussianBases(base)
-			if decIdx == nil {
-				decIdx = make(map[rating.PairKey]int)
-			}
-			decIdx[k] = len(decisions)
 			decisions = append(decisions, event.FilterDecision{
 				Interval:            int(s.intervals),
 				Rater:               k.Rater,
@@ -631,41 +616,25 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 
 	msp.End()
 
-	out := rating.Snapshot{
-		Ratings: make([]rating.Rating, len(snap.Ratings)),
-		Counts:  snap.Counts,
-	}
-	rsp := tsp.Child("adjust.rewrite", span.PhaseAdjust).SetInt("ratings", int64(len(snap.Ratings)))
-	switch {
-	case weights == nil:
-		copy(out.Ratings, snap.Ratings)
-	case rec == nil && workers > 1 && len(snap.Ratings) >= parallelMinPairs:
-		// Each slot is written by exactly one goroutine and the weight map
-		// is read-only here, so the parallel rewrite is race-free and
-		// element-for-element identical to the serial loop.
-		forFixedBlocks(len(snap.Ratings), adjustChunk, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				r := snap.Ratings[i]
-				if w, ok := weights[rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}]; ok {
-					r.Value *= w
-				}
-				out.Ratings[i] = r
-			}
-		})
-	default:
-		for i, r := range snap.Ratings {
-			k := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
-			if w, ok := weights[k]; ok {
-				if decIdx != nil {
-					if di, ok := decIdx[k]; ok {
-						decisions[di].PreValue += r.Value
-						decisions[di].PostValue += r.Value * w
-					}
-				}
-				r.Value *= w
-			}
-			out.Ratings[i] = r
+	// Rewrite: copy the ratings, then scale each flagged pair's run. A
+	// decision sums its pair's values in rating order.
+	rsp := tsp.Child("adjust.rewrite", span.PhaseAdjust).SetInt("ratings", int64(len(rs)))
+	out := rating.Snapshot{Ratings: slices.Clone(rs)}
+	d := 0
+	for i := range pairs {
+		if behav[i] == 0 {
+			continue
 		}
+		w := gws[i] * fss[i]
+		for j := pairs[i].Lo; j < pairs[i].Hi; j++ {
+			r := &out.Ratings[j]
+			if decisions != nil {
+				decisions[d].PreValue += r.Value
+				decisions[d].PostValue += r.Value * w
+			}
+			r.Value *= w
+		}
+		d++
 	}
 	rsp.End()
 	for i := range decisions {
@@ -674,6 +643,46 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	s.maybeShrinkScratch(len(pairs))
 	tsp.SetInt("pairs", int64(len(pairs))).SetInt("flagged", int64(len(report.Adjusted))).End()
 	return out, report
+}
+
+// runsIncrease reports whether runs strictly increase in (ratee, rater)
+// order — whether the ratings they came from hold each pair in one run.
+func runsIncrease(runs []rating.PairRun) bool {
+	for i := 1; i < len(runs); i++ {
+		a, b := &runs[i-1], &runs[i]
+		if a.Ratee > b.Ratee || a.Ratee == b.Ratee && a.Rater >= b.Rater {
+			return false
+		}
+	}
+	return true
+}
+
+// byRater returns runs, which PairRuns yields in (ratee, rater) order, in
+// (rater, ratee) order: a stable counting sort by rater into pairScratch.
+// raterStart's clear and prefix sum cost O(NumNodes) per non-empty interval,
+// on one array the filter owns.
+func (s *SocialTrust) byRater(runs []rating.PairRun) []rating.PairRun {
+	if cap(s.pairScratch) < len(runs) {
+		s.pairScratch = make([]rating.PairRun, len(runs))
+	}
+	out := s.pairScratch[:len(runs)]
+	if len(runs) == 0 {
+		return out
+	}
+	start := s.raterStart
+	clear(start)
+	for i := range runs {
+		start[runs[i].Rater+1]++
+	}
+	for r := 1; r < len(start); r++ {
+		start[r] += start[r-1]
+	}
+	for i := range runs {
+		r := runs[i].Rater
+		out[start[r]] = runs[i]
+		start[r]++
+	}
+	return out
 }
 
 // Parallel-phase tuning. parallelMinPairs gates goroutine fan-out: below
@@ -756,10 +765,10 @@ func (s *SocialTrust) maybeShrinkScratch(nPairs int) {
 	if c < shrinkMinCap {
 		c = shrinkMinCap
 	}
-	s.pairScratch = make([]rating.PairKey, 0, c)
+	s.runScratch = make([]rating.PairRun, 0, c)
+	s.pairScratch = make([]rating.PairRun, 0, c)
 	s.sigScratch = make([]pairSignals, 0, c)
 	s.missScratch = make([]sigMiss, 0, c)
-	s.countScratch = make([]rating.PairCounts, 0, c)
 	s.behavScratch = make([]Behavior, 0, c)
 	s.gwScratch = make([]float64, 0, c)
 	s.fsScratch = make([]float64, 0, c)
@@ -808,12 +817,13 @@ func (s *SocialTrust) syncGraph() {
 // with the groups fanned out across Workers. Results are bit-identical to
 // the direct per-pair path on a quiescent graph. Under Config.FullRecompute
 // the cache is bypassed entirely and every pair recomputes.
-func (s *SocialTrust) computeSignals(pairs []rating.PairKey, out []pairSignals) {
+func (s *SocialTrust) computeSignals(pairs []rating.PairRun, out []pairSignals) {
 	simStatic := s.cfg.UseSimilarity && !s.cfg.WeightedSimilarity
 
 	miss := s.missScratch[:0]
 	var hits, misses int64
-	for i, k := range pairs {
+	for i := range pairs {
+		k := pairs[i].PairKey
 		var sig pairSignals
 		ok := false
 		if !s.cfg.FullRecompute {
@@ -896,7 +906,7 @@ func (s *SocialTrust) computeSignals(pairs []rating.PairKey, out []pairSignals) 
 // stores them in the cache at the rater's current closeness version. All
 // miss entries share the same rater; closeness goes through the batched
 // single-source path.
-func (s *SocialTrust) computeMissGroup(pairs []rating.PairKey, out []pairSignals, miss []sigMiss) {
+func (s *SocialTrust) computeMissGroup(pairs []rating.PairRun, out []pairSignals, miss []sigMiss) {
 	rater := pairs[miss[0].idx].Rater
 	var ratees []socialgraph.NodeID
 	var slots []int
@@ -916,7 +926,7 @@ func (s *SocialTrust) computeMissGroup(pairs []rating.PairKey, out []pairSignals
 		if m.need&needSim == 0 {
 			continue
 		}
-		k := pairs[m.idx]
+		k := pairs[m.idx].PairKey
 		if s.cfg.WeightedSimilarity {
 			out[m.idx].similar = interest.WeightedSimilarity(s.sets[k.Rater], s.sets[k.Ratee], k.Rater, k.Ratee, s.tracker)
 		} else {
@@ -930,7 +940,7 @@ func (s *SocialTrust) computeMissGroup(pairs []rating.PairKey, out []pairSignals
 	for _, m := range miss {
 		// Storing a weighted-similarity value is harmless: get() never
 		// serves it (the !simStatic branch above recomputes similarity).
-		s.sigCache.put(pairs[m.idx], ver, out[m.idx])
+		s.sigCache.put(pairs[m.idx].PairKey, ver, out[m.idx])
 	}
 }
 
@@ -965,7 +975,7 @@ type baseline struct {
 	similarityValues []float64
 }
 
-func (s *SocialTrust) systemBaseline(signals []pairSignals, counts []rating.PairCounts,
+func (s *SocialTrust) systemBaseline(signals []pairSignals, pairs []rating.PairRun,
 	posT, negT float64) baseline {
 
 	// The value slices live in reusable scratch (consumers copy before
@@ -973,8 +983,8 @@ func (s *SocialTrust) systemBaseline(signals []pairSignals, counts []rating.Pair
 	// sorted-pair order regardless of Workers, which the blocked mean below
 	// relies on.
 	b := baseline{closenessValues: s.closeVals[:0], similarityValues: s.simVals[:0]}
-	for i, c := range counts {
-		if float64(c.Positive) > posT || float64(c.Negative) > negT {
+	for i := range pairs {
+		if float64(pairs[i].Positive) > posT || float64(pairs[i].Negative) > negT {
 			continue // frequency-suspicious pairs must not pollute the baseline
 		}
 		b.closenessValues = append(b.closenessValues, signals[i].closeness)
@@ -1084,17 +1094,8 @@ func freqScale(c rating.PairCounts, behaviors Behavior, meanF float64) float64 {
 	return scale
 }
 
-// meanPairFrequency computes F, the mean total rating count per transacting
-// pair in the interval (floored at 1).
-func meanPairFrequency(counts map[rating.PairKey]rating.PairCounts) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c.Total()
-	}
-	return meanFrom(total, len(counts))
-}
-
-// meanFrom is meanPairFrequency over precomputed totals.
+// meanFrom computes F, the mean total rating count per transacting pair in
+// the interval — total ratings over n pairs — floored at 1.
 func meanFrom(total, n int) float64 {
 	if n == 0 {
 		return 1

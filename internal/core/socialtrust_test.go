@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -240,6 +243,54 @@ func TestB4NegativeCampaignDetected(t *testing.T) {
 	}
 	if adj.Behaviors&B4 == 0 {
 		t.Fatalf("behaviors = %v, want B4", adj.Behaviors)
+	}
+}
+
+// TestAdjustUnorderedSnapshot checks that Adjust takes a snapshot out of
+// snapshot order — a shuffled copy of a ledger's — as the same interval: the
+// same pairs flagged with the same weights, the same Report, and the same
+// ratings back in snapshot order.
+func TestAdjustUnorderedSnapshot(t *testing.T) {
+	f := newFixture()
+	f.normalTraffic()
+	f.collusionTraffic(30)
+	for k := 0; k < 40; k++ {
+		f.rate(0, 1, -1)
+	}
+	snap := f.ledger.EndInterval()
+	shuffled := slices.Clone(snap.Ratings)
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	if runsIncrease(rating.PairRuns(shuffled, nil)) {
+		t.Fatal("the shuffle left the ratings in (ratee, rater) order")
+	}
+
+	want, wantReport := f.socialTrust(Config{}).Adjust(snap)
+	got, gotReport := f.socialTrust(Config{}).Adjust(rating.Snapshot{Ratings: shuffled})
+	if len(wantReport.Adjusted) < 3 {
+		t.Fatalf("the fixture flags %d pairs, want the colluders both ways and the B4 campaign", len(wantReport.Adjusted))
+	}
+	if !reflect.DeepEqual(gotReport, wantReport) {
+		t.Fatalf("report on the shuffled snapshot:\n%+v\nwant\n%+v", gotReport, wantReport)
+	}
+	if !slices.Equal(got.Ratings, want.Ratings) {
+		t.Fatalf("ratings on the shuffled snapshot:\n%v\nwant\n%v", got.Ratings, want.Ratings)
+	}
+}
+
+// TestByRaterOrder pins the pair order Adjust works in: byRater puts the
+// snapshot's pair runs in (rater, ratee) order, each run intact.
+func TestByRaterOrder(t *testing.T) {
+	st, snap := perfScenario(200, 1)
+	runs := rating.PairRuns(snap.Ratings, nil)
+	want := slices.Clone(runs)
+	slices.SortFunc(want, func(a, b rating.PairRun) int {
+		if a.Rater != b.Rater {
+			return a.Rater - b.Rater
+		}
+		return a.Ratee - b.Ratee
+	})
+	if got := st.byRater(runs); !slices.Equal(got, want) {
+		t.Fatalf("byRater order:\n%v\nwant\n%v", got, want)
 	}
 }
 

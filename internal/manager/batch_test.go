@@ -2,12 +2,15 @@ package manager
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"socialtrust/internal/fault"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
+	"socialtrust/internal/reputation/eigentrust"
 	"socialtrust/internal/xrand"
 )
 
@@ -149,6 +152,49 @@ func TestSubmitBatchFTValidation(t *testing.T) {
 	})
 	if errs == nil || errs[0] != nil || errs[1] == nil || errs[2] == nil {
 		t.Fatalf("unexpected validation outcome: %v", errs)
+	}
+}
+
+// TestSubmitBatchRejectsNonFinite checks that a NaN or infinite value is
+// refused per entry on every submit path — plain, fault-tolerant, and
+// fault-tolerant with every delivery deferred to the drain — while the rest
+// of the batch lands, so the published reputations stay finite.
+func TestSubmitBatchRejectsNonFinite(t *testing.T) {
+	const n, k = 4, 2
+	modes := []struct {
+		name string
+		cfg  *fault.Config
+	}{
+		{"plain", nil},
+		{"fault plan", &fault.Config{}},
+		{"fault plan, deferred", &fault.Config{Delay: 1}},
+	}
+	for _, mode := range modes {
+		for _, v := range []float64{math.Inf(1), math.NaN(), math.Inf(-1)} {
+			name := fmt.Sprintf("%s, value %v", mode.name, v)
+			var opts Options
+			if mode.cfg != nil {
+				opts.Fault = alwaysOnPlan(t, *mode.cfg, k)
+			}
+			o, err := NewWithOptions(n, k, eigentrust.New(eigentrust.Config{NumNodes: n}), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := o.SubmitBatch([]rating.Rating{
+				{Rater: 0, Ratee: 1, Value: v},
+				{Rater: 2, Ratee: 3, Value: 1},
+				{Rater: 1, Ratee: 2, Value: 1},
+			})
+			if errs == nil || errs[0] == nil || errs[1] != nil || errs[2] != nil {
+				t.Errorf("%s: errors %v, want only the first entry rejected", name, errs)
+			}
+			for i, rep := range o.EndInterval() {
+				if math.IsNaN(rep) || math.IsInf(rep, 0) {
+					t.Errorf("%s: reputation of node %d is %v", name, i, rep)
+				}
+			}
+			o.Close()
+		}
 	}
 }
 

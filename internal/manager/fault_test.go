@@ -75,19 +75,16 @@ func TestQueryAfterClose(t *testing.T) {
 // snapshots, a single snapshot, all-empty snapshots, and one live shard
 // among several.
 func TestMergeSnapshotsPartial(t *testing.T) {
-	if m := mergeSnapshots(nil); len(m.Ratings) != 0 || len(m.Counts) != 0 {
+	if m := mergeSnapshots(nil); len(m.Ratings) != 0 || m.MaxSeq != 0 {
 		t.Fatalf("merge of zero snapshots = %+v, want empty", m)
 	}
-	one := rating.Snapshot{
-		Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1}},
-		Counts:  map[rating.PairKey]rating.PairCounts{{Rater: 1, Ratee: 0}: {Positive: 1}},
-	}
+	one := rating.Snapshot{Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1}}}
 	m := mergeSnapshots([]rating.Snapshot{one})
-	if len(m.Ratings) != 1 || m.Counts[rating.PairKey{Rater: 1, Ratee: 0}].Positive != 1 {
+	if len(m.Ratings) != 1 || m.Ratings[0] != one.Ratings[0] {
 		t.Fatalf("merge of one snapshot = %+v", m)
 	}
-	m = mergeSnapshots([]rating.Snapshot{{}, {Counts: map[rating.PairKey]rating.PairCounts{}}, {}})
-	if len(m.Ratings) != 0 || len(m.Counts) != 0 {
+	m = mergeSnapshots([]rating.Snapshot{{}, {Ratings: []rating.Rating{}}, {}})
+	if len(m.Ratings) != 0 || m.MaxSeq != 0 {
 		t.Fatalf("merge of all-missing snapshots = %+v, want empty", m)
 	}
 	m = mergeSnapshots([]rating.Snapshot{{}, one, {}})
@@ -96,8 +93,8 @@ func TestMergeSnapshotsPartial(t *testing.T) {
 	}
 
 	// One live shard among several passes its ledger-sorted snapshot
-	// through uncopied, equal — ratings, counters and MaxSeq — to the
-	// general merge of the same ratings spread over two shards.
+	// through uncopied, equal — ratings and MaxSeq — to the general merge
+	// of the same ratings spread over two shards.
 	whole, even, odd := rating.NewLedger(10), rating.NewLedger(10), rating.NewLedger(10)
 	for i := 0; i < 40; i++ {
 		r := rating.Rating{

@@ -456,8 +456,10 @@ func (o *Overlay) submitBatchFT(rs []rating.Rating, tctx span.Context) []error {
 		case r.Rater < 0 || r.Rater >= o.numNodes:
 			errs[i] = fmt.Errorf("manager: rater %d out of range", r.Rater)
 			continue
-		case r.Rater == r.Ratee:
-			errs[i] = fmt.Errorf("rating: self-rating by node %d rejected", r.Rater)
+		}
+		// A deferred entry is acknowledged on receipt and applied at the
+		// drain, where a ledger refusal would drop it silently.
+		if errs[i] = rating.Validate(&r); errs[i] != nil {
 			continue
 		}
 		p := o.ManagerOf(r.Ratee)
@@ -766,7 +768,9 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 		mDrainPartial.Inc()
 	}
 	merged := mergeSnapshots(snaps)
-	mActivePairs.Observe(float64(len(merged.Counts)))
+	if obs.Enabled() {
+		mActivePairs.Observe(float64(len(rating.PairRuns(merged.Ratings, nil))))
+	}
 	tsp.SetInt("ratings", int64(len(merged.Ratings))).End()
 	// Phase 3: global reputation calculation over the surviving quorum's
 	// data. Nodes whose interval ratings were lost keep their last-known
@@ -844,15 +848,16 @@ func (o *Overlay) crashShard(i int) {
 
 // mergeSnapshots combines per-shard interval snapshots into one, in the
 // snapshot order rating.Ledger produces (rating.SnapshotOrder over the
-// shards' ratings in shard order). MaxSeq is the highest of the shards'
-// marks. Nil or empty entries — the partial-drain path, where a shard's
-// snapshot never arrived — contribute nothing. A lone non-empty snapshot is
-// returned as is: its ledger already put it in snapshot order, and every
-// drain hands over a fresh snapshot the overlay may own.
+// shards' ratings in shard order, which merges them: each shard's snapshot is
+// already in that order). MaxSeq is the highest of the shards' marks. Nil or
+// empty entries — the partial-drain path, where a shard's snapshot never
+// arrived — contribute nothing. A lone non-empty snapshot is returned as is:
+// its ledger already put it in snapshot order, and every drain hands over a
+// fresh snapshot the overlay may own.
 func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
 	var live []rating.Snapshot
 	for _, s := range snaps {
-		if len(s.Ratings) > 0 || len(s.Counts) > 0 {
+		if len(s.Ratings) > 0 {
 			live = append(live, s)
 		}
 	}
@@ -861,22 +866,11 @@ func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
 	}
 	var out rating.Snapshot
 	runs := make([][]rating.Rating, len(live))
-	pairs := 0
 	for i, s := range live {
 		runs[i] = s.Ratings
-		pairs += len(s.Counts)
 		out.MaxSeq = max(out.MaxSeq, s.MaxSeq)
 	}
 	out.Ratings = rating.SnapshotOrder(runs...)
-	out.Counts = make(map[rating.PairKey]rating.PairCounts, pairs)
-	for _, s := range live {
-		for k, c := range s.Counts {
-			agg := out.Counts[k]
-			agg.Positive += c.Positive
-			agg.Negative += c.Negative
-			out.Counts[k] = agg
-		}
-	}
 	return out
 }
 

@@ -186,17 +186,8 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 func TestMergeSnapshots(t *testing.T) {
-	a := rating.Snapshot{
-		Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1}},
-		Counts:  map[rating.PairKey]rating.PairCounts{{Rater: 1, Ratee: 0}: {Positive: 1}},
-	}
-	b := rating.Snapshot{
-		Ratings: []rating.Rating{{Rater: 0, Ratee: 1, Value: -1}, {Rater: 1, Ratee: 0, Value: 1}},
-		Counts: map[rating.PairKey]rating.PairCounts{
-			{Rater: 0, Ratee: 1}: {Negative: 1},
-			{Rater: 1, Ratee: 0}: {Positive: 1},
-		},
-	}
+	a := rating.Snapshot{Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1}}}
+	b := rating.Snapshot{Ratings: []rating.Rating{{Rater: 0, Ratee: 1, Value: -1}, {Rater: 1, Ratee: 0, Value: 1}}}
 	m := mergeSnapshots([]rating.Snapshot{a, b})
 	if len(m.Ratings) != 3 {
 		t.Fatalf("merged %d ratings", len(m.Ratings))
@@ -206,26 +197,20 @@ func TestMergeSnapshots(t *testing.T) {
 			t.Fatal("merged ratings not sorted")
 		}
 	}
-	if c := m.Counts[rating.PairKey{Rater: 1, Ratee: 0}]; c.Positive != 2 {
-		t.Fatalf("merged counts = %+v", c)
+	if runs := rating.PairRuns(m.Ratings, nil); len(runs) != 2 || runs[0].PairKey != (rating.PairKey{Rater: 1, Ratee: 0}) || runs[0].Positive != 2 {
+		t.Fatalf("merged pair runs = %+v", runs)
 	}
 }
 
 // referenceMerge is the cross-shard merge as the drain defined it before
 // rating.SortSnapshot existed: the live snapshots' ratings concatenated in
 // shard order under a reflect-based stable sort with a five-key less
-// function, counters summed, and MaxSeq the highest mark.
+// function, and MaxSeq the highest mark.
 func referenceMerge(snaps []rating.Snapshot) rating.Snapshot {
-	out := rating.Snapshot{Counts: make(map[rating.PairKey]rating.PairCounts)}
+	var out rating.Snapshot
 	for _, s := range snaps {
 		out.Ratings = append(out.Ratings, s.Ratings...)
 		out.MaxSeq = max(out.MaxSeq, s.MaxSeq)
-		for k, c := range s.Counts {
-			agg := out.Counts[k]
-			agg.Positive += c.Positive
-			agg.Negative += c.Negative
-			out.Counts[k] = agg
-		}
 	}
 	sort.SliceStable(out.Ratings, func(a, b int) bool {
 		x, y := out.Ratings[a], out.Ratings[b]
@@ -246,7 +231,7 @@ func referenceMerge(snaps []rating.Snapshot) rating.Snapshot {
 }
 
 // TestMergeSnapshotsMatchesReference pins the merged snapshot — every
-// rating's position, the counters and MaxSeq — to referenceMerge on the
+// rating's position and MaxSeq — to referenceMerge on the
 // drain's input shapes: ratee-disjoint shard snapshots, snapshots whose
 // ratees overlap and are not themselves sorted (TestMergeSnapshots' pair,
 // and one with a five-key tie across snapshots), one live snapshot among
@@ -279,35 +264,21 @@ func TestMergeSnapshotsMatchesReference(t *testing.T) {
 	overlapTie := []rating.Snapshot{
 		{
 			Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1, Category: 2, Seq: 3}, {Rater: 1, Ratee: 0, Value: 1, Category: 1, Seq: 4}},
-			Counts:  map[rating.PairKey]rating.PairCounts{{Rater: 1, Ratee: 0}: {Positive: 2}},
 			MaxSeq:  4,
 		},
 		{
 			Ratings: []rating.Rating{{Rater: 0, Ratee: 1, Value: -1, Seq: 7}, {Rater: 1, Ratee: 0, Value: 1, Category: 1, Seq: 1}, {Rater: 1, Ratee: 0, Value: 0.5, Category: 1, Seq: 2}},
-			Counts: map[rating.PairKey]rating.PairCounts{
-				{Rater: 0, Ratee: 1}: {Negative: 1},
-				{Rater: 1, Ratee: 0}: {Positive: 2},
-			},
-			MaxSeq: 7,
+			MaxSeq:  7,
 		},
 	}
-	a := rating.Snapshot{
-		Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1}},
-		Counts:  map[rating.PairKey]rating.PairCounts{{Rater: 1, Ratee: 0}: {Positive: 1}},
-	}
-	b := rating.Snapshot{
-		Ratings: []rating.Rating{{Rater: 0, Ratee: 1, Value: -1}, {Rater: 1, Ratee: 0, Value: 1}},
-		Counts: map[rating.PairKey]rating.PairCounts{
-			{Rater: 0, Ratee: 1}: {Negative: 1},
-			{Rater: 1, Ratee: 0}: {Positive: 1},
-		},
-	}
+	a := rating.Snapshot{Ratings: []rating.Rating{{Rater: 1, Ratee: 0, Value: 1}}}
+	b := rating.Snapshot{Ratings: []rating.Rating{{Rater: 0, Ratee: 1, Value: -1}, {Rater: 1, Ratee: 0, Value: 1}}}
 	cases := map[string][]rating.Snapshot{
 		"ratee-disjoint": disjoint,
 		"overlapping":    {a, b},
 		"overlap tie":    overlapTie,
 		"one live":       {{}, disjoint[2], {}},
-		"none live":      {{}, {Counts: map[rating.PairKey]rating.PairCounts{}}, {}},
+		"none live":      {{}, {Ratings: []rating.Rating{}}, {}},
 		"nil":            nil,
 	}
 	for name, snaps := range cases {

@@ -64,3 +64,35 @@ func TestOverlayMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestActivePairsMetric checks that, with metrics on, one drain of a
+// 4-shard overlay observes manager_interval_active_pairs once, at the
+// interval's number of distinct (rater, ratee) pairs.
+func TestActivePairsMetric(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable()
+	defer obs.SetEnabled(prev)
+
+	const n = 40
+	o, err := New(n, 4, ebay.New(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	trace := batchTrace(3, n, 300)
+	pairs := map[rating.PairKey]bool{}
+	for _, r := range trace {
+		pairs[rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}] = true
+	}
+	if errs := o.SubmitBatch(trace); errs != nil {
+		t.Fatalf("SubmitBatch: %v", errs)
+	}
+	count0, sum0 := mActivePairs.Count(), mActivePairs.Sum()
+	o.EndInterval()
+	if got := mActivePairs.Count() - count0; got != 1 {
+		t.Fatalf("manager_interval_active_pairs observed %d times in one drain, want 1", got)
+	}
+	if got := mActivePairs.Sum() - sum0; got != float64(len(pairs)) {
+		t.Fatalf("manager_interval_active_pairs observed %v, want %d distinct pairs", got, len(pairs))
+	}
+}

@@ -9,7 +9,7 @@ import (
 // compareSnapshot is the snapshot order: by ratee, rater, cycle, category
 // and value. Values compare with <, so −0 and +0 tie; NaN values are outside
 // the contract, since they make no strict weak order.
-func compareSnapshot(x, y Rating) int {
+func compareSnapshot(x, y *Rating) int {
 	switch {
 	case x.Ratee != y.Ratee:
 		return cmp.Compare(x.Ratee, y.Ratee)
@@ -35,10 +35,14 @@ func compareSnapshot(x, y Rating) int {
 // reaches the reputation engines in one reproducible order. The runs are
 // left as they are.
 //
-// The scratch is two uint64 keys per rating, never one slot per node: the
-// overlay drains every shard each interval, and a node-indexed array per
-// call would cost each shard the whole population however few ratings it
-// holds. A key packs the rating's position (run, offset in run) under the
+// When every run is already in snapshot order — the shards' drained
+// snapshots the overlay merges — the runs are merged (mergeRuns); checking
+// costs one comparison per rating and stops at the first inversion.
+// Otherwise, as for a ledger's runs in ingest order, they are radix-sorted.
+// That path's scratch is two uint64 keys per rating, never one slot per
+// node: the overlay drains every shard each interval, and a node-indexed
+// array per call would cost each shard the whole population however few
+// ratings it holds. A key packs the rating's position (run, offset in run) under the
 // longest prefix of (ratee, rater, cycle, category) whose values are
 // non-negative and fit beside it in 64 bits, each in as many bits as its
 // largest value needs. The keys are radix-sorted on the packed prefix, the
@@ -47,12 +51,20 @@ func compareSnapshot(x, y Rating) int {
 // whenever the position takes at most 24 bits; with no key packed, one
 // stable comparison sort orders everything.
 func SnapshotOrder(runs ...[]Rating) []Rating {
-	// Per prefix key, the OR of its values has the bit length of the
-	// largest one, and is negative if any value is.
-	var ors [4]int
 	n, longest := 0, 0
 	for _, run := range runs {
 		n, longest = n+len(run), max(longest, len(run))
+	}
+	if n == 0 {
+		return nil
+	}
+	if ordered(runs) {
+		return mergeRuns(runs, n)
+	}
+	// Per prefix key, the OR of its values has the bit length of the
+	// largest one, and is negative if any value is.
+	var ors [4]int
+	for _, run := range runs {
 		for i := range run {
 			r := &run[i]
 			ors[0] |= r.Ratee
@@ -60,9 +72,6 @@ func SnapshotOrder(runs ...[]Rating) []Rating {
 			ors[2] |= r.Cycle
 			ors[3] |= r.Category
 		}
-	}
-	if n == 0 {
-		return nil
 	}
 	offBits := bits.Len(uint(longest - 1))
 	posBits := bits.Len(uint(len(runs)-1)) + offBits
@@ -104,9 +113,60 @@ func SnapshotOrder(runs ...[]Rating) []Rating {
 			hi++
 		}
 		if hi-lo > 1 {
-			slices.SortStableFunc(out[lo:hi], compareSnapshot)
+			slices.SortStableFunc(out[lo:hi], func(x, y Rating) int { return compareSnapshot(&x, &y) })
 		}
 		lo = hi
+	}
+	return out
+}
+
+// ordered reports whether every run is in snapshot order.
+func ordered(runs [][]Rating) bool {
+	for _, run := range runs {
+		for i := 1; i < len(run); i++ {
+			if compareSnapshot(&run[i-1], &run[i]) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mergeRuns merges runs, each in snapshot order and n ratings in all, into
+// one slice in snapshot order; ratings that compare equal keep run order.
+// Each step finds the run with the least head and the runner-up among the
+// other heads, then copies the leader's ratings in one append for as long as
+// they stay ahead of the runner-up's head — a whole ratee's block at a time
+// when the runs are ratee-sharded.
+func mergeRuns(runs [][]Rating, n int) []Rating {
+	out := make([]Rating, 0, n)
+	rest := append([][]Rating(nil), runs...)
+	for len(out) < n {
+		lead, next := -1, -1
+		for i, r := range rest {
+			switch {
+			case len(r) == 0:
+			case lead < 0 || compareSnapshot(&r[0], &rest[lead][0]) < 0:
+				lead, next = i, lead
+			case next < 0 || compareSnapshot(&r[0], &rest[next][0]) < 0:
+				next = i
+			}
+		}
+		r, m := rest[lead], len(rest[lead])
+		if next >= 0 {
+			// A tie with the runner-up's head stays in the leader only when
+			// the leader is the earlier run.
+			bound, tie := &rest[next][0], 0
+			if lead < next {
+				tie = 1
+			}
+			m = 1
+			for m < len(r) && compareSnapshot(&r[m], bound) < tie {
+				m++
+			}
+		}
+		out = append(out, r[:m]...)
+		rest[lead] = r[m:]
 	}
 	return out
 }

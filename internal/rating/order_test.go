@@ -39,19 +39,22 @@ var orderValues = []float64{-1, 0, 1, 0.5, -0.5, 0.25, 1.0 / 3, math.Copysign(0,
 // whole five-key tuple, differing only in Seq.
 const orderNodes = 6
 
-// decodeOrderInput turns fuzz bytes into ratings, five bytes each: rater,
-// ratee, cycle, category and value. Seq numbers the ratings in input order,
-// so a tie broken out of input order shows. The first byte picks how much of
-// SnapshotOrder's key prefix packs. Its low two bits set the node IDs: small
-// (mode 0), scaled by 2^20 or 2^40, or shifted negative (mode 3, nothing
-// packs). Bit 2 scales cycles by 2^30, and bit 3 shifts categories
-// negative. Its high four bits split the ratings into runs of that many,
-// after an empty run, or leave them one run when zero.
+// decodeOrderInput turns fuzz bytes into ratings, five bytes each after two
+// header bytes: rater, ratee, cycle, category and value. Seq numbers the
+// ratings in input order, so a tie broken out of input order shows. The
+// first byte picks how much of SnapshotOrder's key prefix packs. Its low two
+// bits set the node IDs: small (mode 0), scaled by 2^20 or 2^40, or shifted
+// negative (mode 3, nothing packs). Bit 2 scales cycles by 2^30, and bit 3
+// shifts categories negative. Its high four bits split the ratings into runs
+// of that many, after an empty run, or leave them one run when zero. When
+// the second byte's low bit is set, each run is put in snapshot order with
+// referenceOrder, so SnapshotOrder merges the runs instead of sorting them;
+// rs then holds the ratings in that per-run order.
 func decodeOrderInput(data []byte) (rs []Rating, runs [][]Rating, idMode byte) {
-	if len(data) == 0 {
+	if len(data) < 2 {
 		return nil, nil, 0
 	}
-	head, data := data[0], data[1:]
+	head, sortRuns, data := data[0], data[1]&1 != 0, data[2:]
 	idMode, size := head&3, int(head>>4)
 	id := func(b byte) int {
 		v := int(b % orderNodes)
@@ -83,12 +86,17 @@ func decodeOrderInput(data []byte) (rs []Rating, runs [][]Rating, idMode byte) {
 		}
 		rs = append(rs, r)
 	}
-	if size == 0 {
-		return rs, [][]Rating{rs}, idMode
+	runs = [][]Rating{rs}
+	if size != 0 {
+		runs = [][]Rating{nil}
+		for lo := 0; lo < len(rs); lo += size {
+			runs = append(runs, rs[lo:min(lo+size, len(rs))])
+		}
 	}
-	runs = [][]Rating{nil}
-	for lo := 0; lo < len(rs); lo += size {
-		runs = append(runs, rs[lo:min(lo+size, len(rs))])
+	if sortRuns {
+		for _, run := range runs {
+			referenceOrder(run)
+		}
 	}
 	return rs, runs, idMode
 }
@@ -97,7 +105,7 @@ func decodeOrderInput(data []byte) (rs []Rating, runs [][]Rating, idMode byte) {
 // stream; pairs restricts the draws to that many (ratee, rater) pairs so the
 // pairs' runs grow long.
 func orderSeed(n, pairs int) []byte {
-	data := []byte{0}
+	data := []byte{0, 0}
 	x := uint32(1)
 	next := func() byte {
 		x = x*1664525 + 1013904223
@@ -110,16 +118,57 @@ func orderSeed(n, pairs int) []byte {
 	return data
 }
 
+// checkPairRuns checks PairRuns(rs) against a map-built reference: one run
+// per distinct pair, each with that pair's counters, the runs tiling [0, n)
+// in order and every rating inside its pair's run.
+func checkPairRuns(t *testing.T, rs []Rating) {
+	t.Helper()
+	want := map[PairKey]PairCounts{}
+	for _, r := range rs {
+		c := want[PairKey{r.Rater, r.Ratee}]
+		if r.Value > 0 {
+			c.Positive++
+		} else if r.Value < 0 {
+			c.Negative++
+		}
+		want[PairKey{r.Rater, r.Ratee}] = c
+	}
+	runs := PairRuns(rs, nil)
+	if len(runs) != len(want) {
+		t.Fatalf("PairRuns gave %d runs for %d distinct pairs: %v", len(runs), len(want), runs)
+	}
+	seen := map[PairKey]bool{}
+	at := 0
+	for _, run := range runs {
+		if seen[run.PairKey] || run.PairCounts != want[run.PairKey] || run.Lo != at || run.Hi <= run.Lo {
+			t.Fatalf("PairRuns run %+v (next expected at %d, counters %+v, seen %v): %v",
+				run, at, want[run.PairKey], seen[run.PairKey], runs)
+		}
+		seen[run.PairKey] = true
+		for _, r := range rs[run.Lo:run.Hi] {
+			if (PairKey{r.Rater, r.Ratee}) != run.PairKey {
+				t.Fatalf("PairRuns run %+v holds rating %+v", run, r)
+			}
+		}
+		at = run.Hi
+	}
+	if at != len(rs) {
+		t.Fatalf("PairRuns covers [0, %d) of %d ratings", at, len(rs))
+	}
+}
+
 // FuzzSnapshotOrder pins SnapshotOrder and Ledger.EndInterval to the
 // reference order on arbitrary rating multisets: the same ratings at every
-// position, ties in input order.
+// position, ties in input order, on both the radix path and the merge path
+// for runs already in snapshot order. PairRuns of each result is pinned to a
+// map-built reference.
 func FuzzSnapshotOrder(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 1, 2, 0, 0, 2})
+	f.Add([]byte{0, 0, 1, 2, 0, 0, 2})
 	// Four ratings with one five-key tuple, then the same with +0 and −0.
-	f.Add([]byte{0, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2})
-	f.Add([]byte{0, 3, 4, 0, 0, 1, 3, 4, 0, 0, 7, 3, 4, 0, 0, 1})
-	f.Add([]byte{0, 5, 0, 2, 2, 3, 4, 0, 1, 2, 0, 0, 5, 0, 0, 10, 1, 0, 2, 1, 4})
+	f.Add([]byte{0, 0, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2})
+	f.Add([]byte{0, 0, 3, 4, 0, 0, 1, 3, 4, 0, 0, 7, 3, 4, 0, 0, 1})
+	f.Add([]byte{0, 0, 5, 0, 2, 2, 3, 4, 0, 1, 2, 0, 0, 5, 0, 0, 10, 1, 0, 2, 1, 4})
 	f.Add(orderSeed(64, orderNodes*orderNodes))
 	f.Add(orderSeed(120, 3)) // runs past the stable sort's insertion blocks
 	// Every packed prefix length from four keys down to none, on one run
@@ -129,12 +178,22 @@ func FuzzSnapshotOrder(f *testing.F) {
 		seed[0] = head
 		f.Add(seed)
 	}
+	// Merge path: ordered runs of several sizes, one pair set small enough
+	// that five-key ties cross runs, and one ordered run alone.
+	for _, head := range []byte{0x10, 0x40, 0xf0, 0x73, 0x00} {
+		seed := orderSeed(120, 3)
+		seed[0], seed[1] = head, 1
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, runs, idMode := decodeOrderInput(data)
 		in := slices.Clone(rs)
 		want := slices.Clone(rs)
 		referenceOrder(want)
+		if len(data) > 1 && data[1]&1 != 0 && !ordered(runs) {
+			t.Fatal("runs put in snapshot order do not take the merge path")
+		}
 		got := SnapshotOrder(runs...)
 		if !slices.Equal(got, want) {
 			t.Fatalf("SnapshotOrder differs from the reference order:\ngot  %v\nwant %v", got, want)
@@ -142,41 +201,28 @@ func FuzzSnapshotOrder(f *testing.F) {
 		if !slices.Equal(rs, in) {
 			t.Fatal("SnapshotOrder modified its input runs")
 		}
+		checkPairRuns(t, got)
 		if idMode != 0 {
 			return // the ledger takes only IDs in [0, orderNodes)
 		}
 
 		l := NewLedger(orderNodes)
 		var kept []Rating
-		counts := map[PairKey]PairCounts{}
 		var maxSeq uint64
 		for _, r := range rs {
 			if l.Add(r) != nil {
 				continue // a self-rating
 			}
 			kept = append(kept, r)
-			c := counts[PairKey{r.Rater, r.Ratee}]
-			if r.Value > 0 {
-				c.Positive++
-			} else if r.Value < 0 {
-				c.Negative++
-			}
-			counts[PairKey{r.Rater, r.Ratee}] = c
 			maxSeq = max(maxSeq, r.Seq)
 		}
 		referenceOrder(kept)
 		snap := l.EndInterval()
-		if !slices.Equal(snap.Ratings, kept) {
-			t.Fatalf("EndInterval differs from the reference order:\ngot  %v\nwant %v", snap.Ratings, kept)
+		if !slices.Equal(snap.Ratings, kept) || snap.MaxSeq != maxSeq {
+			t.Fatalf("EndInterval differs from the reference order:\ngot  %v, MaxSeq %d\nwant %v, %d",
+				snap.Ratings, snap.MaxSeq, kept, maxSeq)
 		}
-		if len(snap.Counts) != len(counts) || snap.MaxSeq != maxSeq {
-			t.Fatalf("EndInterval counters %v, MaxSeq %d; want %v, %d", snap.Counts, snap.MaxSeq, counts, maxSeq)
-		}
-		for k, c := range counts {
-			if snap.Counts[k] != c {
-				t.Fatalf("EndInterval counters %v, want %v", snap.Counts, counts)
-			}
-		}
+		checkPairRuns(t, snap.Ratings)
 	})
 }
 

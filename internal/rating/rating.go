@@ -1,13 +1,14 @@
 // Package rating implements the rating substrate of a P2P reputation system:
-// an append-only, concurrency-safe ledger of service ratings, per-interval
-// positive/negative frequency counters t+(i,j) and t−(i,j) (the quantities a
-// resource manager inspects in Section 4.3 of the paper), and system-wide
-// rating-frequency statistics used to derive the suspicion thresholds θ·F.
+// an append-only, concurrency-safe ledger of service ratings drained once
+// per interval in snapshot order, and the per-pair positive/negative
+// frequency counters t+(i,j) and t−(i,j) (the quantities a resource manager
+// inspects in Section 4.3 of the paper), read off each pair's run of
+// adjacent ratings in that order.
 package rating
 
 import (
 	"fmt"
-	"maps"
+	"math"
 	"sync"
 )
 
@@ -39,6 +40,41 @@ type PairCounts struct {
 // Total returns the total number of ratings in the interval for the pair.
 func (p PairCounts) Total() int { return p.Positive + p.Negative }
 
+// PairRun is one directed pair's block of adjacent ratings in a
+// snapshot-ordered slice: the ratings [Lo, Hi) and their counters.
+type PairRun struct {
+	PairKey
+	PairCounts
+	Lo, Hi int
+}
+
+// PairRuns appends to dst one run per maximal block of ratings in rs that
+// share (ratee, rater), in slice order, and returns the extended slice. In
+// snapshot order every pair's ratings are adjacent, so the runs are the
+// interval's pairs, each exactly once, sorted by (ratee, rater). Value > 0
+// counts positive, Value < 0 negative, and zero counts neither.
+func PairRuns(rs []Rating, dst []PairRun) []PairRun {
+	for lo := 0; lo < len(rs); {
+		k := PairKey{Rater: rs[lo].Rater, Ratee: rs[lo].Ratee}
+		var c PairCounts
+		hi := lo
+		for ; hi < len(rs); hi++ {
+			r := &rs[hi]
+			if r.Rater != k.Rater || r.Ratee != k.Ratee {
+				break
+			}
+			if r.Value > 0 {
+				c.Positive++
+			} else if r.Value < 0 {
+				c.Negative++
+			}
+		}
+		dst = append(dst, PairRun{PairKey: k, PairCounts: c, Lo: lo, Hi: hi})
+		lo = hi
+	}
+	return dst
+}
+
 const numShards = 16
 
 // Journal receives every accepted rating before the ledger acknowledges it —
@@ -69,7 +105,6 @@ type Ledger struct {
 type ledgerShard struct {
 	mu      sync.Mutex
 	ratings []Rating
-	counts  map[PairKey]PairCounts
 }
 
 // NewLedger creates a ledger for a population of numNodes peers.
@@ -77,11 +112,7 @@ func NewLedger(numNodes int) *Ledger {
 	if numNodes < 0 {
 		panic("rating: negative node count")
 	}
-	l := &Ledger{numNodes: numNodes}
-	for i := range l.shards {
-		l.shards[i].counts = make(map[PairKey]PairCounts)
-	}
-	return l
+	return &Ledger{numNodes: numNodes}
 }
 
 // NumNodes reports the population size the ledger was created for.
@@ -133,15 +164,29 @@ func (l *Ledger) shard(ratee int) *ledgerShard {
 	return &l.shards[ratee%numShards]
 }
 
+// Validate reports why a ledger refuses a rating whose node IDs are in
+// range: a self-rating, which no reputation system accepts, or a NaN or
+// infinite value, which no engine can fold and which has no place in the
+// snapshot order. It returns nil for a rating a ledger accepts.
+func Validate(r *Rating) error {
+	if r.Rater == r.Ratee {
+		return fmt.Errorf("rating: self-rating by node %d rejected", r.Rater)
+	}
+	if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
+		return fmt.Errorf("rating: non-finite value %v from node %d rejected", r.Value, r.Rater)
+	}
+	return nil
+}
+
 // Add appends a rating to the current interval. It panics on out-of-range
-// node IDs (experiment construction errors) and rejects self-ratings, which
-// no reputation system accepts.
+// node IDs (experiment construction errors) and rejects self-ratings and
+// non-finite values.
 func (l *Ledger) Add(r Rating) error {
 	if r.Rater < 0 || r.Rater >= l.numNodes || r.Ratee < 0 || r.Ratee >= l.numNodes {
 		panic(fmt.Sprintf("rating: node out of range in %+v (numNodes=%d)", r, l.numNodes))
 	}
-	if r.Rater == r.Ratee {
-		return fmt.Errorf("rating: self-rating by node %d rejected", r.Rater)
+	if err := Validate(&r); err != nil {
+		return err
 	}
 	if l.consumeRecovered(r.Seq) {
 		return nil
@@ -154,14 +199,6 @@ func (l *Ledger) Add(r Rating) error {
 	s := l.shard(r.Ratee)
 	s.mu.Lock()
 	s.ratings = append(s.ratings, r)
-	key := PairKey{r.Rater, r.Ratee}
-	c := s.counts[key]
-	if r.Value > 0 {
-		c.Positive++
-	} else if r.Value < 0 {
-		c.Negative++
-	}
-	s.counts[key] = c
 	s.mu.Unlock()
 	return nil
 }
@@ -169,9 +206,9 @@ func (l *Ledger) Add(r Rating) error {
 // AddBatch appends a batch of ratings to the current interval, visiting each
 // internal shard once: per-shard growth is pre-sized and each shard lock is
 // taken once per call instead of once per rating. Semantics match a sequence
-// of Add calls — out-of-range node IDs panic, self-ratings are rejected per
-// entry. The returned slice is index-aligned with rs; a nil return means
-// every rating landed.
+// of Add calls — out-of-range node IDs panic, self-ratings and non-finite
+// values are rejected per entry. The returned slice is index-aligned with
+// rs; a nil return means every rating landed.
 func (l *Ledger) AddBatch(rs []Rating) []error {
 	var errs []error
 	var skip []bool
@@ -182,11 +219,11 @@ func (l *Ledger) AddBatch(rs []Rating) []error {
 		if r.Rater < 0 || r.Rater >= l.numNodes || r.Ratee < 0 || r.Ratee >= l.numNodes {
 			panic(fmt.Sprintf("rating: node out of range in %+v (numNodes=%d)", *r, l.numNodes))
 		}
-		if r.Rater == r.Ratee {
+		if err := Validate(r); err != nil {
 			if errs == nil {
 				errs = make([]error, len(rs))
 			}
-			errs[i] = fmt.Errorf("rating: self-rating by node %d rejected", r.Rater)
+			errs[i] = err
 			continue
 		}
 		if l.consumeRecovered(r.Seq) {
@@ -253,28 +290,11 @@ func (l *Ledger) AddBatch(rs []Rating) []error {
 			sh.ratings = grown
 		}
 		for _, i := range perm[lo:hi] {
-			r := rs[i]
-			sh.ratings = append(sh.ratings, r)
-			key := PairKey{r.Rater, r.Ratee}
-			c := sh.counts[key]
-			if r.Value > 0 {
-				c.Positive++
-			} else if r.Value < 0 {
-				c.Negative++
-			}
-			sh.counts[key] = c
+			sh.ratings = append(sh.ratings, rs[i])
 		}
 		sh.mu.Unlock()
 	}
 	return errs
-}
-
-// Counts returns the current-interval t+/t− counters for the directed pair.
-func (l *Ledger) Counts(rater, ratee int) PairCounts {
-	s := l.shard(ratee)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[PairKey{rater, ratee}]
 }
 
 // IntervalSize returns the number of ratings accumulated this interval.
@@ -292,90 +312,30 @@ func (l *Ledger) IntervalSize() int {
 // Snapshot is the drained content of one reputation-update interval.
 // Ratings are in snapshot order — by ratee, rater, cycle, category and
 // value, with ties in ingest order (SnapshotOrder) — so downstream reputation
-// updates are reproducible. MaxSeq is the highest ingest sequence number
-// among the drained ratings (zero when they are unsequenced) — the
-// high-water mark durability layers use to tell which journaled records a
-// completed drain already accounts for.
+// updates are reproducible, and each pair's ratings are adjacent: PairRuns
+// reads the interval's t+/t− counters off them. MaxSeq is the highest ingest
+// sequence number among the drained ratings (zero when they are
+// unsequenced) — the high-water mark durability layers use to tell which
+// journaled records a completed drain already accounts for.
 type Snapshot struct {
 	Ratings []Rating
-	Counts  map[PairKey]PairCounts
 	MaxSeq  uint64
 }
 
-// EndInterval atomically drains and returns the interval's ratings and
-// frequency counters, resetting the ledger for the next interval. Ratings
-// come back in snapshot order, ties in insertion order.
+// EndInterval atomically drains and returns the interval's ratings,
+// resetting the ledger for the next interval. Ratings come back in snapshot
+// order, ties in insertion order.
 func (l *Ledger) EndInterval() Snapshot {
 	var runs [numShards][]Rating
-	var counts [numShards]map[PairKey]PairCounts
-	pairs := 0
 	for i := range l.shards {
 		s := &l.shards[i]
 		s.mu.Lock()
-		runs[i], counts[i] = s.ratings, s.counts
-		s.ratings, s.counts = nil, make(map[PairKey]PairCounts)
+		runs[i], s.ratings = s.ratings, nil
 		s.mu.Unlock()
-		pairs += len(counts[i])
 	}
-	// A pair's ratings share a ratee and so an internal shard: the shards'
-	// counters hold disjoint keys.
-	snap := Snapshot{Ratings: SnapshotOrder(runs[:]...), Counts: make(map[PairKey]PairCounts, pairs)}
-	for _, c := range counts {
-		maps.Copy(snap.Counts, c)
-	}
+	snap := Snapshot{Ratings: SnapshotOrder(runs[:]...)}
 	for i := range snap.Ratings {
 		snap.MaxSeq = max(snap.MaxSeq, snap.Ratings[i].Seq)
 	}
 	return snap
-}
-
-// FrequencyStats describes the distribution of per-pair rating frequencies
-// in one interval, the empirical basis of the paper's thresholds (e.g.
-// Overstock's mean 2.2 ratings/month, max positive 21, max negative 2).
-type FrequencyStats struct {
-	MeanPositive, MaxPositive, MinPositive float64
-	MeanNegative, MaxNegative, MinNegative float64
-	Pairs                                  int
-}
-
-// Frequencies computes FrequencyStats over a drained interval's counters.
-// Pairs with zero activity do not exist in the map and are excluded, as in
-// the paper's trace statistics (only observed rating pairs are counted).
-func Frequencies(counts map[PairKey]PairCounts) FrequencyStats {
-	var fs FrequencyStats
-	first := true
-	var sumP, sumN float64
-	nP, nN := 0, 0
-	for _, c := range counts {
-		fs.Pairs++
-		p, n := float64(c.Positive), float64(c.Negative)
-		if c.Positive > 0 {
-			sumP += p
-			nP++
-			if first || p > fs.MaxPositive {
-				fs.MaxPositive = p
-			}
-			if fs.MinPositive == 0 || p < fs.MinPositive {
-				fs.MinPositive = p
-			}
-		}
-		if c.Negative > 0 {
-			sumN += n
-			nN++
-			if n > fs.MaxNegative {
-				fs.MaxNegative = n
-			}
-			if fs.MinNegative == 0 || n < fs.MinNegative {
-				fs.MinNegative = n
-			}
-		}
-		first = false
-	}
-	if nP > 0 {
-		fs.MeanPositive = sumP / float64(nP)
-	}
-	if nN > 0 {
-		fs.MeanNegative = sumN / float64(nN)
-	}
-	return fs
 }

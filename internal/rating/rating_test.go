@@ -1,10 +1,21 @@
 package rating
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// pairCounts maps each pair of a drained snapshot to the counters its run
+// carries.
+func pairCounts(snap Snapshot) map[PairKey]PairCounts {
+	m := map[PairKey]PairCounts{}
+	for _, run := range PairRuns(snap.Ratings, nil) {
+		m[run.PairKey] = run.PairCounts
+	}
+	return m
+}
 
 func TestAddAndCounts(t *testing.T) {
 	l := NewLedger(10)
@@ -16,15 +27,16 @@ func TestAddAndCounts(t *testing.T) {
 	if err := l.Add(Rating{Rater: 1, Ratee: 2, Value: -1}); err != nil {
 		t.Fatal(err)
 	}
-	c := l.Counts(1, 2)
+	if l.IntervalSize() != 4 {
+		t.Fatalf("IntervalSize = %d", l.IntervalSize())
+	}
+	counts := pairCounts(l.EndInterval())
+	c := counts[PairKey{1, 2}]
 	if c.Positive != 3 || c.Negative != 1 || c.Total() != 4 {
 		t.Fatalf("Counts = %+v", c)
 	}
-	if got := l.Counts(2, 1); got.Total() != 0 {
-		t.Fatal("reverse direction should be empty")
-	}
-	if l.IntervalSize() != 4 {
-		t.Fatalf("IntervalSize = %d", l.IntervalSize())
+	if _, ok := counts[PairKey{2, 1}]; ok || len(counts) != 1 {
+		t.Fatalf("reverse direction should be empty: %+v", counts)
 	}
 }
 
@@ -33,12 +45,12 @@ func TestZeroValueRatingNotCounted(t *testing.T) {
 	if err := l.Add(Rating{Rater: 0, Ratee: 1, Value: 0}); err != nil {
 		t.Fatal(err)
 	}
-	c := l.Counts(0, 1)
-	if c.Positive != 0 || c.Negative != 0 {
-		t.Fatalf("zero-value rating affected counters: %+v", c)
-	}
 	if l.IntervalSize() != 1 {
 		t.Fatal("zero-value rating should still be stored")
+	}
+	c, ok := pairCounts(l.EndInterval())[PairKey{0, 1}]
+	if !ok || c.Positive != 0 || c.Negative != 0 {
+		t.Fatalf("zero-value rating affected counters: %+v (pair present %v)", c, ok)
 	}
 }
 
@@ -76,18 +88,15 @@ func TestEndIntervalDrains(t *testing.T) {
 			t.Fatalf("ratings not sorted by ratee: %+v", snap.Ratings)
 		}
 	}
-	if c := snap.Counts[PairKey{0, 1}]; c.Positive != 1 {
-		t.Fatalf("snapshot counts = %+v", snap.Counts)
+	if counts := pairCounts(snap); counts[PairKey{0, 1}].Positive != 1 {
+		t.Fatalf("snapshot counts = %+v", counts)
 	}
 	// Ledger is now empty.
 	if l.IntervalSize() != 0 {
 		t.Fatal("ledger not drained")
 	}
-	if c := l.Counts(0, 1); c.Total() != 0 {
-		t.Fatal("counters not reset")
-	}
 	empty := l.EndInterval()
-	if len(empty.Ratings) != 0 || len(empty.Counts) != 0 {
+	if len(empty.Ratings) != 0 || len(PairRuns(empty.Ratings, nil)) != 0 {
 		t.Fatal("second drain should be empty")
 	}
 }
@@ -113,28 +122,6 @@ func TestConcurrentAdds(t *testing.T) {
 	snap := l.EndInterval()
 	if len(snap.Ratings) != workers*per {
 		t.Fatalf("drained %d", len(snap.Ratings))
-	}
-}
-
-func TestFrequencies(t *testing.T) {
-	counts := map[PairKey]PairCounts{
-		{0, 1}: {Positive: 4},
-		{2, 1}: {Positive: 2, Negative: 1},
-		{3, 4}: {Negative: 3},
-	}
-	fs := Frequencies(counts)
-	if fs.Pairs != 3 {
-		t.Fatalf("Pairs = %d", fs.Pairs)
-	}
-	if fs.MeanPositive != 3 || fs.MaxPositive != 4 || fs.MinPositive != 2 {
-		t.Fatalf("positive stats = %+v", fs)
-	}
-	if fs.MeanNegative != 2 || fs.MaxNegative != 3 || fs.MinNegative != 1 {
-		t.Fatalf("negative stats = %+v", fs)
-	}
-	empty := Frequencies(nil)
-	if empty.Pairs != 0 || empty.MeanPositive != 0 {
-		t.Fatalf("empty Frequencies = %+v", empty)
 	}
 }
 
@@ -172,13 +159,14 @@ func TestLedgerConservationProperty(t *testing.T) {
 		if len(snap.Ratings) != added {
 			return false
 		}
+		counts := pairCounts(snap)
 		for k, want := range wantPos {
-			if snap.Counts[k].Positive != want {
+			if counts[k].Positive != want {
 				return false
 			}
 		}
 		for k, want := range wantNeg {
-			if snap.Counts[k].Negative != want {
+			if counts[k].Negative != want {
 				return false
 			}
 		}
@@ -228,12 +216,13 @@ func TestAddBatchMatchesSequentialAdds(t *testing.T) {
 			t.Fatalf("ratings[%d]: got %+v, want %+v", i, got.Ratings[i], want.Ratings[i])
 		}
 	}
-	if len(got.Counts) != len(want.Counts) {
-		t.Fatalf("counts: got %d pairs, want %d", len(got.Counts), len(want.Counts))
+	gotCounts, wantCounts := pairCounts(got), pairCounts(want)
+	if len(gotCounts) != len(wantCounts) {
+		t.Fatalf("counts: got %d pairs, want %d", len(gotCounts), len(wantCounts))
 	}
-	for k, v := range want.Counts {
-		if got.Counts[k] != v {
-			t.Fatalf("counts[%v]: got %+v, want %+v", k, got.Counts[k], v)
+	for k, v := range wantCounts {
+		if gotCounts[k] != v {
+			t.Fatalf("counts[%v]: got %+v, want %+v", k, gotCounts[k], v)
 		}
 	}
 }
@@ -253,6 +242,39 @@ func TestAddBatchSelfRatingIndexed(t *testing.T) {
 	}
 	if l.AddBatch([]Rating{{Rater: 0, Ratee: 2, Value: 1}}) != nil {
 		t.Fatal("clean batch should return nil")
+	}
+}
+
+// recordingJournal keeps every rating appended to it.
+type recordingJournal struct{ got []Rating }
+
+func (j *recordingJournal) Append(rs []Rating) error {
+	j.got = append(j.got, rs...)
+	return nil
+}
+
+// TestNonFiniteValueRejected checks that Add and AddBatch refuse NaN and
+// infinite values per entry, before the journal sees them, and keep the
+// finite ratings of the same batch.
+func TestNonFiniteValueRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		l := NewLedger(4)
+		j := &recordingJournal{}
+		l.SetJournal(j)
+		if err := l.Add(Rating{Rater: 0, Ratee: 1, Value: v, Seq: 1}); err == nil {
+			t.Errorf("Add accepted value %v", v)
+		}
+		good := Rating{Rater: 2, Ratee: 3, Value: 1, Seq: 3}
+		errs := l.AddBatch([]Rating{{Rater: 0, Ratee: 1, Value: v, Seq: 2}, good})
+		if errs == nil || errs[0] == nil || errs[1] != nil {
+			t.Errorf("AddBatch with value %v: errors %v, want only the first entry rejected", v, errs)
+		}
+		if len(j.got) != 1 || j.got[0] != good {
+			t.Errorf("value %v: journaled %v, want only %v", v, j.got, good)
+		}
+		if snap := l.EndInterval(); len(snap.Ratings) != 1 || snap.Ratings[0] != good {
+			t.Errorf("value %v: drained %v, want only %v", v, snap.Ratings, good)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func (e *Engine) Update(snap rating.Snapshot) {
 		absSum float64
 		n      int
 	}
-	pairs := make(map[rating.PairKey]*agg, len(snap.Counts))
+	pairs := make(map[rating.PairKey]*agg)
 	for _, r := range snap.Ratings {
 		k := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
 		a := pairs[k]
