@@ -13,10 +13,10 @@
 //
 // Inputs compose across formats: a trace/audit directory (trace_spans.jsonl
 // inside it), a bare span JSONL file, or — for -diff — a phase summary JSON
-// as emitted by -json (the BENCH_trace.json schema). Diff mode compares the
-// mean per-interval phase seconds of two inputs and exits nonzero when any
-// phase of B is slower than A by more than -threshold (relative, with a 1 ms
-// absolute floor so micro-runs don't flag on noise).
+// as emitted by -json (the schema of baselines/trace-2k.json). Diff mode
+// compares the mean per-interval phase seconds of two inputs and exits
+// nonzero when any phase of B is slower than A by more than -threshold
+// (relative, with a 1 ms absolute floor so micro-runs don't flag on noise).
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 	var (
 		topk      = flag.Int("topk", 10, "how many span sites to rank by aggregate self time")
 		critical  = flag.Bool("critical", true, "print each interval's critical path")
-		asJSON    = flag.Bool("json", false, "emit the phase summary as JSON (the BENCH_trace.json schema)")
+		asJSON    = flag.Bool("json", false, "emit the phase summary as JSON (the schema of baselines/trace-2k.json)")
 		diff      = flag.Bool("diff", false, "compare two inputs: socialtrust-trace -diff <a> <b>")
 		threshold = flag.Float64("threshold", 0.2, "relative slowdown in any phase mean that fails -diff")
 	)
@@ -104,7 +104,7 @@ func fatal(err error) {
 }
 
 // summary is the phase-attribution rollup of one trace — the schema of
-// scripts/bench.sh trace's BENCH_trace.json and of -json output.
+// -json output and of the committed baselines/trace-2k.json.
 type summary struct {
 	Intervals    int                            `json:"intervals"`
 	PhasesMean   map[string]float64             `json:"phases_mean_seconds"`

@@ -72,9 +72,8 @@ func main() {
 		traceDir  = flag.String("trace-dir", "", "write the pipeline sweep's span stream to this directory (implies -trace)")
 		sparse    = flag.Float64("sparse", 0, "fraction of nodes active as raters per pipeline-sweep interval (0 or 1 = all; -nodes mode)")
 
-		clusterN   = flag.Int("cluster", 0, "host the pipeline sweep's manager shards in this many worker processes over the socket transport (0 = in-process; -nodes mode)")
-		submitters = flag.Int("submitters", 1, "concurrent ingest goroutines per pipeline-sweep interval (>1 exploits the cluster transport's pipelining; -nodes mode)")
-		workerHP   = flag.Int("worker-health-base", 0, "serve each cluster worker's ops plane on 127.0.0.1:(base+i) (requires -cluster)")
+		clusterN = flag.Int("cluster", 0, "host the pipeline sweep's manager shards in this many worker processes over the socket transport (0 = in-process; -nodes mode)")
+		workerHP = flag.Int("worker-health-base", 0, "serve each cluster worker's ops plane on 127.0.0.1:(base+i) (requires -cluster)")
 
 		churn      = flag.Bool("churn", false, "churn the peer population of every run (moderate default regime)")
 		faultDrop  = flag.Float64("fault-drop", 0, "per-delivery message drop probability at the manager mailbox boundary")
@@ -155,8 +154,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stress: tracing applies to the pipeline sweep; add -nodes")
 		os.Exit(2)
 	}
-	if *clusterN < 0 || *submitters < 1 {
-		fmt.Fprintln(os.Stderr, "stress: -cluster must be >= 0 and -submitters >= 1")
+	if *clusterN < 0 {
+		fmt.Fprintln(os.Stderr, "stress: -cluster must be >= 0")
 		os.Exit(2)
 	}
 	if (*clusterN > 0 || *workerHP != 0) && *nodes == "" {
@@ -182,7 +181,7 @@ func main() {
 			ns = append(ns, n)
 		}
 		runPipelineSweep(ns, *intervals, *seed, *traceDir, *trace || *traceDir != "", *sparse, *stateDir,
-			*clusterN, *submitters, *workerHP)
+			*clusterN, *workerHP)
 		return
 	}
 

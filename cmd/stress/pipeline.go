@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"socialtrust/internal/audit"
@@ -111,58 +110,17 @@ func sweepTrace(n int, rng *xrand.Stream, sparse float64, seq *uint64) []rating.
 	return trace
 }
 
-// sweepIngest pushes one interval's trace through SubmitBatch, optionally
-// from several concurrent submitter goroutines — the knob that fills a
-// cluster transport's pipeline with more than one batch in flight per shard.
-// Batches are dealt round-robin so every submitter touches every shard.
-func sweepIngest(o *manager.Overlay, trace []rating.Rating, submitters int) error {
-	var batches [][]rating.Rating
+// sweepIngest pushes one interval's trace through SubmitBatch in
+// sweepBatchSize slices and returns the first rating error.
+func sweepIngest(o *manager.Overlay, trace []rating.Rating) error {
 	for lo := 0; lo < len(trace); lo += sweepBatchSize {
-		hi := lo + sweepBatchSize
-		if hi > len(trace) {
-			hi = len(trace)
-		}
-		batches = append(batches, trace[lo:hi])
-	}
-	if submitters <= 1 {
-		for _, b := range batches {
-			if errs := o.SubmitBatch(b); errs != nil {
-				for _, err := range errs {
-					if err != nil {
-						return err
-					}
-				}
+		for _, err := range o.SubmitBatch(trace[lo:min(lo+sweepBatchSize, len(trace))]) {
+			if err != nil {
+				return err
 			}
 		}
-		return nil
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < submitters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(batches); i += submitters {
-				if errs := o.SubmitBatch(batches[i]); errs != nil {
-					for _, err := range errs {
-						if err != nil {
-							mu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // runPipelineSweep measures the raw interval pipeline at each size: batched
@@ -172,7 +130,7 @@ func sweepIngest(o *manager.Overlay, trace []rating.Rating, submitters int) erro
 // instrumentation) and its phase attribution is printed beneath the row;
 // traceDir additionally exports the span stream for socialtrust-trace.
 func runPipelineSweep(sizes []int, intervals int, seed uint64, traceDir string, traced bool, sparse float64, stateDir string,
-	clusterN, submitters, workerHealthBase int) {
+	clusterN, workerHealthBase int) {
 	if traced {
 		span.Enable(0)
 		defer span.Disable()
@@ -184,9 +142,6 @@ func runPipelineSweep(sizes []int, intervals int, seed uint64, traceDir string, 
 		if stateDir != "" {
 			dir = filepath.Join(stateDir, fmt.Sprintf("n%d", n))
 		}
-		// Cluster mode spawns a fresh worker fleet per size so the per-process
-		// peak-RSS figures in the cluster-summary line belong to that size
-		// alone, not to the largest size the sweep has touched so far.
 		var pc *cluster.ProcCluster
 		if clusterN > 0 {
 			wdir, err := os.MkdirTemp("", "stsweep")
@@ -215,13 +170,7 @@ func runPipelineSweep(sizes []int, intervals int, seed uint64, traceDir string, 
 			fmt.Printf("stress: n=%d: %v\n", n, err)
 			return
 		}
-		wireSent0, wireRecv0 := cluster.WireStats()
-		var (
-			seq           uint64
-			totalRatings  int
-			totalIngest   time.Duration
-			totalInterval time.Duration
-		)
+		var seq uint64
 		for iv := 0; iv < intervals; iv++ {
 			trace := sweepTrace(n, rng, sparse, &seq)
 			root := span.Root("sweep.interval")
@@ -230,7 +179,7 @@ func runPipelineSweep(sizes []int, intervals int, seed uint64, traceDir string, 
 			isp := span.Ambient("sweep.ingest", span.PhaseIngest).SetInt("ratings", int64(len(trace)))
 			prevIngest := span.SetAmbient(isp.Context())
 			start := time.Now()
-			if err := sweepIngest(o, trace, submitters); err != nil {
+			if err := sweepIngest(o, trace); err != nil {
 				fmt.Printf("stress: n=%d: %v\n", n, err)
 				if pc != nil {
 					_ = pc.Close()
@@ -245,9 +194,6 @@ func runPipelineSweep(sizes []int, intervals int, seed uint64, traceDir string, 
 			drain := time.Since(start)
 			span.SetAmbient(prev)
 			root.End()
-			totalRatings += len(trace)
-			totalIngest += ingest
-			totalInterval += ingest + drain
 			fmt.Printf("%-8d %-9d %-12v %-14.0f %-16v\n",
 				n, iv+1, ingest.Round(time.Microsecond),
 				float64(len(trace))/ingest.Seconds(), drain.Round(time.Millisecond))
@@ -258,16 +204,6 @@ func runPipelineSweep(sizes []int, intervals int, seed uint64, traceDir string, 
 		}
 		o.Close()
 		if pc != nil {
-			// One machine-parseable line per size for scripts/bench.sh
-			// (BENCH_cluster.json). Wire bytes are the coordinator's counters
-			// over the measured intervals; RSS figures are kernel VmHWM peaks.
-			wireSent, wireRecv := cluster.WireStats()
-			wireBytes := float64(wireSent - wireSent0 + wireRecv - wireRecv0)
-			fmt.Printf("cluster-summary nodes=%d procs=%d ratings=%d ratings_per_s=%.0f s_per_interval=%.4f coordinator_peak_rss_mb=%.1f worker_peak_rss_mb_max=%.1f wire_bytes_per_rating=%.1f\n",
-				n, clusterN, totalRatings,
-				float64(totalRatings)/totalIngest.Seconds(),
-				totalInterval.Seconds()/float64(intervals),
-				cluster.SelfPeakRSSMB(), pc.WorkerPeakRSSMB(), wireBytes/float64(totalRatings))
 			if err := pc.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "stress: cluster teardown: %v\n", err)
 			}

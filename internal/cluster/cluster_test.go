@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -166,6 +167,99 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if len(ds.Primary.Ratings) != 0 {
 		t.Fatalf("second drain returned %d ratings, want 0", len(ds.Primary.Ratings))
+	}
+}
+
+// captureEngine is a stub reputation engine that keeps every snapshot an
+// overlay hands it.
+type captureEngine struct {
+	numNodes int
+	snaps    []rating.Snapshot
+}
+
+func (e *captureEngine) Name() string                { return "capture" }
+func (e *captureEngine) Update(snap rating.Snapshot) { e.snaps = append(e.snaps, snap) }
+func (e *captureEngine) Reputations() []float64      { return make([]float64, e.numNodes) }
+func (e *captureEngine) Reputation(int) float64      { return 0 }
+func (e *captureEngine) Reset()                      {}
+func (e *captureEngine) ResetNode(int)               {}
+
+// TestClusterConcurrentSubmitters drives one Client from several goroutines
+// through the overlay: four submitters send disjoint Seq-numbered slices in
+// small batches to 4 shards on 2 worker processes, so every shard's
+// connection carries batches from all four at once. One EndIntervalStatus
+// must then drain every shard without error and hand the engine each rating
+// exactly once.
+func TestClusterConcurrentSubmitters(t *testing.T) {
+	const (
+		numNodes     = 64
+		shards       = 4
+		submitters   = 4
+		perSubmitter = 600
+		batch        = 16
+	)
+	pc := spawnTest(t, SpawnOptions{Workers: 2, Shards: shards, StateDir: t.TempDir(), NoRespawn: true})
+	eng := &captureEngine{numNodes: numNodes}
+	o, err := manager.NewWithOptions(numNodes, shards, eng, manager.Options{Transport: pc.Client()})
+	if err != nil {
+		t.Fatalf("overlay: %v", err)
+	}
+	defer o.Close()
+
+	all := make([]rating.Rating, submitters*perSubmitter)
+	for i := range all {
+		rater := i % numNodes
+		v := 1.0
+		if i%7 == 0 {
+			v = -1
+		}
+		all[i] = rating.Rating{
+			Rater: rater, Ratee: (rater + 1 + i/numNodes%(numNodes-1)) % numNodes,
+			Value: v, Cycle: i % 3, Category: i % 4, Seq: uint64(i + 1),
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(mine []rating.Rating) {
+			defer wg.Done()
+			for lo := 0; lo < len(mine); lo += batch {
+				for _, err := range o.SubmitBatch(mine[lo:min(lo+batch, len(mine))]) {
+					if err != nil {
+						t.Errorf("SubmitBatch: %v", err)
+						return
+					}
+				}
+			}
+		}(all[w*perSubmitter : (w+1)*perSubmitter])
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	_, status := o.EndIntervalStatus()
+	if status.Drained != shards || status.Partial || len(status.Missing) != 0 || len(status.ReplicaUsed) != 0 {
+		t.Fatalf("drain status %+v, want all %d shards drained", status, shards)
+	}
+	if len(eng.snaps) != 1 {
+		t.Fatalf("engine saw %d snapshots, want 1", len(eng.snaps))
+	}
+	snap := eng.snaps[0]
+	seen := make([]int, len(all)+1)
+	for _, r := range snap.Ratings {
+		if r.Seq == 0 || r.Seq > uint64(len(all)) || r != all[r.Seq-1] {
+			t.Fatalf("drained rating %+v was never submitted", r)
+		}
+		seen[r.Seq]++
+	}
+	for seq := 1; seq <= len(all); seq++ {
+		if seen[seq] != 1 {
+			t.Fatalf("Seq %d arrived %d times, want once", seq, seen[seq])
+		}
+	}
+	if snap.MaxSeq != uint64(len(all)) {
+		t.Fatalf("snapshot MaxSeq %d, want %d", snap.MaxSeq, len(all))
 	}
 }
 

@@ -24,7 +24,7 @@ func BenchmarkAdjustWarmCache(b *testing.B) {
 
 // BenchmarkAdjustColdCache is the same pass with the cache dropped before
 // every iteration — each pair pays the full BFS/similarity computation. The
-// warm/cold ratio in BENCH_perf.json is the headline number for the cache.
+// warm/cold ratio is what the cache buys.
 func BenchmarkAdjustColdCache(b *testing.B) {
 	st, snap := perfScenario(200, 1)
 	st.Adjust(snap)

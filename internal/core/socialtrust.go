@@ -106,8 +106,7 @@ const (
 	alpha = 1.0
 	// theta scales the adaptive frequency thresholds: a pair is
 	// frequency-suspicious when its interval count exceeds θ·F, F being the
-	// mean per-pair frequency. Ignored for a polarity whose
-	// Fixed*Threshold is positive.
+	// mean per-pair frequency.
 	theta = 3.0
 	// closenessLowQ / closenessHighQ are the quantiles of the baseline
 	// closeness distribution defining "very low"/"very high" closeness
@@ -120,10 +119,6 @@ const (
 // Config parameterizes SocialTrust.
 type Config struct {
 	NumNodes int
-
-	// FixedPosThreshold / FixedNegThreshold, when positive, pin T+t / T−t.
-	FixedPosThreshold float64
-	FixedNegThreshold float64
 
 	// UseCloseness / UseSimilarity enable the two signal dimensions
 	// (both true by default via New; disable one for ablations).
@@ -444,7 +439,7 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	// order first.
 	rs := snap.Ratings
 	runs := rating.PairRuns(rs, s.runScratch[:0])
-	if !runsIncrease(runs) {
+	if !rating.RunsIncrease(runs) {
 		rs = rating.SnapshotOrder(rs)
 		runs = rating.PairRuns(rs, runs[:0])
 	}
@@ -469,7 +464,7 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 		totalRatings += pairs[i].Total()
 	}
 	bsp := tsp.Child("adjust.baseline", span.PhaseAdjust)
-	posT, negT := s.thresholdsFrom(totalRatings, len(pairs))
+	posT, negT := thresholdsFrom(totalRatings, len(pairs))
 	meanF := meanFrom(totalRatings, len(pairs))
 	base := s.systemBaseline(signals, pairs, posT, negT)
 	bsp.End()
@@ -643,18 +638,6 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	s.maybeShrinkScratch(len(pairs))
 	tsp.SetInt("pairs", int64(len(pairs))).SetInt("flagged", int64(len(report.Adjusted))).End()
 	return out, report
-}
-
-// runsIncrease reports whether runs strictly increase in (ratee, rater)
-// order — whether the ratings they came from hold each pair in one run.
-func runsIncrease(runs []rating.PairRun) bool {
-	for i := 1; i < len(runs); i++ {
-		a, b := &runs[i-1], &runs[i]
-		if a.Ratee > b.Ratee || a.Ratee == b.Ratee && a.Rater >= b.Rater {
-			return false
-		}
-	}
-	return true
 }
 
 // byRater returns runs, which PairRuns yields in (ratee, rater) order, in
@@ -950,19 +933,9 @@ func (s *SocialTrust) computeMissGroup(pairs []rating.PairRun, out []pairSignals
 // node in the system"; we compute F as the mean total rating count over all
 // transacting pairs, so no single polarity's attacker can inflate its own
 // threshold.
-func (s *SocialTrust) thresholdsFrom(total, n int) (pos, neg float64) {
-	pos, neg = s.cfg.FixedPosThreshold, s.cfg.FixedNegThreshold
-	if pos > 0 && neg > 0 {
-		return pos, neg
-	}
-	f := meanFrom(total, n)
-	if pos <= 0 {
-		pos = theta * f
-	}
-	if neg <= 0 {
-		neg = theta * f
-	}
-	return pos, neg
+func thresholdsFrom(total, n int) (pos, neg float64) {
+	t := theta * meanFrom(total, n)
+	return t, t
 }
 
 // baseline aggregates the empirical signal distribution over non-suspicious

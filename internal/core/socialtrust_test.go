@@ -260,7 +260,7 @@ func TestAdjustUnorderedSnapshot(t *testing.T) {
 	snap := f.ledger.EndInterval()
 	shuffled := slices.Clone(snap.Ratings)
 	rand.New(rand.NewPCG(1, 2)).Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-	if runsIncrease(rating.PairRuns(shuffled, nil)) {
+	if rating.RunsIncrease(rating.PairRuns(shuffled, nil)) {
 		t.Fatal("the shuffle left the ratings in (ratee, rater) order")
 	}
 
@@ -320,19 +320,6 @@ func TestUpdateSuppressesColluderReputation(t *testing.T) {
 	if protected >= unprotected/4 {
 		t.Fatalf("SocialTrust colluder reputation %v vs baseline %v: insufficient suppression",
 			protected, unprotected)
-	}
-}
-
-func TestFixedThresholdsRespected(t *testing.T) {
-	f := newFixture()
-	f.normalTraffic()
-	st := f.socialTrust(Config{FixedPosThreshold: 100, FixedNegThreshold: 100})
-	_, report := st.Adjust(f.ledger.EndInterval())
-	if report.PosThreshold != 100 || report.NegThreshold != 100 {
-		t.Fatalf("thresholds = %v/%v, want 100/100", report.PosThreshold, report.NegThreshold)
-	}
-	if len(report.Adjusted) != 0 {
-		t.Fatalf("nothing should exceed a fixed threshold of 100: %+v", report.Adjusted)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 )
 
 // BenchmarkOverlaySubmit measures the overlay's rating-submission round trip
-// (client → shard mailbox → ledger → ack) — the hot path of the
-// scripts/bench.sh snapshot.
+// (client → shard mailbox → ledger → ack).
 func BenchmarkOverlaySubmit(b *testing.B) {
 	o, err := New(256, 8, ebay.New(256))
 	if err != nil {
@@ -52,8 +51,8 @@ func BenchmarkOverlayQuery(b *testing.B) {
 
 // BenchmarkOverlaySubmitReplicated measures the fault-tolerant submission
 // path with zero injected faults: primary delivery plus replica mirroring
-// under deadlines. Compared against BenchmarkOverlaySubmit in
-// scripts/bench.sh (BENCH_fault.json) to price the hardened path.
+// under deadlines. Compared against BenchmarkOverlaySubmit, it prices the
+// hardened path.
 func BenchmarkOverlaySubmitReplicated(b *testing.B) {
 	o, err := NewWithOptions(256, 8, ebay.New(256), Options{
 		Fault: alwaysOnPlan(b, fault.Config{}, 8),

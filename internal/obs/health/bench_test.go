@@ -48,10 +48,9 @@ func populateRegistry(reg *obs.Registry, shards int) {
 // BenchmarkSampleOnce prices one sampler tick — the runtime capture, the
 // registry snapshot, the flatten, and the full watchdog pass — against a
 // registry populated like a 10k-node managed run (16 overlay shards). The
-// sampler amortizes this cost over its cadence (default 1s), so
-// overhead_pct in BENCH_health.json is ns/op divided by the cadence;
-// scripts/bench.sh health also divides by the measured 10k-node interval
-// wall time for the stricter "percent of one interval" reading.
+// sampler amortizes this cost over its cadence (default 1s); the CI health
+// job also divides it by BenchmarkPipeline10k's interval wall time and fails
+// when one tick costs 1% of an interval or more.
 func BenchmarkSampleOnce(b *testing.B) {
 	reg := obs.NewRegistry()
 	obs.SetEnabled(true)

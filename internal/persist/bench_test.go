@@ -8,7 +8,7 @@ import (
 // BenchmarkWALAppend prices the durability hot path: one batched Append of a
 // query cycle's worth of rating records, framed, checksummed, and flushed to
 // the OS before returning — the cost every acknowledged rating pays in a
-// durable run. scripts/bench.sh persist reports the ns/rating figure.
+// durable run, reported as ns/rating.
 func BenchmarkWALAppend(b *testing.B) {
 	w, _, err := Open(filepath.Join(b.TempDir(), "bench.wal"), Options{})
 	if err != nil {

@@ -120,7 +120,8 @@ func orderSeed(n, pairs int) []byte {
 
 // checkPairRuns checks PairRuns(rs) against a map-built reference: one run
 // per distinct pair, each with that pair's counters, the runs tiling [0, n)
-// in order and every rating inside its pair's run.
+// in order and every rating inside its pair's run; and that RunsIncrease
+// recognises the runs of snapshot-ordered rs.
 func checkPairRuns(t *testing.T, rs []Rating) {
 	t.Helper()
 	want := map[PairKey]PairCounts{}
@@ -154,6 +155,9 @@ func checkPairRuns(t *testing.T, rs []Rating) {
 	}
 	if at != len(rs) {
 		t.Fatalf("PairRuns covers [0, %d) of %d ratings", at, len(rs))
+	}
+	if !RunsIncrease(runs) {
+		t.Fatalf("RunsIncrease is false on the runs of snapshot-ordered ratings: %v", runs)
 	}
 }
 

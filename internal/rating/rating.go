@@ -75,6 +75,19 @@ func PairRuns(rs []Rating, dst []PairRun) []PairRun {
 	return dst
 }
 
+// RunsIncrease reports whether runs strictly increase in (ratee, rater)
+// order — whether the ratings they came from hold each pair in one run, as
+// a snapshot-ordered slice does.
+func RunsIncrease(runs []PairRun) bool {
+	for i := 1; i < len(runs); i++ {
+		a, b := &runs[i-1], &runs[i]
+		if a.Ratee > b.Ratee || a.Ratee == b.Ratee && a.Rater >= b.Rater {
+			return false
+		}
+	}
+	return true
+}
+
 const numShards = 16
 
 // Journal receives every accepted rating before the ledger acknowledges it —

@@ -14,9 +14,10 @@
 package ebay
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation"
@@ -53,40 +54,33 @@ func (e *Engine) ResetNode(node int) {
 }
 
 // Update folds one interval: each (rater, ratee) pair contributes the mean
-// of its rating values this interval, clamped to [−1, +1].
+// of its rating values this interval, clamped to [−1, +1]. The pairs are the
+// snapshot's runs, so contributions land in (ratee, rater) order and each
+// pair's values are summed in input order: the float accumulation is
+// deterministic.
 func (e *Engine) Update(snap rating.Snapshot) {
-	type agg struct {
-		sum    float64
-		absSum float64
-		n      int
+	rs := snap.Ratings
+	runs := rating.PairRuns(rs, nil)
+	if !rating.RunsIncrease(runs) {
+		// A snapshot built by hand may split a pair or list pairs out of
+		// order; a stable sort of a copy by (ratee, rater) joins each pair's
+		// ratings and keeps them in input order.
+		rs = slices.Clone(rs)
+		slices.SortStableFunc(rs, func(x, y rating.Rating) int {
+			if c := cmp.Compare(x.Ratee, y.Ratee); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.Rater, y.Rater)
+		})
+		runs = rating.PairRuns(rs, runs[:0])
 	}
-	pairs := make(map[rating.PairKey]*agg)
-	for _, r := range snap.Ratings {
-		k := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
-		a := pairs[k]
-		if a == nil {
-			a = &agg{}
-			pairs[k] = a
+	for _, run := range runs {
+		var sum, absSum float64
+		for i := run.Lo; i < run.Hi; i++ {
+			sum += rs[i].Value
+			absSum += math.Abs(rs[i].Value)
 		}
-		a.sum += r.Value
-		a.absSum += math.Abs(r.Value)
-		a.n++
-	}
-	// Apply contributions in sorted pair order so float accumulation is
-	// deterministic regardless of map iteration.
-	keys := make([]rating.PairKey, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Ratee != keys[j].Ratee {
-			return keys[i].Ratee < keys[j].Ratee
-		}
-		return keys[i].Rater < keys[j].Rater
-	})
-	for _, k := range keys {
-		a := pairs[k]
-		e.scores[k.Ratee] += contribution(a.sum, a.absSum, a.n)
+		e.scores[run.Ratee] += contribution(sum, absSum, run.Hi-run.Lo)
 	}
 }
 

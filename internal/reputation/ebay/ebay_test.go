@@ -2,6 +2,9 @@ package ebay
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -212,4 +215,88 @@ func TestResetNode(t *testing.T) {
 		}
 	}()
 	e.ResetNode(9)
+}
+
+// mapUpdate is the per-pair map fold Update replaced, kept as its reference:
+// each pair's values summed in input order, contributions added to scores
+// in (ratee, rater) order.
+func mapUpdate(scores []float64, snap rating.Snapshot) {
+	type agg struct {
+		sum    float64
+		absSum float64
+		n      int
+	}
+	pairs := make(map[rating.PairKey]*agg)
+	for _, r := range snap.Ratings {
+		k := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
+		a := pairs[k]
+		if a == nil {
+			a = &agg{}
+			pairs[k] = a
+		}
+		a.sum += r.Value
+		a.absSum += math.Abs(r.Value)
+		a.n++
+	}
+	keys := make([]rating.PairKey, 0, len(pairs))
+	for k := range pairs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Ratee != keys[j].Ratee {
+			return keys[i].Ratee < keys[j].Ratee
+		}
+		return keys[i].Rater < keys[j].Rater
+	})
+	for _, k := range keys {
+		a := pairs[k]
+		scores[k.Ratee] += contribution(a.sum, a.absSum, a.n)
+	}
+}
+
+// TestUpdateMatchesMapReference pins Update's fold over pair runs to the map
+// fold it replaced, bit for bit, across intervals of random ratings: in
+// input order, where pairs repeat apart from each other, and in snapshot
+// order. Fractional values make every sum depend on its order, so a pair
+// summed out of input order or a contribution added out of (ratee, rater)
+// order shows as a different score. Update must leave the snapshot as it
+// was.
+func TestUpdateMatchesMapReference(t *testing.T) {
+	const n = 6
+	rng := rand.New(rand.NewPCG(3, 5))
+	value := func() float64 {
+		switch rng.IntN(4) {
+		case 0:
+			return float64(rng.IntN(3) - 1)
+		default:
+			return rng.Float64()*4 - 2
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		e, ref := New(n), make([]float64, n)
+		for iv := 0; iv < 4; iv++ {
+			rs := make([]rating.Rating, rng.IntN(80))
+			for i := range rs {
+				rater := rng.IntN(n)
+				rs[i] = rating.Rating{
+					Rater: rater, Ratee: (rater + 1 + rng.IntN(n-1)) % n,
+					Value: value(), Cycle: rng.IntN(3), Category: rng.IntN(3),
+				}
+			}
+			if rng.IntN(3) == 0 {
+				rs = rating.SnapshotOrder(rs)
+			}
+			in := slices.Clone(rs)
+			e.Update(rating.Snapshot{Ratings: rs})
+			mapUpdate(ref, rating.Snapshot{Ratings: rs})
+			if !slices.Equal(rs, in) {
+				t.Fatalf("trial %d interval %d: Update reordered the snapshot", trial, iv)
+			}
+			for j := range ref {
+				if math.Float64bits(e.RawScore(j)) != math.Float64bits(ref[j]) {
+					t.Fatalf("trial %d interval %d: RawScore(%d) = %v, want %v", trial, iv, j, e.RawScore(j), ref[j])
+				}
+			}
+		}
+	}
 }

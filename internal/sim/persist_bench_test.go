@@ -8,10 +8,9 @@ import (
 )
 
 // benchStateConfig scales the Section 5.1 setup to 10k nodes (preserving the
-// population proportions) with a short horizon — the geometry the durability
-// figures of scripts/bench.sh persist are quoted at. Closeness paths are
-// capped at 3 hops, as in the pipeline benchmarks, to keep the Ωc BFS
-// bounded at this size.
+// population proportions) with a short horizon — the geometry the snapshot
+// and recovery benchmarks run at. Closeness paths are capped at 3 hops, as in
+// the pipeline benchmarks, to keep the Ωc BFS bounded at this size.
 func benchStateConfig() Config {
 	cfg := DefaultConfig(MCM, EngineEigenTrust, 0.2, true)
 	cfg.NumNodes = 10_000

@@ -18,8 +18,8 @@ import (
 // End-to-end pipeline benchmarks at large N: one op is one full reputation-
 // update interval — batched overlay ingest of a whole trace interval,
 // interval drain, SocialTrust adjust, and the EigenTrust power iteration.
-// scripts/bench.sh scale collects them into BENCH_scale.json; the 2k size
-// doubles as the CI scale smoke (1 iteration, -race).
+// The 2k size doubles as the CI scale smoke (1 iteration, -race), and the
+// 10k size prices the CI health job's sampler-overhead gate.
 const (
 	pipelineShards    = 16 // manager goroutines fronting the engine
 	pipelineDegree    = 6  // random social edges grown per node
@@ -142,8 +142,7 @@ func benchmarkPipeline(b *testing.B, n int) {
 // benchmarkPipelineDir is benchmarkPipeline over an optionally durable
 // overlay: with a state directory, every SubmitBatch is journaled to the
 // per-shard WALs before acknowledging — the ingest-overhead cost of
-// durability, priced by comparing Pipeline2kWAL against Pipeline2k
-// (scripts/bench.sh persist; acceptance: <= 15%).
+// durability, priced by comparing Pipeline2kWAL against Pipeline2k.
 func benchmarkPipelineDir(b *testing.B, n int, stateDir string) {
 	p := buildPipeline(b, n, stateDir)
 	defer p.overlay.Close()
@@ -202,8 +201,7 @@ func benchmarkPipelineSparse(b *testing.B, n int, activeFrac float64) {
 // BenchmarkPipelineSparse50k is the headline sparse-activity benchmark: 1%
 // of a 50k-node population active per interval. Compare its s/interval
 // against BenchmarkPipeline50k to see the incremental engine's cost
-// tracking activity instead of population (bench.sh scale records the ratio
-// as sparse_speedup).
+// tracking activity instead of population.
 func BenchmarkPipelineSparse50k(b *testing.B) { benchmarkPipelineSparse(b, 50_000, 0.01) }
 
 // peakRSSMB reads the process's peak resident set (VmHWM) in MB; 0 when the
