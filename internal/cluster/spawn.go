@@ -10,12 +10,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"socialtrust/internal/obs"
 )
 
 // SpawnOptions configures a worker fleet.
@@ -45,7 +45,7 @@ type workerProc struct {
 	mu      sync.Mutex
 	cmd     *exec.Cmd
 	exited  chan struct{} // closed when the current incarnation exits
-	peakRSS atomic.Int64  // max VmHWM observed across incarnations, in KiB
+	peakRSS atomic.Uint64 // max VmHWM observed across incarnations, in bytes
 }
 
 // ProcCluster is a running worker fleet plus the Transport that drives it.
@@ -141,9 +141,7 @@ func (pc *ProcCluster) launch(wp *workerProc, exe string) error {
 				}
 				return
 			case <-tick.C:
-				if kb, ok := readVmHWM(pid); ok && kb > wp.peakRSS.Load() {
-					wp.peakRSS.Store(kb)
-				}
+				wp.samplePeak(pid)
 			}
 		}
 	}()
@@ -153,27 +151,15 @@ func (pc *ProcCluster) launch(wp *workerProc, exe string) error {
 // SelfPeakRSSMB returns this process's peak resident set size in MiB
 // (kernel VmHWM), or 0 where /proc is unavailable.
 func SelfPeakRSSMB() float64 {
-	kb, _ := readVmHWM(os.Getpid())
-	return float64(kb) / 1024
+	_, peak := obs.ProcRSS(os.Getpid())
+	return float64(peak) / (1 << 20)
 }
 
-// readVmHWM reads a process's peak resident set size from /proc, in KiB.
-func readVmHWM(pid int) (int64, bool) {
-	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", pid))
-	if err != nil {
-		return 0, false
+// samplePeak raises the worker's recorded peak to process pid's VmHWM.
+func (wp *workerProc) samplePeak(pid int) {
+	if _, peak := obs.ProcRSS(pid); peak > wp.peakRSS.Load() {
+		wp.peakRSS.Store(peak)
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-			f := strings.Fields(rest)
-			if len(f) >= 1 {
-				if kb, err := strconv.ParseInt(f[0], 10, 64); err == nil {
-					return kb, true
-				}
-			}
-		}
-	}
-	return 0, false
 }
 
 // Client returns the fleet's transport — the value for
@@ -209,22 +195,18 @@ func (pc *ProcCluster) WaitExit(i int, timeout time.Duration) (int, error) {
 
 // WorkerPeakRSSMB returns the largest per-worker peak RSS observed, in MiB.
 func (pc *ProcCluster) WorkerPeakRSSMB() float64 {
-	var maxKB int64
+	var peak uint64
 	for _, wp := range pc.procs {
 		// One final opportunistic sample for workers still alive.
 		wp.mu.Lock()
 		cmd := wp.cmd
 		wp.mu.Unlock()
 		if cmd != nil && cmd.Process != nil {
-			if kb, ok := readVmHWM(cmd.Process.Pid); ok && kb > wp.peakRSS.Load() {
-				wp.peakRSS.Store(kb)
-			}
+			wp.samplePeak(cmd.Process.Pid)
 		}
-		if kb := wp.peakRSS.Load(); kb > maxKB {
-			maxKB = kb
-		}
+		peak = max(peak, wp.peakRSS.Load())
 	}
-	return float64(maxKB) / 1024
+	return float64(peak) / (1 << 20)
 }
 
 // Close tears the fleet down: the client's connections close, every worker

@@ -856,33 +856,9 @@ func (s *SocialTrust) computeSignals(pairs []rating.PairRun, out []pairSignals) 
 	groups = append(groups, len(miss))
 	s.groupScratch = groups[:0]
 
-	nGroups := len(groups) - 1
-	workers := s.cfg.Workers
-	if workers > nGroups {
-		workers = nGroups
-	}
-	if workers <= 1 {
-		for gi := 0; gi < nGroups; gi++ {
-			s.computeMissGroup(pairs, out, miss[groups[gi]:groups[gi+1]])
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= nGroups {
-					return
-				}
-				s.computeMissGroup(pairs, out, miss[groups[gi]:groups[gi+1]])
-			}
-		}()
-	}
-	wg.Wait()
+	forCountedBlocks(len(groups)-1, s.cfg.Workers, func(gi int) {
+		s.computeMissGroup(pairs, out, miss[groups[gi]:groups[gi+1]])
+	})
 }
 
 // computeMissGroup recomputes the missing signals of one rater's pairs and

@@ -1,11 +1,11 @@
 package manager
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"socialtrust/internal/fault"
 	"socialtrust/internal/rating"
+	"socialtrust/internal/rating/ratingtest"
 	"socialtrust/internal/reputation/ebay"
 )
 
@@ -144,46 +144,18 @@ func BenchmarkOverlaySubmitBatch(b *testing.B) {
 
 // BenchmarkMergeSnapshots times the coordinator's cross-shard merge on
 // bulk-cluster's interval shape: 16 ratee-sharded, ledger-ordered snapshots
-// holding 412k ratings over 10k nodes (10k raters giving 40 ratings each to
-// 4 partners, and 50 colluding couples rating each other 120 times).
+// of ratingtest.BulkInterval at 10k nodes (412k ratings).
 func BenchmarkMergeSnapshots(b *testing.B) {
 	const nodes, shards = 10000, 16
-	rng := rand.New(rand.NewPCG(1, 2))
 	ledgers := make([]*rating.Ledger, shards)
 	for s := range ledgers {
 		ledgers[s] = rating.NewLedger(nodes)
 	}
-	add := func(r rating.Rating) {
+	trace := ratingtest.BulkInterval(nodes)
+	for _, r := range trace {
 		if err := ledgers[r.Ratee%shards].Add(r); err != nil {
 			b.Fatal(err)
 		}
-	}
-	var trace []rating.Rating
-	for i := 0; i < nodes; i++ {
-		var partners [4]int
-		for k := range partners {
-			partners[k] = (i + 1 + rng.IntN(nodes-1)) % nodes
-		}
-		for k := 0; k < 40; k++ {
-			v := 1.0
-			if rng.Float64() < 0.2 {
-				v = -1
-			}
-			trace = append(trace, rating.Rating{Rater: i, Ratee: partners[rng.IntN(4)], Value: v, Cycle: 3, Category: rng.IntN(16)})
-		}
-	}
-	for c := 0; c < 50; c++ {
-		a, p := 2*c, 2*c+1
-		for k := 0; k < 120; k++ {
-			trace = append(trace,
-				rating.Rating{Rater: a, Ratee: p, Value: 1, Cycle: 3, Category: rng.IntN(16)},
-				rating.Rating{Rater: p, Ratee: a, Value: 1, Cycle: 3, Category: rng.IntN(16)})
-		}
-	}
-	rng.Shuffle(len(trace), func(a, b int) { trace[a], trace[b] = trace[b], trace[a] })
-	for k, r := range trace {
-		r.Seq = uint64(k + 1)
-		add(r)
 	}
 	snaps := make([]rating.Snapshot, shards)
 	for s, l := range ledgers {

@@ -457,8 +457,8 @@ func (o *Overlay) submitBatchFT(rs []rating.Rating, tctx span.Context) []error {
 			errs[i] = fmt.Errorf("manager: rater %d out of range", r.Rater)
 			continue
 		}
-		// A deferred entry is acknowledged on receipt and applied at the
-		// drain, where a ledger refusal would drop it silently.
+		// Every shard refuses such a rating on receipt; failing it here
+		// spends no fault-plan draw or delivery on it.
 		if errs[i] = rating.Validate(&r); errs[i] != nil {
 			continue
 		}

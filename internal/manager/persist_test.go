@@ -183,7 +183,7 @@ func TestResumeDedupesReplayedSubmissions(t *testing.T) {
 	}
 	counts := map[rating.PairKey]int{}
 	for _, s := range o2.shards {
-		for _, run := range rating.PairRuns(s.(*localShard).sh.ledger.EndInterval().Ratings, nil) {
+		for _, run := range rating.PairRuns(s.(*localShard).sh.dests[0].ledger.EndInterval().Ratings, nil) {
 			counts[run.PairKey] += run.Total()
 		}
 	}

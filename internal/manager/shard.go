@@ -3,11 +3,15 @@
 // dispatch loop (internal/cluster). A host applies a shard's operations one
 // at a time in arrival order, so the type needs no locking.
 //
-// The shard owns its WAL (when it has one): submissions are journaled before
-// they are acknowledged. Primary adds are rating records. Replica-mirror and
-// deferred adds are fated records: whole-interval re-execution cannot be
-// relied on to rebuild those substrates after a worker process is killed, so
-// everything acknowledged is journaled.
+// Every rating enters through one admission rule (admit): check it,
+// acknowledge without applying a resubmission that a WAL replay already
+// restored, journal the rest before acknowledging them, then apply them. The
+// rule serves the four destinations the WAL's fate flags name — the primary
+// ledger, the replica mirror, and the deferred queue of each — and Restart
+// replays every record back to its destination under the same check. Primary
+// adds are rating records; the others are fated records, because
+// whole-interval re-execution cannot be relied on to rebuild those
+// substrates after a worker process is killed.
 package manager
 
 import (
@@ -29,18 +33,12 @@ type Shard struct {
 	numNodes   int
 	replicated bool
 
-	down            bool // crashed: fresh state arrives with Restart
-	ledger          *rating.Ledger
-	replica         *rating.Ledger
-	deferred        []rating.Rating
-	deferredReplica []rating.Rating
-	wal             *persist.WAL
-	// recDeferred / recDeferredReplica hold sequence numbers of deferred
-	// entries restored from a WAL replay, with multiplicity — the deferred
-	// queues' twin of rating.Ledger.MarkRecovered. A resubmitted entry whose
-	// Seq is pending here is acknowledged without being queued again.
-	recDeferred        map[uint64]int
-	recDeferredReplica map[uint64]int
+	down bool // crashed: fresh state arrives with Restart
+	// dests are the destinations of admitted ratings, indexed by their WAL
+	// fate flags: the primary ledger (0), the replica mirror (FateReplica),
+	// and their deferred queues (FateDeferred, FateDeferred|FateReplica).
+	dests [4]dest
+	wal   *persist.WAL
 	// drainCovers records, per completed local drain, the primary and replica
 	// snapshot high-water marks. A CompactWAL floor at or above a cover's
 	// primary mark proves the coordinator received that drain, so fated
@@ -52,6 +50,49 @@ type Shard struct {
 	retiredFated uint64
 }
 
+// dest is one destination. The primary and the mirror hold an interval
+// ledger (the mirror only on a replicated shard); a deferred destination
+// holds a queue that the next drain flushes into the ledger of
+// dests[f&^FateDeferred]. recovered holds the sequence numbers a WAL replay
+// restored into the destination: a resubmission carrying one is
+// acknowledged without landing a second time.
+type dest struct {
+	ledger    *rating.Ledger
+	queue     []rating.Rating
+	recovered seqCounts
+}
+
+// seqCounts is a multiset of sequence numbers. Fault injection can
+// legitimately deliver a rating twice, so a replay may restore a Seq more
+// than once.
+type seqCounts map[uint64]int
+
+// add records one occurrence of seq; zero, the unsequenced Seq, is never
+// recorded.
+func (m *seqCounts) add(seq uint64) {
+	if seq == 0 {
+		return
+	}
+	if *m == nil {
+		*m = make(seqCounts)
+	}
+	(*m)[seq]++
+}
+
+// take consumes one occurrence of seq, reporting whether there was one.
+func (m seqCounts) take(seq uint64) bool {
+	n := m[seq]
+	if n == 0 {
+		return false
+	}
+	if n == 1 {
+		delete(m, seq)
+	} else {
+		m[seq] = n - 1
+	}
+	return true
+}
+
 // drainCover is one completed drain's coverage marks.
 type drainCover struct {
 	primaryMax, replicaMax uint64
@@ -59,7 +100,7 @@ type drainCover struct {
 
 // OpenShard builds shard id with empty ledgers. With stateDir set it opens
 // (or creates) <stateDir>/shard-<id>.wal, truncating any torn tail a crash
-// left behind (logged as a warning), and journals every accepted rating
+// left behind (logged as a warning), and journals every admitted rating
 // there.
 func OpenShard(id, numNodes int, replicated bool, stateDir string, opts persist.Options) (*Shard, error) {
 	s := &Shard{id: id, numNodes: numNodes, replicated: replicated}
@@ -78,53 +119,105 @@ func OpenShard(id, numNodes int, replicated bool, stateDir string, opts persist.
 		s.wal = w
 	}
 	s.reset()
-	s.journal(true)
 	return s, nil
 }
 
-// reset installs a fresh incarnation's empty interval state, journals
-// detached.
+// reset installs a fresh incarnation's empty interval state.
 func (s *Shard) reset() {
 	s.down = false
-	s.ledger = rating.NewLedger(s.numNodes)
-	s.replica = nil
+	s.dests = [4]dest{{ledger: rating.NewLedger(s.numNodes)}}
 	if s.replicated {
-		s.replica = rating.NewLedger(s.numNodes)
+		s.dests[persist.FateReplica].ledger = rating.NewLedger(s.numNodes)
 	}
-	s.deferred, s.deferredReplica = nil, nil
-	s.recDeferred, s.recDeferredReplica = nil, nil
 }
 
-// journal attaches (on) or suspends the ledgers' write-ahead hooks.
-func (s *Shard) journal(on bool) {
+// check is the admission test of a rating bound for destination f: node IDs
+// in range (a ledger panics on them, and neither a caller's bad rating nor a
+// malformed peer or WAL record may panic a host), a mirror only on a
+// replicated shard, and rating.Validate.
+func (s *Shard) check(f byte, r *rating.Rating) error {
+	if r.Rater < 0 || r.Rater >= s.numNodes || r.Ratee < 0 || r.Ratee >= s.numNodes {
+		return fmt.Errorf("manager: node out of range in %+v (numNodes=%d)", *r, s.numNodes)
+	}
+	if f&persist.FateReplica != 0 && !s.replicated {
+		return fmt.Errorf("manager: replica entry on unreplicated shard %d", s.id)
+	}
+	return rating.Validate(r)
+}
+
+// admit is the shard's one ingest rule, for ratings bound for destination
+// f. Each rating is checked and failed on its own, and one whose Seq the
+// destination is owed from a WAL replay is acknowledged without landing
+// again. The rest are journaled in one WAL append of f's record kind and
+// fate flags — a failed append vetoes all of them — and then land. The
+// result is index-aligned with rs and nil when every rating was
+// acknowledged.
+func (s *Shard) admit(f byte, rs []rating.Rating) []error {
+	d := &s.dests[f]
+	var errs []error
+	var out []bool // entries that do not land: failed, or owed to a replay
+	for i := range rs {
+		err := s.check(f, &rs[i])
+		if err != nil {
+			errs = failAt(errs, len(rs), i, err)
+		}
+		if err != nil || d.recovered.take(rs[i].Seq) {
+			if out == nil {
+				out = make([]bool, len(rs))
+			}
+			out[i] = true
+		}
+	}
+	batch := rs
+	if out != nil {
+		batch = make([]rating.Rating, 0, len(rs))
+		for i := range rs {
+			if !out[i] {
+				batch = append(batch, rs[i])
+			}
+		}
+	}
+	if len(batch) == 0 {
+		return errs
+	}
+	if err := s.journal(f, batch); err != nil {
+		err = fmt.Errorf("manager: journal append: %w", err)
+		for i := range rs {
+			if out == nil || !out[i] {
+				errs = failAt(errs, len(rs), i, err)
+			}
+		}
+		return errs
+	}
+	s.land(f, batch)
+	return errs
+}
+
+// failAt sets errs[i], first allocating errs index-aligned with n entries.
+func failAt(errs []error, n, i int, err error) []error {
+	if errs == nil {
+		errs = make([]error, n)
+	}
+	errs[i] = err
+	return errs
+}
+
+// journal appends rs to the WAL, if the shard has one, as records of
+// destination f: rating records for the primary ledger, fated records
+// carrying f for the others.
+func (s *Shard) journal(f byte, rs []rating.Rating) error {
 	if s.wal == nil {
-		return
+		return nil
 	}
-	var primary, mirror rating.Journal
-	if on {
-		primary = walJournal{s.wal, persist.KindRating, 0}
-		mirror = walJournal{s.wal, persist.KindFatedRating, persist.FateReplica}
+	kind := persist.KindRating
+	if f != 0 {
+		kind = persist.KindFatedRating
 	}
-	s.ledger.SetJournal(primary)
-	if s.replica != nil {
-		s.replica.SetJournal(mirror)
-	}
-}
-
-// walJournal adapts a persist.WAL to the ledger's write-ahead hook, writing
-// records of one kind (fated records carry their fate flags).
-type walJournal struct {
-	w     *persist.WAL
-	kind  byte
-	flags byte
-}
-
-func (j walJournal) Append(rs []rating.Rating) error {
 	recs := make([]persist.Record, len(rs))
 	for i, r := range rs {
 		recs[i] = persist.Record{
-			Kind:     j.kind,
-			Flags:    j.flags,
+			Kind:     kind,
+			Flags:    f,
 			Seq:      r.Seq,
 			Rater:    int32(r.Rater),
 			Ratee:    int32(r.Ratee),
@@ -133,135 +226,56 @@ func (j walJournal) Append(rs []rating.Rating) error {
 			Value:    r.Value,
 		}
 	}
-	return j.w.Append(recs)
+	return s.wal.Append(recs)
 }
 
-func (s *Shard) oob(r rating.Rating) bool {
-	return r.Rater < 0 || r.Rater >= s.numNodes || r.Ratee < 0 || r.Ratee >= s.numNodes
+// land applies checked ratings to destination f: a deferred queue append,
+// or a ledger add.
+func (s *Shard) land(f byte, rs []rating.Rating) {
+	d := &s.dests[f]
+	if f&persist.FateDeferred != 0 {
+		d.queue = append(d.queue, rs...)
+		return
+	}
+	d.ledger.AddBatch(rs) // every rating already passed check
 }
 
-func (s *Shard) oobErr(r rating.Rating) error {
-	return fmt.Errorf("manager: node out of range in %+v (numNodes=%d)", r, s.numNodes)
-}
-
-// AddPlain applies a plain sub-batch to the primary ledger. Node ranges are
-// checked before the ledger sees them — the ledger panics on out-of-range
-// IDs, and neither a caller's bad rating nor a malformed peer may panic a
-// host — with invalid entries failed individually. The error slice is
-// index-aligned with rs and nil when everything landed; the second return is
-// ErrShardDown on a crashed shard.
+// AddPlain admits a plain sub-batch to the primary ledger. Invalid entries
+// fail individually; the error slice is index-aligned with rs and nil when
+// everything landed. The second return is ErrShardDown on a crashed shard.
 func (s *Shard) AddPlain(rs []rating.Rating) ([]error, error) {
 	if s.down {
 		return nil, ErrShardDown
 	}
-	var errs []error
-	valid := rs
-	var idx []int
-	for i := range rs {
-		if s.oob(rs[i]) {
-			if errs == nil {
-				errs = make([]error, len(rs))
-				valid = make([]rating.Rating, 0, len(rs))
-				idx = make([]int, 0, len(rs))
-				valid = append(valid, rs[:i]...)
-				for j := 0; j < i; j++ {
-					idx = append(idx, j)
-				}
-			}
-			errs[i] = s.oobErr(rs[i])
-			continue
-		}
-		if errs != nil {
-			valid = append(valid, rs[i])
-			idx = append(idx, i)
-		}
-	}
-	res := s.ledger.AddBatch(valid)
-	if res == nil {
-		return errs, nil
-	}
-	if errs == nil {
-		return res, nil
-	}
-	for x, e := range res {
-		if e != nil {
-			errs[idx[x]] = e
-		}
-	}
-	return errs, nil
+	return s.admit(0, rs), nil
 }
 
-// AddEntries applies a fault-mode sub-batch, honoring each entry's
-// replica/deferred fate bits. Deferred entries are acknowledged on receipt
-// and applied at the next drain.
+// AddEntries admits a fault-mode sub-batch one entry at a time, each to the
+// destination its replica/deferred fate bits name. Deferred entries are
+// acknowledged on receipt and applied at the next drain.
 func (s *Shard) AddEntries(es []BatchEntry) ([]error, error) {
 	if s.down {
 		return nil, ErrShardDown
 	}
 	var errs []error
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, len(es))
-		}
-		errs[i] = err
-	}
-	for i, e := range es {
-		if s.oob(e.R) {
-			fail(i, s.oobErr(e.R))
-			continue
-		}
-		switch {
-		case e.Deferred:
-			queue, rec, flags := &s.deferred, s.recDeferred, persist.FateDeferred
-			if e.Replica {
-				queue, rec, flags = &s.deferredReplica, s.recDeferredReplica, persist.FateDeferred|persist.FateReplica
-			}
-			if consumeRecovered(rec, e.R.Seq) {
-				continue // restored from the WAL; acknowledge without requeueing
-			}
-			if s.wal != nil {
-				if err := (walJournal{s.wal, persist.KindFatedRating, flags}).Append([]rating.Rating{e.R}); err != nil {
-					fail(i, err)
-					continue
-				}
-			}
-			*queue = append(*queue, e.R)
-		case e.Replica:
-			if s.replica == nil {
-				fail(i, fmt.Errorf("manager: replica entry on unreplicated shard %d", s.id))
-				continue
-			}
-			// The replica ledger's fated journal records the entry before it
-			// is acknowledged, and its recovered set absorbs resubmissions of
-			// WAL-restored entries.
-			if err := s.replica.Add(e.R); err != nil {
-				fail(i, err)
-			}
-		default:
-			if err := s.ledger.Add(e.R); err != nil {
-				fail(i, err)
-			}
+	for i := range es {
+		if res := s.admit(es[i].fate(), []rating.Rating{es[i].R}); res != nil {
+			errs = failAt(errs, len(es), i, res[0])
 		}
 	}
 	return errs, nil
 }
 
-// consumeRecovered consumes one pending occurrence of seq from a deferred
-// recovered-multiset, reporting whether it was pending.
-func consumeRecovered(m map[uint64]int, seq uint64) bool {
-	if seq == 0 || m == nil {
-		return false
+// fate is the destination an entry names, as WAL fate flags.
+func (e BatchEntry) fate() byte {
+	var f byte
+	if e.Replica {
+		f |= persist.FateReplica
 	}
-	n := m[seq]
-	if n == 0 {
-		return false
+	if e.Deferred {
+		f |= persist.FateDeferred
 	}
-	if n == 1 {
-		delete(m, seq)
-	} else {
-		m[seq] = n - 1
-	}
-	return true
+	return f
 }
 
 // Drain flushes deferred submissions into the ledgers and snapshots the
@@ -271,22 +285,9 @@ func (s *Shard) Drain() (DrainSnapshots, error) {
 	if s.down {
 		return DrainSnapshots{}, ErrShardDown
 	}
-	// Deferred entries were journaled as fated records when they were
-	// accepted; flushing them into the interval ledgers must not journal them
-	// a second time, so the write-ahead hooks are suspended for the flush.
-	s.journal(false)
-	defer s.journal(true)
-	for _, r := range s.deferred {
-		_ = s.ledger.Add(r) // validated at submit time
-	}
-	s.deferred = s.deferred[:0]
-	ds := DrainSnapshots{Primary: s.ledger.EndInterval()}
-	if s.replica != nil {
-		for _, r := range s.deferredReplica {
-			_ = s.replica.Add(r)
-		}
-		s.deferredReplica = s.deferredReplica[:0]
-		ds.Replica, ds.HasReplica = s.replica.EndInterval(), true
+	ds := DrainSnapshots{Primary: s.drain(0)}
+	if s.replicated {
+		ds.Replica, ds.HasReplica = s.drain(persist.FateReplica), true
 	}
 	if s.wal != nil {
 		s.drainCovers = append(s.drainCovers, drainCover{ds.Primary.MaxSeq, ds.Replica.MaxSeq})
@@ -294,18 +295,42 @@ func (s *Shard) Drain() (DrainSnapshots, error) {
 	return ds, nil
 }
 
-// Crash kills the incarnation: its interval ledgers are discarded. The WAL
-// stays open — it is the durability mechanism, and Restart replays its
-// recoverable tail.
-func (s *Shard) Crash() {
-	s.down = true
-	s.ledger, s.replica = nil, nil
-	s.deferred, s.deferredReplica = nil, nil
-	s.recDeferred, s.recDeferredReplica = nil, nil
+// drain flushes ledger destination f's deferred queue into its ledger and
+// snapshots the ledger. The queued ratings were journaled when they were
+// admitted, so the flush journals nothing.
+func (s *Shard) drain(f byte) rating.Snapshot {
+	q, l := &s.dests[f|persist.FateDeferred], s.dests[f].ledger
+	l.AddBatch(q.queue)
+	q.queue = q.queue[:0]
+	return l.EndInterval()
 }
 
-// Restart installs a fresh incarnation: empty ledgers, and the WAL's
-// recoverable tail replayed before the journals are reattached. Primary
+// Crash kills the incarnation: its interval ledgers and queues are
+// discarded. The WAL stays open — it is the durability mechanism, and
+// Restart replays its recoverable tail.
+func (s *Shard) Crash() {
+	s.down = true
+	s.dests = [4]dest{}
+}
+
+// recordFate names the destination a WAL record replays into: the primary
+// ledger for a rating record, the one its replica and deferred flags name
+// for a fated record. Marks, and fated records carrying neither flag, replay
+// nowhere.
+func recordFate(rec *persist.Record) (byte, bool) {
+	switch rec.Kind {
+	case persist.KindRating:
+		return 0, true
+	case persist.KindFatedRating:
+		f := rec.Flags & (persist.FateReplica | persist.FateDeferred)
+		return f, f != 0
+	}
+	return 0, false
+}
+
+// Restart installs a fresh incarnation: empty ledgers and queues, into which
+// the WAL's recoverable tail replays, each record to the destination its
+// kind and flags name and only if it passes the admission check. Primary
 // records replay above floor.
 //
 // Fated records (replica mirror, deferred queues) describe per-interval
@@ -316,9 +341,10 @@ func (s *Shard) Crash() {
 // boundaries are recovered from the WAL itself: fated records positioned
 // before the last mark belong to drained intervals and never replay. They
 // replay only when markRecovered is set (a reconnect resync or a whole-process
-// resume), above replicaFloor for the mirror and floor for the deferred
-// primary queue. Every replayed sequence is then registered as recovered, so
-// the re-delivered duplicates are acknowledged without double-counting.
+// resume), above replicaFloor for the mirror and its queue and above floor
+// for the primary queue. Every replayed sequence is then registered as
+// recovered with its destination, so the re-delivered duplicates are
+// acknowledged without double-counting.
 //
 // A restart without markRecovered is a coordinator-initiated incarnation
 // crash: the mirror and deferred queues are rebuilt empty, and a barrier mark
@@ -334,24 +360,21 @@ func (s *Shard) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 	var lastMarkVal uint64
 	for i := range recs {
 		if recs[i].Kind == persist.KindMark {
-			lastMark = i
-			lastMarkVal = recs[i].Seq
+			lastMark, lastMarkVal = i, recs[i].Seq
 		}
 	}
-	var recovered, recReplica map[uint64]int
-	note := func(m *map[uint64]int, seq uint64) {
-		if markRecovered {
-			if *m == nil {
-				*m = make(map[uint64]int)
-			}
-			(*m)[seq]++
+	for i := range recs {
+		rec := &recs[i]
+		f, ok := recordFate(rec)
+		above := floor
+		if f&persist.FateReplica != 0 {
+			above = replicaFloor
 		}
-	}
-	for idx, rec := range recs {
-		if rec.Kind != persist.KindRating && rec.Kind != persist.KindFatedRating {
+		// A fated record replays only into a resync, and only past the last
+		// mark.
+		if !ok || rec.Seq <= above || f != 0 && (!markRecovered || i < lastMark) {
 			continue
 		}
-		fatedLive := markRecovered && idx > lastMark
 		r := rating.Rating{
 			Rater:    int(rec.Rater),
 			Ratee:    int(rec.Ratee),
@@ -360,47 +383,14 @@ func (s *Shard) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 			Category: int(rec.Category),
 			Seq:      rec.Seq,
 		}
-		if s.oob(r) {
-			continue // defensive: never panic on a corrupt record
+		if s.check(f, &r) != nil {
+			continue
 		}
-		switch {
-		case rec.Kind == persist.KindRating:
-			if rec.Seq <= floor {
-				continue
-			}
-			if err := s.ledger.Add(r); err != nil {
-				continue
-			}
-			note(&recovered, rec.Seq)
-		case rec.Flags&persist.FateDeferred != 0 && rec.Flags&persist.FateReplica != 0:
-			if !fatedLive || rec.Seq <= replicaFloor || s.replica == nil {
-				continue
-			}
-			s.deferredReplica = append(s.deferredReplica, r)
-			note(&s.recDeferredReplica, rec.Seq)
-		case rec.Flags&persist.FateDeferred != 0:
-			if !fatedLive || rec.Seq <= floor {
-				continue
-			}
-			s.deferred = append(s.deferred, r)
-			note(&s.recDeferred, rec.Seq)
-		case rec.Flags&persist.FateReplica != 0:
-			if !fatedLive || rec.Seq <= replicaFloor || s.replica == nil {
-				continue
-			}
-			if err := s.replica.Add(r); err != nil {
-				continue
-			}
-			note(&recReplica, rec.Seq)
+		s.land(f, []rating.Rating{r})
+		if markRecovered {
+			s.dests[f].recovered.add(r.Seq)
 		}
 	}
-	if len(recovered) > 0 {
-		s.ledger.MarkRecovered(recovered)
-	}
-	if len(recReplica) > 0 {
-		s.replica.MarkRecovered(recReplica)
-	}
-	s.journal(true)
 	if markRecovered {
 		return nil
 	}

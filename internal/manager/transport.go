@@ -66,9 +66,9 @@ type ShardConn interface {
 	Crash() error
 
 	// Restart installs a fresh incarnation, replaying the shard's primary
-	// WAL records above floor and its fated records (replica mirror,
-	// deferred queues) above replicaFloor. With markRecovered set the
-	// replayed sequence numbers are registered for duplicate-ack dedupe (the
+	// WAL records and deferred primary records above floor and its mirror
+	// records above replicaFloor. With markRecovered set the replayed
+	// sequence numbers are registered for duplicate-ack dedupe (the
 	// re-delivery path after a process loss).
 	Restart(floor, replicaFloor uint64, markRecovered bool) error
 

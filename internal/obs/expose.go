@@ -290,7 +290,7 @@ func CaptureRuntime() RuntimeStats {
 		TotalAlloc: ms.TotalAlloc,
 		NumGC:      ms.NumGC,
 	}
-	st.RSS, st.RSSPeak = readProcRSS()
+	st.RSS, st.RSSPeak = ProcRSS(os.Getpid())
 	gGoroutines.Set(float64(st.Goroutines))
 	gGoroutinesPeak.SetMax(float64(st.Goroutines))
 	gHeapAlloc.Set(float64(st.HeapAlloc))
@@ -307,10 +307,11 @@ func CaptureRuntime() RuntimeStats {
 	return st
 }
 
-// readProcRSS reads VmRSS and VmHWM from /proc/self/status, in bytes.
-// Returns zeros on platforms without procfs.
-func readProcRSS() (rss, peak uint64) {
-	data, err := os.ReadFile("/proc/self/status")
+// ProcRSS reads a process's resident set size (VmRSS) and its peak (VmHWM)
+// from /proc/<pid>/status, in bytes. Both are zero where procfs is missing
+// or the process is gone.
+func ProcRSS(pid int) (rss, peak uint64) {
+	data, err := os.ReadFile("/proc/" + strconv.Itoa(pid) + "/status")
 	if err != nil {
 		return 0, 0
 	}

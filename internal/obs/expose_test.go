@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -89,5 +90,20 @@ func TestSortLabels(t *testing.T) {
 		if got := sortLabels(c[0]); got != c[1] {
 			t.Errorf("sortLabels(%q) = %q, want %q", c[0], got, c[1])
 		}
+	}
+}
+
+// TestProcRSS checks the one /proc/<pid>/status reader: this process has a
+// resident set no larger than its peak where procfs exists, and a pid that
+// names no process reads as zeros.
+func TestProcRSS(t *testing.T) {
+	if _, err := os.Stat("/proc/self/status"); err == nil {
+		rss, peak := ProcRSS(os.Getpid())
+		if rss == 0 || peak < rss {
+			t.Fatalf("ProcRSS(self) = %d, %d; want 0 < rss <= peak", rss, peak)
+		}
+	}
+	if rss, peak := ProcRSS(-1); rss != 0 || peak != 0 {
+		t.Fatalf("ProcRSS(-1) = %d, %d; want zeros", rss, peak)
 	}
 }

@@ -4,7 +4,7 @@
 // is bit-identical to an uninterrupted run.
 //
 // The WAL holds the tail of history since the last snapshot: every rating
-// accepted by a ledger is appended (and flushed to the OS) before the
+// a manager shard admits is appended (and flushed to the OS) before the
 // submission is acknowledged, so a process crash — kill -9 included — loses
 // nothing that was acknowledged. Snapshots are taken at update-interval
 // boundaries, the natural consistency point of the deterministic pipeline:

@@ -1,21 +1,23 @@
-package rating
+package rating_test
 
 import (
-	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"socialtrust/internal/rating"
+	"socialtrust/internal/rating/ratingtest"
 )
 
 func BenchmarkLedgerAddSerial(b *testing.B) {
-	l := NewLedger(1000)
+	l := rating.NewLedger(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Add(Rating{Rater: i % 1000, Ratee: (i + 1) % 1000, Value: 1}) //nolint:errcheck
+		l.Add(rating.Rating{Rater: i % 1000, Ratee: (i + 1) % 1000, Value: 1}) //nolint:errcheck
 	}
 }
 
 func BenchmarkLedgerAddParallel(b *testing.B) {
-	l := NewLedger(1000)
+	l := rating.NewLedger(1000)
 	var ctr sync.Mutex
 	next := 0
 	b.ResetTimer()
@@ -26,26 +28,24 @@ func BenchmarkLedgerAddParallel(b *testing.B) {
 		ctr.Unlock()
 		i := base
 		for pb.Next() {
-			l.Add(Rating{Rater: i % 1000, Ratee: (i + 1) % 1000, Value: 1}) //nolint:errcheck
+			l.Add(rating.Rating{Rater: i % 1000, Ratee: (i + 1) % 1000, Value: 1}) //nolint:errcheck
 			i++
 		}
 	})
 }
 
 // BenchmarkEndInterval times the drain. The small case is one ledger of 10k
-// ratings over 1k nodes. The bulk-cluster case is that workload's interval:
-// 412k shuffled ratings over 10k nodes (10k raters giving 40 ratings each to
-// 4 partners, and 50 colluding couples rating each other 120 times), split by
-// ratee over 16 ledgers as the overlay's shards hold them; one op drains all
-// 16.
+// ratings over 1k nodes. The bulk-cluster case is that workload's interval
+// (ratingtest.BulkInterval at 10k nodes, 412k ratings) split by ratee over
+// 16 ledgers as the overlay's shards hold them; one op drains all 16.
 func BenchmarkEndInterval(b *testing.B) {
 	b.Run("10k-ratings-1k-nodes", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			l := NewLedger(1000)
+			l := rating.NewLedger(1000)
 			for k := 0; k < 10000; k++ {
-				l.Add(Rating{Rater: k % 1000, Ratee: (k + 7) % 1000, Value: 1}) //nolint:errcheck
+				l.Add(rating.Rating{Rater: k % 1000, Ratee: (k + 7) % 1000, Value: 1}) //nolint:errcheck
 			}
 			b.StartTimer()
 			l.EndInterval()
@@ -53,59 +53,29 @@ func BenchmarkEndInterval(b *testing.B) {
 	})
 	b.Run("bulk-cluster", func(b *testing.B) {
 		const nodes, shards = 10000, 16
-		parts := make([][]Rating, shards)
-		for _, r := range bulkInterval(nodes) {
+		trace := ratingtest.BulkInterval(nodes)
+		parts := make([][]rating.Rating, shards)
+		for _, r := range trace {
 			parts[r.Ratee%shards] = append(parts[r.Ratee%shards], r)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			ledgers := make([]*Ledger, shards)
+			ledgers := make([]*rating.Ledger, shards)
 			for s := range ledgers {
-				ledgers[s] = NewLedger(nodes)
+				ledgers[s] = rating.NewLedger(nodes)
 				if errs := ledgers[s].AddBatch(parts[s]); errs != nil {
 					b.Fatal(errs)
 				}
 			}
 			b.StartTimer()
+			drained := 0
 			for _, l := range ledgers {
-				l.EndInterval()
+				drained += len(l.EndInterval().Ratings)
+			}
+			if drained != len(trace) {
+				b.Fatalf("drained %d of %d ratings", drained, len(trace))
 			}
 		}
 	})
-}
-
-// bulkInterval draws one bulk-cluster-shaped interval over nodes peers from a
-// fixed seed: each peer rates 4 partners 40 times in all (a fifth of the
-// ratings negative, categories uniform over 16), 50 couples add 120 ratings
-// each way, and the trace is shuffled and sequenced.
-func bulkInterval(nodes int) []Rating {
-	rng := rand.New(rand.NewPCG(1, 2))
-	var trace []Rating
-	for i := 0; i < nodes; i++ {
-		var partners [4]int
-		for k := range partners {
-			partners[k] = (i + 1 + rng.IntN(nodes-1)) % nodes
-		}
-		for k := 0; k < 40; k++ {
-			v := 1.0
-			if rng.Float64() < 0.2 {
-				v = -1
-			}
-			trace = append(trace, Rating{Rater: i, Ratee: partners[rng.IntN(4)], Value: v, Cycle: 3, Category: rng.IntN(16)})
-		}
-	}
-	for c := 0; c < 50; c++ {
-		a, p := 2*c, 2*c+1
-		for k := 0; k < 120; k++ {
-			trace = append(trace,
-				Rating{Rater: a, Ratee: p, Value: 1, Cycle: 3, Category: rng.IntN(16)},
-				Rating{Rater: p, Ratee: a, Value: 1, Cycle: 3, Category: rng.IntN(16)})
-		}
-	}
-	rng.Shuffle(len(trace), func(a, b int) { trace[a], trace[b] = trace[b], trace[a] })
-	for k := range trace {
-		trace[k].Seq = uint64(k + 1)
-	}
-	return trace
 }

@@ -88,36 +88,13 @@ func RunsIncrease(runs []PairRun) bool {
 	return true
 }
 
-const numShards = 16
-
-// Journal receives every accepted rating before the ledger acknowledges it —
-// the write-ahead hook durability layers implement. Append must return only
-// after the ratings are safe against process death; an error vetoes the
-// ingest.
-type Journal interface {
-	Append(rs []Rating) error
-}
-
-// Ledger collects ratings for the current reputation-update interval T.
-// Writes are sharded by ratee so concurrent clients rating different servers
-// rarely contend. EndInterval atomically drains the interval.
+// Ledger collects ratings for the current reputation-update interval T:
+// one slice in arrival order under one mutex, so it is safe for concurrent
+// use. EndInterval atomically drains the interval in snapshot order.
 type Ledger struct {
 	numNodes int
-	journal  Journal
-	shards   [numShards]ledgerShard
-
-	// recovered maps sequence numbers already restored from a WAL replay to
-	// how many times each was durably applied. While an entry is pending,
-	// re-executed submissions carrying that Seq are acknowledged without
-	// being applied or re-journaled — the crash-restart dedupe that keeps a
-	// replayed interval from double-counting ratings.
-	recMu     sync.Mutex
-	recovered map[uint64]int
-}
-
-type ledgerShard struct {
-	mu      sync.Mutex
-	ratings []Rating
+	mu       sync.Mutex
+	ratings  []Rating
 }
 
 // NewLedger creates a ledger for a population of numNodes peers.
@@ -130,52 +107,6 @@ func NewLedger(numNodes int) *Ledger {
 
 // NumNodes reports the population size the ledger was created for.
 func (l *Ledger) NumNodes() int { return l.numNodes }
-
-// SetJournal installs (or, with nil, removes) the write-ahead journal.
-// Ratings accepted afterwards are appended to the journal before they are
-// acknowledged. Not safe to call concurrently with Add/AddBatch.
-func (l *Ledger) SetJournal(j Journal) { l.journal = j }
-
-// MarkRecovered registers sequence numbers restored from a WAL replay, with
-// per-seq multiplicity (fault injection can legitimately duplicate a
-// delivery). Until consumed, a submission carrying one of these Seqs is
-// acknowledged as a success but neither re-applied nor re-journaled.
-func (l *Ledger) MarkRecovered(seqs map[uint64]int) {
-	l.recMu.Lock()
-	defer l.recMu.Unlock()
-	if l.recovered == nil {
-		l.recovered = make(map[uint64]int, len(seqs))
-	}
-	for s, n := range seqs {
-		if s != 0 && n > 0 {
-			l.recovered[s] += n
-		}
-	}
-}
-
-// consumeRecovered reports whether the rating's Seq is pending as recovered
-// and, if so, consumes one occurrence.
-func (l *Ledger) consumeRecovered(seq uint64) bool {
-	if seq == 0 || l.recovered == nil {
-		return false
-	}
-	l.recMu.Lock()
-	defer l.recMu.Unlock()
-	n := l.recovered[seq]
-	if n == 0 {
-		return false
-	}
-	if n == 1 {
-		delete(l.recovered, seq)
-	} else {
-		l.recovered[seq] = n - 1
-	}
-	return true
-}
-
-func (l *Ledger) shard(ratee int) *ledgerShard {
-	return &l.shards[ratee%numShards]
-}
 
 // Validate reports why a ledger refuses a rating whose node IDs are in
 // range: a self-rating, which no reputation system accepts, or a NaN or
@@ -191,135 +122,60 @@ func Validate(r *Rating) error {
 	return nil
 }
 
+// check is Add's rule for one rating: a panic on out-of-range node IDs,
+// then Validate's verdict.
+func (l *Ledger) check(r *Rating) error {
+	if r.Rater < 0 || r.Rater >= l.numNodes || r.Ratee < 0 || r.Ratee >= l.numNodes {
+		panic(fmt.Sprintf("rating: node out of range in %+v (numNodes=%d)", *r, l.numNodes))
+	}
+	return Validate(r)
+}
+
 // Add appends a rating to the current interval. It panics on out-of-range
 // node IDs (experiment construction errors) and rejects self-ratings and
 // non-finite values.
 func (l *Ledger) Add(r Rating) error {
-	if r.Rater < 0 || r.Rater >= l.numNodes || r.Ratee < 0 || r.Ratee >= l.numNodes {
-		panic(fmt.Sprintf("rating: node out of range in %+v (numNodes=%d)", r, l.numNodes))
-	}
-	if err := Validate(&r); err != nil {
+	if err := l.check(&r); err != nil {
 		return err
 	}
-	if l.consumeRecovered(r.Seq) {
-		return nil
-	}
-	if l.journal != nil {
-		if err := l.journal.Append([]Rating{r}); err != nil {
-			return fmt.Errorf("rating: journal append: %w", err)
-		}
-	}
-	s := l.shard(r.Ratee)
-	s.mu.Lock()
-	s.ratings = append(s.ratings, r)
-	s.mu.Unlock()
+	l.mu.Lock()
+	l.ratings = append(l.ratings, r)
+	l.mu.Unlock()
 	return nil
 }
 
-// AddBatch appends a batch of ratings to the current interval, visiting each
-// internal shard once: per-shard growth is pre-sized and each shard lock is
-// taken once per call instead of once per rating. Semantics match a sequence
-// of Add calls — out-of-range node IDs panic, self-ratings and non-finite
-// values are rejected per entry. The returned slice is index-aligned with
-// rs; a nil return means every rating landed.
+// AddBatch appends a batch of ratings to the current interval under one
+// lock acquisition, growing the slice at most once. Semantics match a
+// sequence of Add calls — out-of-range node IDs panic before any rating
+// lands, self-ratings and non-finite values are rejected per entry. The
+// returned slice is index-aligned with rs; a nil return means every rating
+// landed.
 func (l *Ledger) AddBatch(rs []Rating) []error {
 	var errs []error
-	var skip []bool
-	var toJournal []Rating
-	var need [numShards]int
 	for i := range rs {
-		r := &rs[i]
-		if r.Rater < 0 || r.Rater >= l.numNodes || r.Ratee < 0 || r.Ratee >= l.numNodes {
-			panic(fmt.Sprintf("rating: node out of range in %+v (numNodes=%d)", *r, l.numNodes))
-		}
-		if err := Validate(r); err != nil {
+		if err := l.check(&rs[i]); err != nil {
 			if errs == nil {
 				errs = make([]error, len(rs))
 			}
 			errs[i] = err
-			continue
-		}
-		if l.consumeRecovered(r.Seq) {
-			if skip == nil {
-				skip = make([]bool, len(rs))
-			}
-			skip[i] = true
-			continue
-		}
-		if l.journal != nil {
-			toJournal = append(toJournal, *r)
-		}
-		need[r.Ratee%numShards]++
-	}
-	if len(toJournal) > 0 {
-		if err := l.journal.Append(toJournal); err != nil {
-			// The write-ahead append failed, so nothing was made durable:
-			// veto every rating that was about to be applied.
-			if errs == nil {
-				errs = make([]error, len(rs))
-			}
-			for i := range rs {
-				if errs[i] == nil && (skip == nil || !skip[i]) {
-					errs[i] = fmt.Errorf("rating: journal append: %w", err)
-				}
-			}
-			return errs
 		}
 	}
-	// Counting sort: perm groups the indices of valid ratings by destination
-	// shard, preserving input order within each shard (the same per-shard
-	// insertion order sequential Adds would produce).
-	var starts [numShards + 1]int
-	for s := 0; s < numShards; s++ {
-		starts[s+1] = starts[s] + need[s]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if free := cap(l.ratings) - len(l.ratings); free < len(rs) {
+		newCap := max(len(l.ratings)+len(rs), 2*cap(l.ratings)) // append-style amortization
+		l.ratings = append(make([]Rating, 0, newCap), l.ratings...)
 	}
-	perm := make([]int, starts[numShards])
-	fill := starts
+	if errs == nil {
+		l.ratings = append(l.ratings, rs...)
+		return nil
+	}
 	for i := range rs {
-		if errs != nil && errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			l.ratings = append(l.ratings, rs[i])
 		}
-		if skip != nil && skip[i] {
-			continue
-		}
-		s := rs[i].Ratee % numShards
-		perm[fill[s]] = i
-		fill[s]++
-	}
-	for s := 0; s < numShards; s++ {
-		lo, hi := starts[s], starts[s+1]
-		if lo == hi {
-			continue
-		}
-		sh := &l.shards[s]
-		sh.mu.Lock()
-		if free := cap(sh.ratings) - len(sh.ratings); free < hi-lo {
-			newCap := len(sh.ratings) + (hi - lo)
-			if newCap < 2*cap(sh.ratings) {
-				newCap = 2 * cap(sh.ratings) // keep append-style amortization
-			}
-			grown := make([]Rating, len(sh.ratings), newCap)
-			copy(grown, sh.ratings)
-			sh.ratings = grown
-		}
-		for _, i := range perm[lo:hi] {
-			sh.ratings = append(sh.ratings, rs[i])
-		}
-		sh.mu.Unlock()
 	}
 	return errs
-}
-
-// IntervalSize returns the number of ratings accumulated this interval.
-func (l *Ledger) IntervalSize() int {
-	n := 0
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		n += len(s.ratings)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Snapshot is the drained content of one reputation-update interval.
@@ -337,16 +193,13 @@ type Snapshot struct {
 
 // EndInterval atomically drains and returns the interval's ratings,
 // resetting the ledger for the next interval. Ratings come back in snapshot
-// order, ties in insertion order.
+// order, ties in arrival order.
 func (l *Ledger) EndInterval() Snapshot {
-	var runs [numShards][]Rating
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		runs[i], s.ratings = s.ratings, nil
-		s.mu.Unlock()
-	}
-	snap := Snapshot{Ratings: SnapshotOrder(runs[:]...)}
+	l.mu.Lock()
+	rs := l.ratings
+	l.ratings = nil
+	l.mu.Unlock()
+	snap := Snapshot{Ratings: SnapshotOrder(rs)}
 	for i := range snap.Ratings {
 		snap.MaxSeq = max(snap.MaxSeq, snap.Ratings[i].Seq)
 	}

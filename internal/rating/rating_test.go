@@ -27,10 +27,11 @@ func TestAddAndCounts(t *testing.T) {
 	if err := l.Add(Rating{Rater: 1, Ratee: 2, Value: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if l.IntervalSize() != 4 {
-		t.Fatalf("IntervalSize = %d", l.IntervalSize())
+	snap := l.EndInterval()
+	if len(snap.Ratings) != 4 {
+		t.Fatalf("drained %d ratings", len(snap.Ratings))
 	}
-	counts := pairCounts(l.EndInterval())
+	counts := pairCounts(snap)
 	c := counts[PairKey{1, 2}]
 	if c.Positive != 3 || c.Negative != 1 || c.Total() != 4 {
 		t.Fatalf("Counts = %+v", c)
@@ -45,10 +46,11 @@ func TestZeroValueRatingNotCounted(t *testing.T) {
 	if err := l.Add(Rating{Rater: 0, Ratee: 1, Value: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if l.IntervalSize() != 1 {
+	snap := l.EndInterval()
+	if len(snap.Ratings) != 1 {
 		t.Fatal("zero-value rating should still be stored")
 	}
-	c, ok := pairCounts(l.EndInterval())[PairKey{0, 1}]
+	c, ok := pairCounts(snap)[PairKey{0, 1}]
 	if !ok || c.Positive != 0 || c.Negative != 0 {
 		t.Fatalf("zero-value rating affected counters: %+v (pair present %v)", c, ok)
 	}
@@ -59,7 +61,7 @@ func TestSelfRatingRejected(t *testing.T) {
 	if err := l.Add(Rating{Rater: 2, Ratee: 2, Value: 1}); err == nil {
 		t.Fatal("self-rating should be rejected")
 	}
-	if l.IntervalSize() != 0 {
+	if len(l.EndInterval().Ratings) != 0 {
 		t.Fatal("rejected rating was stored")
 	}
 }
@@ -92,9 +94,6 @@ func TestEndIntervalDrains(t *testing.T) {
 		t.Fatalf("snapshot counts = %+v", counts)
 	}
 	// Ledger is now empty.
-	if l.IntervalSize() != 0 {
-		t.Fatal("ledger not drained")
-	}
 	empty := l.EndInterval()
 	if len(empty.Ratings) != 0 || len(PairRuns(empty.Ratings, nil)) != 0 {
 		t.Fatal("second drain should be empty")
@@ -116,12 +115,56 @@ func TestConcurrentAdds(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := l.IntervalSize(); got != workers*per {
-		t.Fatalf("IntervalSize = %d, want %d", got, workers*per)
-	}
 	snap := l.EndInterval()
 	if len(snap.Ratings) != workers*per {
 		t.Fatalf("drained %d", len(snap.Ratings))
+	}
+}
+
+// TestConcurrentAddBatchAndDrain batches ratings into one ledger from
+// several goroutines while another drains it, and checks that every rating
+// is drained exactly once.
+func TestConcurrentAddBatchAndDrain(t *testing.T) {
+	l := NewLedger(64)
+	const workers, batches, per = 4, 50, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				rs := make([]Rating, per)
+				for k := range rs {
+					rs[k] = Rating{Rater: w, Ratee: (w + 1 + k) % 64, Value: 1, Seq: uint64((w*batches+b)*per + k + 1)}
+				}
+				if errs := l.AddBatch(rs); errs != nil {
+					t.Errorf("AddBatch: %v", errs)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	seen := map[uint64]int{}
+	go func() {
+		defer close(done)
+		for k := 0; k < 100; k++ {
+			for _, r := range l.EndInterval().Ratings {
+				seen[r.Seq]++
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	for _, r := range l.EndInterval().Ratings {
+		seen[r.Seq]++
+	}
+	if len(seen) != workers*batches*per {
+		t.Fatalf("drained %d distinct ratings, want %d", len(seen), workers*batches*per)
+	}
+	for seq, n := range seen {
+		if n != 1 {
+			t.Fatalf("seq %d drained %d times", seq, n)
+		}
 	}
 }
 
@@ -170,7 +213,7 @@ func TestLedgerConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return l.IntervalSize() == 0
+		return len(l.EndInterval().Ratings) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -237,30 +280,19 @@ func TestAddBatchSelfRatingIndexed(t *testing.T) {
 	if errs == nil || errs[0] != nil || errs[1] == nil || errs[2] != nil {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
-	if l.IntervalSize() != 2 {
-		t.Fatalf("IntervalSize = %d, want 2", l.IntervalSize())
+	if n := len(l.EndInterval().Ratings); n != 2 {
+		t.Fatalf("drained %d ratings, want 2", n)
 	}
 	if l.AddBatch([]Rating{{Rater: 0, Ratee: 2, Value: 1}}) != nil {
 		t.Fatal("clean batch should return nil")
 	}
 }
 
-// recordingJournal keeps every rating appended to it.
-type recordingJournal struct{ got []Rating }
-
-func (j *recordingJournal) Append(rs []Rating) error {
-	j.got = append(j.got, rs...)
-	return nil
-}
-
 // TestNonFiniteValueRejected checks that Add and AddBatch refuse NaN and
-// infinite values per entry, before the journal sees them, and keep the
-// finite ratings of the same batch.
+// infinite values per entry and keep the finite ratings of the same batch.
 func TestNonFiniteValueRejected(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		l := NewLedger(4)
-		j := &recordingJournal{}
-		l.SetJournal(j)
 		if err := l.Add(Rating{Rater: 0, Ratee: 1, Value: v, Seq: 1}); err == nil {
 			t.Errorf("Add accepted value %v", v)
 		}
@@ -268,9 +300,6 @@ func TestNonFiniteValueRejected(t *testing.T) {
 		errs := l.AddBatch([]Rating{{Rater: 0, Ratee: 1, Value: v, Seq: 2}, good})
 		if errs == nil || errs[0] == nil || errs[1] != nil {
 			t.Errorf("AddBatch with value %v: errors %v, want only the first entry rejected", v, errs)
-		}
-		if len(j.got) != 1 || j.got[0] != good {
-			t.Errorf("value %v: journaled %v, want only %v", v, j.got, good)
 		}
 		if snap := l.EndInterval(); len(snap.Ratings) != 1 || snap.Ratings[0] != good {
 			t.Errorf("value %v: drained %v, want only %v", v, snap.Ratings, good)

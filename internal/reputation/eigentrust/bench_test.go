@@ -1,10 +1,10 @@
 package eigentrust
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"socialtrust/internal/rating"
+	"socialtrust/internal/rating/ratingtest"
 )
 
 func benchSnapshot(n int) rating.Snapshot {
@@ -37,7 +37,7 @@ func BenchmarkPowerIterationParallel500(b *testing.B) { benchmarkPowerIteration(
 func BenchmarkEngineUpdate(b *testing.B) {
 	b.Run("bulk-cluster", func(b *testing.B) {
 		const nodes = 10000
-		snap := rating.Snapshot{Ratings: rating.SnapshotOrder(bulkRatings(nodes))}
+		snap := rating.Snapshot{Ratings: rating.SnapshotOrder(ratingtest.BulkInterval(nodes))}
 		e := New(Config{NumNodes: nodes, Pretrusted: []int{0, 1, 2}})
 		e.Update(snap)
 		b.ReportAllocs()
@@ -46,34 +46,4 @@ func BenchmarkEngineUpdate(b *testing.B) {
 			e.Update(snap)
 		}
 	})
-}
-
-// bulkRatings draws one bulk-cluster-shaped interval over nodes peers from a
-// fixed seed, shuffled as the shards receive it.
-func bulkRatings(nodes int) []rating.Rating {
-	rng := rand.New(rand.NewPCG(1, 2))
-	var rs []rating.Rating
-	for i := 0; i < nodes; i++ {
-		var partners [4]int
-		for k := range partners {
-			partners[k] = (i + 1 + rng.IntN(nodes-1)) % nodes
-		}
-		for k := 0; k < 40; k++ {
-			v := 1.0
-			if rng.Float64() < 0.2 {
-				v = -1
-			}
-			rs = append(rs, rating.Rating{Rater: i, Ratee: partners[rng.IntN(4)], Value: v, Cycle: 3, Category: rng.IntN(16)})
-		}
-	}
-	for c := 0; c < 50; c++ {
-		a, p := 2*c, 2*c+1
-		for k := 0; k < 120; k++ {
-			rs = append(rs,
-				rating.Rating{Rater: a, Ratee: p, Value: 1, Cycle: 3, Category: rng.IntN(16)},
-				rating.Rating{Rater: p, Ratee: a, Value: 1, Cycle: 3, Category: rng.IntN(16)})
-		}
-	}
-	rng.Shuffle(len(rs), func(a, b int) { rs[a], rs[b] = rs[b], rs[a] })
-	return rs
 }

@@ -150,24 +150,21 @@ func (e *Engine) Update(snap rating.Snapshot) {
 		}
 		consensus[ratee] = sum / float64(len(raters))
 	}
-	// Credibility per rater: 1 − RMS deviation of its opinions from
-	// consensus, scaled by the opinion range (means lie in [−1,1] for unit
-	// ratings, so deviation is normalized by 2).
-	credibility := func(rater int) float64 {
-		ratees := byRater[rater]
-		if len(ratees) == 0 {
-			return e.cfg.MinCredibility
-		}
+	// Credibility per rater, computed once: 1 − RMS deviation of its
+	// opinions from consensus, scaled by the opinion range (means lie in
+	// [−1,1] for unit ratings, so deviation is normalized by 2).
+	cred := make([]float64, e.cfg.NumNodes)
+	for rater, ratees := range byRater {
 		sum := 0.0
 		for _, j := range ratees {
 			d := e.opinions[rating.PairKey{Rater: rater, Ratee: j}].mean() - consensus[j]
 			sum += (d / 2) * (d / 2)
 		}
-		cred := 1 - math.Sqrt(sum/float64(len(ratees)))
-		if cred < e.cfg.MinCredibility {
-			cred = e.cfg.MinCredibility
+		c := 1 - math.Sqrt(sum/float64(len(ratees)))
+		if c < e.cfg.MinCredibility {
+			c = e.cfg.MinCredibility
 		}
-		return cred
+		cred[rater] = c
 	}
 	// Current-interval value: credibility-weighted mean opinion.
 	raw := make([]float64, e.cfg.NumNodes)
@@ -178,9 +175,8 @@ func (e *Engine) Update(snap rating.Snapshot) {
 		}
 		var num, den float64
 		for _, r := range raters {
-			c := credibility(r)
-			num += c * e.opinions[rating.PairKey{Rater: r, Ratee: ratee}].mean()
-			den += c
+			num += cred[r] * e.opinions[rating.PairKey{Rater: r, Ratee: ratee}].mean()
+			den += cred[r]
 		}
 		if den > 0 {
 			raw[ratee] = num / den
@@ -255,12 +251,18 @@ func (e *Engine) ExportState() State {
 }
 
 // Validate reports whether the state fits a numNodes-node engine: one
-// history sum, history count and reputation per node. A state read from a
-// file must pass it before ImportState.
+// history sum, history count and reputation per node, and opinions only
+// between its nodes. A state read from a file must pass it before
+// ImportState.
 func (st State) Validate(numNodes int) error {
 	if len(st.HistSum) != numNodes || len(st.HistN) != numNodes || len(st.Rep) != numNodes {
 		return fmt.Errorf("trustguard: state with %d/%d/%d history sums/counts/reputations, want %d",
 			len(st.HistSum), len(st.HistN), len(st.Rep), numNodes)
+	}
+	for _, o := range st.Opinions {
+		if k := o.Key; k.Rater < 0 || k.Rater >= numNodes || k.Ratee < 0 || k.Ratee >= numNodes {
+			return fmt.Errorf("trustguard: state opinion %d->%d outside [0, %d)", k.Rater, k.Ratee, numNodes)
+		}
 	}
 	return nil
 }

@@ -2,9 +2,12 @@ package trustguard
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"socialtrust/internal/rating"
+	"socialtrust/internal/reputation"
 )
 
 func snap(rs ...rating.Rating) rating.Snapshot { return rating.Snapshot{Ratings: rs} }
@@ -208,5 +211,130 @@ func TestResetNode(t *testing.T) {
 	e.Update(snap(rating.Rating{Rater: 0, Ratee: 3, Value: 1}))
 	if e.Reputation(2) != 0 {
 		t.Fatal("node 2's trust should have vanished with its only rater's reset")
+	}
+}
+
+// updateReference is Update with the per-opinion credibility closure it had
+// before each rater's credibility was computed once per call: every
+// (ratee, rater) opinion re-walks all of that rater's opinions.
+func updateReference(e *Engine, snap rating.Snapshot) {
+	for _, r := range snap.Ratings {
+		k := rating.PairKey{Rater: r.Rater, Ratee: r.Ratee}
+		op := e.opinions[k]
+		if op == nil {
+			op = &opinion{}
+			e.opinions[k] = op
+		}
+		op.sum += r.Value
+		op.n++
+	}
+	byRatee := make(map[int][]int)
+	byRater := make(map[int][]int)
+	for k := range e.opinions {
+		byRatee[k.Ratee] = append(byRatee[k.Ratee], k.Rater)
+		byRater[k.Rater] = append(byRater[k.Rater], k.Ratee)
+	}
+	for _, v := range byRatee {
+		sort.Ints(v)
+	}
+	for _, v := range byRater {
+		sort.Ints(v)
+	}
+	consensus := make(map[int]float64, len(byRatee))
+	for ratee, raters := range byRatee {
+		sum := 0.0
+		for _, r := range raters {
+			sum += e.opinions[rating.PairKey{Rater: r, Ratee: ratee}].mean()
+		}
+		consensus[ratee] = sum / float64(len(raters))
+	}
+	credibility := func(rater int) float64 {
+		ratees := byRater[rater]
+		if len(ratees) == 0 {
+			return e.cfg.MinCredibility
+		}
+		sum := 0.0
+		for _, j := range ratees {
+			d := e.opinions[rating.PairKey{Rater: rater, Ratee: j}].mean() - consensus[j]
+			sum += (d / 2) * (d / 2)
+		}
+		cred := 1 - math.Sqrt(sum/float64(len(ratees)))
+		if cred < e.cfg.MinCredibility {
+			cred = e.cfg.MinCredibility
+		}
+		return cred
+	}
+	raw := make([]float64, e.cfg.NumNodes)
+	for ratee := 0; ratee < e.cfg.NumNodes; ratee++ {
+		raters := byRatee[ratee]
+		if len(raters) == 0 {
+			continue
+		}
+		var num, den float64
+		for _, r := range raters {
+			c := credibility(r)
+			num += c * e.opinions[rating.PairKey{Rater: r, Ratee: ratee}].mean()
+			den += c
+		}
+		if den > 0 {
+			raw[ratee] = num / den
+		}
+	}
+	blended := make([]float64, e.cfg.NumNodes)
+	for j := range blended {
+		cur := raw[j]
+		hist := cur
+		if e.histN[j] > 0 {
+			hist = e.histSum[j] / float64(e.histN[j])
+		}
+		v := e.cfg.Alpha*cur + e.cfg.Beta*hist - e.cfg.Gamma*math.Abs(cur-hist)
+		if v < 0 {
+			v = 0
+		}
+		blended[j] = v
+		e.histSum[j] += cur
+		e.histN[j]++
+	}
+	e.rep = reputation.NormalizeScores(blended)
+}
+
+// TestUpdateMatchesPerOpinionCredibility runs Update and updateReference
+// side by side over random multi-interval runs — fractional values of both
+// signs, zeros, repeated pairs, occasional node resets and two credibility
+// floors — and requires bit-identical reputations after every interval.
+func TestUpdateMatchesPerOpinionCredibility(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.IntN(30)
+		cfg := Config{NumNodes: n}
+		if trial%2 == 1 {
+			cfg.MinCredibility = 0.6
+		}
+		got, want := New(cfg), New(cfg)
+		for iv, intervals := 0, 1+rng.IntN(6); iv < intervals; iv++ {
+			var rs []rating.Rating
+			for k := rng.IntN(4 * n); k > 0; k-- {
+				rater, ratee := rng.IntN(n), rng.IntN(n)
+				if rater == ratee {
+					continue
+				}
+				v := float64(rng.IntN(9)-4) / 4 // −1 … 1 in quarters
+				rs = append(rs, rating.Rating{Rater: rater, Ratee: ratee, Value: v})
+			}
+			snap := rating.Snapshot{Ratings: rating.SnapshotOrder(rs)}
+			got.Update(snap)
+			updateReference(want, snap)
+			g, w := got.Reputations(), want.Reputations()
+			for j := range w {
+				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+					t.Fatalf("trial %d interval %d node %d: reputation %v, per-opinion reference %v", trial, iv, j, g[j], w[j])
+				}
+			}
+			if rng.IntN(4) == 0 {
+				node := rng.IntN(n)
+				got.ResetNode(node)
+				want.ResetNode(node)
+			}
+		}
 	}
 }

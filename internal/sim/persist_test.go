@@ -14,6 +14,7 @@ import (
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation/ebay"
 	"socialtrust/internal/reputation/eigentrust"
+	"socialtrust/internal/reputation/trustguard"
 	"socialtrust/internal/socialgraph"
 )
 
@@ -342,6 +343,9 @@ func TestResumeRefusesMalformedSnapshot(t *testing.T) {
 		{"eBay score count", "ebay", func(st *runState) { st.EngineEBay.Scores = st.EngineEBay.Scores[:n-1] }},
 		{"TrustGuard history count", "trustguard", func(st *runState) { st.EngineTG.HistN = st.EngineTG.HistN[:n-1] }},
 		{"TrustGuard reputation count", "trustguard", func(st *runState) { st.EngineTG.Rep = append(st.EngineTG.Rep, 0) }},
+		{"TrustGuard opinion out of range", "trustguard", func(st *runState) {
+			st.EngineTG.Opinions = append(st.EngineTG.Opinions, trustguard.OpinionState{Key: rating.PairKey{Rater: n, Ratee: 0}, Sum: 1, N: 1})
+		}},
 		{"fault state missing", "faults", func(st *runState) { st.Fault = nil }},
 		{"fault outage shard count", "faults", func(st *runState) { st.Fault.DownUntil = st.Fault.DownUntil[:1] }},
 		{"fault delivery shard count", "faults", func(st *runState) { st.Fault.DeliveryDraws = append(st.Fault.DeliveryDraws, 0) }},

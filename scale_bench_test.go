@@ -1,11 +1,9 @@
 package socialtrust
 
 import (
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
+	"socialtrust/internal/cluster"
 	"socialtrust/internal/core"
 	"socialtrust/internal/interest"
 	"socialtrust/internal/manager"
@@ -157,7 +155,7 @@ func benchmarkPipelineDir(b *testing.B, n int, stateDir string) {
 		b.ReportMetric(float64(len(p.trace))*float64(b.N)/secs, "ratings/s")
 	}
 	b.ReportMetric(secs/float64(b.N), "s/interval")
-	if mb := peakRSSMB(); mb > 0 {
+	if mb := cluster.SelfPeakRSSMB(); mb > 0 {
 		b.ReportMetric(mb, "MB-peakRSS")
 	}
 }
@@ -193,7 +191,7 @@ func benchmarkPipelineSparse(b *testing.B, n int, activeFrac float64) {
 		b.ReportMetric(float64(len(p.trace))*float64(b.N)/secs, "ratings/s")
 	}
 	b.ReportMetric(secs/float64(b.N), "s/interval")
-	if mb := peakRSSMB(); mb > 0 {
+	if mb := cluster.SelfPeakRSSMB(); mb > 0 {
 		b.ReportMetric(mb, "MB-peakRSS")
 	}
 }
@@ -203,27 +201,3 @@ func benchmarkPipelineSparse(b *testing.B, n int, activeFrac float64) {
 // against BenchmarkPipeline50k to see the incremental engine's cost
 // tracking activity instead of population.
 func BenchmarkPipelineSparse50k(b *testing.B) { benchmarkPipelineSparse(b, 50_000, 0.01) }
-
-// peakRSSMB reads the process's peak resident set (VmHWM) in MB; 0 when the
-// platform does not expose /proc/self/status.
-func peakRSSMB() float64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseFloat(f[1], 64)
-		if err != nil {
-			return 0
-		}
-		return kb / 1024
-	}
-	return 0
-}

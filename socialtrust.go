@@ -13,8 +13,9 @@
 //   - the social-network substrate (friendship multigraph, typed
 //     relationships, interaction frequency, Ωc — Equations 2/3/4/10)
 //   - the interest model (interest sets, Ωs — Equations 1/7/11)
-//   - the rating ledger (per-interval ratings in snapshot order, each
-//     pair's t+/t− frequency counters read off its run)
+//   - the rating ledger (one slice of the interval's ratings under one
+//     mutex, drained in snapshot order; each pair's t+/t− frequency
+//     counters are read off its run)
 //   - three baseline reputation engines: EigenTrust (power iteration with
 //     pretrusted peers), an eBay-style per-interval-deduplicated
 //     accumulator, and a TrustGuard-style credibility-weighted engine
