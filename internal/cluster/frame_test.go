@@ -233,3 +233,34 @@ func TestDrainReplyNodeRange(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchEncodeAllocatesOnce pins that a sub-batch encodes into a nil
+// buffer with one allocation of its exact wire size, so a submit frame
+// (and a drain reply, which encodes through appendRatings too) is not
+// regrown once per rating.
+func TestBatchEncodeAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	rs := make([]rating.Rating, 2000)
+	es := make([]manager.BatchEntry, len(rs))
+	for i := range rs {
+		rs[i] = rating.Rating{Rater: i, Ratee: i + 1, Value: 1, Seq: uint64(i + 1)}
+		es[i] = manager.BatchEntry{R: rs[i], Replica: i%2 == 0}
+	}
+	for _, tc := range []struct {
+		name   string
+		encode func() []byte
+		size   int
+	}{
+		{"ratings", func() []byte { return appendRatings(nil, rs) }, 4 + len(rs)*ratingWireLen},
+		{"entries", func() []byte { return appendEntries(nil, es) }, 4 + len(es)*(ratingWireLen+1)},
+	} {
+		if b := tc.encode(); len(b) != tc.size {
+			t.Fatalf("%s: encoded %d bytes, want %d", tc.name, len(b), tc.size)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { tc.encode() }); allocs != 1 {
+			t.Errorf("%s: %.0f allocations per encode, want 1", tc.name, allocs)
+		}
+	}
+}

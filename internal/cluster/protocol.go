@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"socialtrust/internal/manager"
 	"socialtrust/internal/rating"
@@ -72,7 +73,10 @@ func appendRating(b []byte, r rating.Rating) []byte {
 	return binary.LittleEndian.AppendUint64(b, r.Seq)
 }
 
+// appendRatings and appendEntries grow b by the exact encoded size first,
+// so a sub-batch frame allocates once instead of regrowing per rating.
 func appendRatings(b []byte, rs []rating.Rating) []byte {
+	b = slices.Grow(b, 4+len(rs)*ratingWireLen)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rs)))
 	for _, r := range rs {
 		b = appendRating(b, r)
@@ -81,6 +85,7 @@ func appendRatings(b []byte, rs []rating.Rating) []byte {
 }
 
 func appendEntries(b []byte, es []manager.BatchEntry) []byte {
+	b = slices.Grow(b, 4+len(es)*(ratingWireLen+1))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(es)))
 	for _, e := range es {
 		b = appendRating(b, e.R)

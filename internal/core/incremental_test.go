@@ -182,7 +182,7 @@ func TestStaleCacheNeverConsultedAfterInvalidation(t *testing.T) {
 // TestSigCacheVersionKeying pins the cache's key semantics: an entry is
 // served only at the exact rater closeness version it was stored under.
 func TestSigCacheVersionKeying(t *testing.T) {
-	c := newSigCache()
+	c := make(sigCache, 10)
 	k := rating.PairKey{Rater: 4, Ratee: 9}
 	c.put(k, 1, pairSignals{closeness: 0.5, similar: 0.25})
 	if sig, ok := c.get(k, 1); !ok || sig.closeness != 0.5 {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sync"
+	"cmp"
+	"slices"
 
 	"socialtrust/internal/obs"
 	"socialtrust/internal/rating"
@@ -29,76 +30,65 @@ func init() {
 	obs.Help("socialtrust_dirty_pairs", "Per-Adjust dirty-set size: pairs whose signals were recomputed.")
 }
 
-const sigCacheShards = 32
-
-// sigCacheEntry holds one directed pair's memoized social signals, valid
-// only while the rater's closeness version matches. The filter maintains
-// one version per rater (SocialTrust.closeVer), bumped exactly when a graph
-// mutation lands within the rater's closeness dependency radius
-// (Graph.WithinHops over the touch log), so a matching version proves the
-// closeness inputs are unchanged — without globally invalidating on every
-// epoch movement the way the previous (PairKey, epoch) keying did.
+// sigCache memoizes pair signals in one row per rater, indexed by rater. A
+// row is valid only while the closeness version it was filled at equals the
+// rater's current one. The filter maintains one version per rater
+// (SocialTrust.closeVer), bumped exactly when a graph mutation lands within
+// the rater's closeness dependency radius (Graph.WithinHops over the touch
+// log), so a matching version proves the closeness inputs are unchanged.
 // Unweighted similarity is a pure function of the (immutable after
 // construction) interest sets, so revalidating it by closeness version is
 // only conservative.
-type sigCacheEntry struct {
-	ver uint64
-	sig pairSignals
+//
+// Only the miss group that serves a rater writes that rater's row, and the
+// groups of one interval have distinct raters, so the rows need no lock.
+type sigCache []sigRow
+
+// sigRow is one rater's memoized signals: the closeness version they were
+// computed at and one entry per ratee, ascending by ratee.
+type sigRow struct {
+	ver  uint64
+	ents []sigEntry
 }
 
-// sigCache is a sharded (PairKey, rater-closeness-version)-keyed memo of
-// pair signals. Sharding keeps the computeSignals worker fan-out from
-// serializing on a single lock while workers store freshly computed misses.
-type sigCache struct {
-	shards [sigCacheShards]sigCacheShard
+type sigEntry struct {
+	ratee int
+	sig   pairSignals
 }
 
-type sigCacheShard struct {
-	mu sync.Mutex
-	m  map[rating.PairKey]sigCacheEntry
+func (r *sigRow) find(ratee int) (int, bool) {
+	return slices.BinarySearchFunc(r.ents, ratee, func(e sigEntry, t int) int { return cmp.Compare(e.ratee, t) })
 }
 
-func newSigCache() *sigCache {
-	c := &sigCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[rating.PairKey]sigCacheEntry)
-	}
-	return c
-}
-
-func (c *sigCache) shard(k rating.PairKey) *sigCacheShard {
-	h := uint64(k.Rater)*0x9e3779b97f4a7c15 ^ uint64(k.Ratee)*0xbf58476d1ce4e5b9
-	return &c.shards[h%sigCacheShards]
-}
-
-// get returns the cached signals for k if they were computed at the given
-// rater closeness version.
-func (c *sigCache) get(k rating.PairKey, ver uint64) (pairSignals, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	e, ok := s.m[k]
-	s.mu.Unlock()
-	if !ok || e.ver != ver {
+// get returns the cached signals for k if its rater's row was filled at the
+// given closeness version.
+func (c sigCache) get(k rating.PairKey, ver uint64) (pairSignals, bool) {
+	r := &c[k.Rater]
+	if r.ver != ver {
 		return pairSignals{}, false
 	}
-	return e.sig, true
+	i, ok := r.find(k.Ratee)
+	if !ok {
+		return pairSignals{}, false
+	}
+	return r.ents[i].sig, true
 }
 
 // put stores the signals for k computed at the given rater closeness
-// version.
-func (c *sigCache) put(k rating.PairKey, ver uint64, sig pairSignals) {
-	s := c.shard(k)
-	s.mu.Lock()
-	s.m[k] = sigCacheEntry{ver: ver, sig: sig}
-	s.mu.Unlock()
+// version. A row filled at another version is emptied first, so a version
+// bump drops every stale entry of that rater.
+func (c sigCache) put(k rating.PairKey, ver uint64, sig pairSignals) {
+	r := &c[k.Rater]
+	if r.ver != ver {
+		r.ver, r.ents = ver, r.ents[:0]
+	}
+	i, ok := r.find(k.Ratee)
+	if ok {
+		r.ents[i].sig = sig
+		return
+	}
+	r.ents = slices.Insert(r.ents, i, sigEntry{ratee: k.Ratee, sig: sig})
 }
 
-// reset drops every entry (used by SocialTrust.Reset).
-func (c *sigCache) reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[rating.PairKey]sigCacheEntry)
-		s.mu.Unlock()
-	}
-}
+// reset drops every row (used by SocialTrust.Reset and ImportState).
+func (c sigCache) reset() { clear(c) }

@@ -221,11 +221,12 @@ type SocialTrust struct {
 	// cycle number, aligning decision events with CycleSeries records.
 	intervals uint64
 
-	// sigCache memoizes per-pair signals keyed by the rater's closeness
-	// version (closeVer below): a pair recomputes only when the graph
-	// actually changed within its rater's closeness dependency radius, so
-	// interval cost tracks activity, not N.
-	sigCache *sigCache
+	// sigCache memoizes pair signals in one ratee-sorted row per rater,
+	// valid while the row's version equals the rater's closeness version
+	// (closeVer below): a pair recomputes only when the graph actually
+	// changed within its rater's closeness dependency radius, so interval
+	// cost tracks activity, not N. Allocated once, NumNodes rows.
+	sigCache sigCache
 	// closeVer holds one closeness version per rater. syncGraph (run at
 	// the top of every Adjust) reads the graph's touch log since graphSeen,
 	// walks the affected set — every node within depHops of a touched node —
@@ -308,7 +309,7 @@ func New(cfg Config, graph *socialgraph.Graph, sets []interest.Set, tracker *int
 		sets:       sets,
 		tracker:    tracker,
 		inner:      inner,
-		sigCache:   newSigCache(),
+		sigCache:   make(sigCache, cfg.NumNodes),
 		closeVer:   make([]uint64, cfg.NumNodes),
 		raterStart: make([]int, cfg.NumNodes+1),
 		graphSeen:  graph.Epoch(), // cache is empty; nothing older to invalidate
@@ -327,8 +328,8 @@ func (s *SocialTrust) Reset() {
 	s.lastMu.Unlock()
 	s.adjustMu.Lock()
 	s.intervals = 0
-	s.adjustMu.Unlock()
 	s.sigCache.reset()
+	s.adjustMu.Unlock()
 	s.inner.Reset()
 }
 
@@ -614,7 +615,7 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	// Rewrite: copy the ratings, then scale each flagged pair's run. A
 	// decision sums its pair's values in rating order.
 	rsp := tsp.Child("adjust.rewrite", span.PhaseAdjust).SetInt("ratings", int64(len(rs)))
-	out := rating.Snapshot{Ratings: slices.Clone(rs)}
+	out := rating.Snapshot{Ratings: slices.Clone(rs), MaxSeq: snap.MaxSeq}
 	d := 0
 	for i := range pairs {
 		if behav[i] == 0 {
@@ -795,11 +796,12 @@ func (s *SocialTrust) syncGraph() {
 // computeSignals fills out[i] with Ωc and Ωs for pairs[i]. Pairs whose
 // signals are cached at their rater's current closeness version are served
 // without touching the graph; the misses are grouped by rater (pairs arrive
-// rater-sorted) and each rater group runs one batched ClosenessFrom — one
-// shared BFS and common-friend index per rater instead of one per pair —
-// with the groups fanned out across Workers. Results are bit-identical to
-// the direct per-pair path on a quiescent graph. Under Config.FullRecompute
-// the cache is bypassed entirely and every pair recomputes.
+// rater-sorted, so each rater is one group and owns its cache row) and each
+// rater group runs one batched ClosenessFrom — one shared BFS and
+// common-friend index per rater instead of one per pair — with the groups
+// fanned out across Workers. Results are bit-identical to the direct
+// per-pair path on a quiescent graph. Under Config.FullRecompute the cache
+// is bypassed entirely and every pair recomputes.
 func (s *SocialTrust) computeSignals(pairs []rating.PairRun, out []pairSignals) {
 	simStatic := s.cfg.UseSimilarity && !s.cfg.WeightedSimilarity
 
@@ -862,9 +864,9 @@ func (s *SocialTrust) computeSignals(pairs []rating.PairRun, out []pairSignals) 
 }
 
 // computeMissGroup recomputes the missing signals of one rater's pairs and
-// stores them in the cache at the rater's current closeness version. All
-// miss entries share the same rater; closeness goes through the batched
-// single-source path.
+// stores them in the rater's cache row at its current closeness version,
+// which empties a row filled at an older one. All miss entries share the
+// same rater; closeness goes through the batched single-source path.
 func (s *SocialTrust) computeMissGroup(pairs []rating.PairRun, out []pairSignals, miss []sigMiss) {
 	rater := pairs[miss[0].idx].Rater
 	var ratees []socialgraph.NodeID

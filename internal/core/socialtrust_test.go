@@ -258,6 +258,13 @@ func TestAdjustUnorderedSnapshot(t *testing.T) {
 		f.rate(0, 1, -1)
 	}
 	snap := f.ledger.EndInterval()
+	// Sequence the ratings, one cycle each, so the snapshot carries a MaxSeq
+	// that Adjust must hand on to the wrapped engine, and no two ratings tie
+	// in snapshot order.
+	for i := range snap.Ratings {
+		snap.Ratings[i].Cycle, snap.Ratings[i].Seq = i, uint64(i+1)
+	}
+	snap.MaxSeq = uint64(len(snap.Ratings))
 	shuffled := slices.Clone(snap.Ratings)
 	rand.New(rand.NewPCG(1, 2)).Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
 	if rating.RunsIncrease(rating.PairRuns(shuffled, nil)) {
@@ -265,7 +272,10 @@ func TestAdjustUnorderedSnapshot(t *testing.T) {
 	}
 
 	want, wantReport := f.socialTrust(Config{}).Adjust(snap)
-	got, gotReport := f.socialTrust(Config{}).Adjust(rating.Snapshot{Ratings: shuffled})
+	got, gotReport := f.socialTrust(Config{}).Adjust(rating.Snapshot{Ratings: shuffled, MaxSeq: snap.MaxSeq})
+	if want.MaxSeq != snap.MaxSeq || got.MaxSeq != snap.MaxSeq {
+		t.Fatalf("adjusted MaxSeq %d (ordered input), %d (shuffled), want %d", want.MaxSeq, got.MaxSeq, snap.MaxSeq)
+	}
 	if len(wantReport.Adjusted) < 3 {
 		t.Fatalf("the fixture flags %d pairs, want the colluders both ways and the B4 campaign", len(wantReport.Adjusted))
 	}

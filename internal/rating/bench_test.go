@@ -8,18 +8,32 @@ import (
 	"socialtrust/internal/rating/ratingtest"
 )
 
+// benchDrainEvery bounds the ledger the add benchmarks grow: they drain it
+// every benchDrainEvery adds, so ns/op times the append and the lock, not
+// the growth of one slice to b.N ratings.
+const benchDrainEvery = 10000
+
 func BenchmarkLedgerAddSerial(b *testing.B) {
 	l := rating.NewLedger(1000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%benchDrainEvery == benchDrainEvery-1 {
+			b.StopTimer()
+			l.EndInterval()
+			b.StartTimer()
+		}
 		l.Add(rating.Rating{Rater: i % 1000, Ratee: (i + 1) % 1000, Value: 1}) //nolint:errcheck
 	}
 }
 
+// BenchmarkLedgerAddParallel cannot stop the clock for one goroutine's
+// drain, so its ns/op includes the drains' snapshot sort.
 func BenchmarkLedgerAddParallel(b *testing.B) {
 	l := rating.NewLedger(1000)
 	var ctr sync.Mutex
 	next := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		ctr.Lock()
@@ -28,6 +42,9 @@ func BenchmarkLedgerAddParallel(b *testing.B) {
 		ctr.Unlock()
 		i := base
 		for pb.Next() {
+			if (i-base)%benchDrainEvery == benchDrainEvery-1 {
+				l.EndInterval()
+			}
 			l.Add(rating.Rating{Rater: i % 1000, Ratee: (i + 1) % 1000, Value: 1}) //nolint:errcheck
 			i++
 		}
