@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"socialtrust/internal/interest"
 	"socialtrust/internal/obs/span"
@@ -92,5 +95,36 @@ func TestWarmAdjustTracingOffAllocations(t *testing.T) {
 	if warm > warmAllocBudget {
 		t.Fatalf("warm Adjust with tracing off allocates %.0f/op, want <= %d (span sites must be free)",
 			warm, warmAllocBudget)
+	}
+}
+
+// TestWarmUpdateAllocations pins what Update's in-place rewrite saves: a
+// warm Update, handed a snapshot with flagged pairs, allocates less than one
+// copy of the interval's ratings.
+func TestWarmUpdateAllocations(t *testing.T) {
+	f := newFixture()
+	f.normalTraffic()
+	f.collusionTraffic(200)
+	drained := f.ledger.EndInterval()
+	st := New(Config{NumNodes: fixtureN}, f.graph, f.sets, f.tracker, &heldSnapshot{fixedReps: make(fixedReps, fixtureN)})
+	if _, report := st.Adjust(drained); len(report.Adjusted) == 0 {
+		t.Fatal("fixture produced no adjusted pairs")
+	}
+	const runs = 20
+	snaps := make([]rating.Snapshot, runs)
+	for i := range snaps {
+		snaps[i] = rating.Snapshot{Ratings: slices.Clone(drained.Ratings), MaxSeq: drained.MaxSeq}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, snap := range snaps {
+		st.Update(snap)
+	}
+	runtime.ReadMemStats(&after)
+	perUpdate := (after.TotalAlloc - before.TotalAlloc) / runs
+	oneCopy := uint64(len(drained.Ratings)) * uint64(unsafe.Sizeof(rating.Rating{}))
+	t.Logf("warm Update: %d B per call; one copy of %d ratings is %d B", perUpdate, len(drained.Ratings), oneCopy)
+	if perUpdate >= oneCopy {
+		t.Errorf("warm Update allocates %d B per call, want under one copy of the ratings (%d B)", perUpdate, oneCopy)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,7 +119,8 @@ func TestAdjustRecorderDisabled(t *testing.T) {
 
 // TestLastReportConcurrent exercises the LastReport/Update/Reset
 // concurrency contract under -race: readers may observe the latest report
-// while the engine keeps updating.
+// while the engine keeps updating. Update takes its snapshot and scales it
+// in place, so each call gets a fresh copy of the interval.
 func TestLastReportConcurrent(t *testing.T) {
 	f := newFixture()
 	f.normalTraffic()
@@ -145,11 +147,14 @@ func TestLastReportConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	fresh := func() rating.Snapshot {
+		return rating.Snapshot{Ratings: slices.Clone(snap.Ratings), MaxSeq: snap.MaxSeq}
+	}
 	for i := 0; i < 25; i++ {
-		st.Update(snap)
+		st.Update(fresh())
 	}
 	st.Reset()
-	st.Update(snap)
+	st.Update(fresh())
 	close(stop)
 	wg.Wait()
 	if len(st.LastReport().Adjusted) == 0 {

@@ -387,9 +387,13 @@ func (s *SocialTrust) LastReport() Report {
 }
 
 // Update filters the snapshot per Section 4.3 and forwards the adjusted
-// ratings to the wrapped engine.
+// ratings to the wrapped engine. Update takes the snapshot: it scales the
+// flagged pairs' ratings in place in snap.Ratings and hands that same slice
+// to the engine, so hand each drained snapshot to one Update and do not
+// reuse its ratings. (A snapshot out of snapshot order is first put in order
+// in a fresh slice, which is what the engine then receives.)
 func (s *SocialTrust) Update(snap rating.Snapshot) {
-	adjusted, report := s.Adjust(snap)
+	adjusted, report := s.adjust(snap, true)
 	s.lastMu.Lock()
 	s.last = report
 	s.lastMu.Unlock()
@@ -403,13 +407,20 @@ type pairSignals struct {
 }
 
 // Adjust computes per-pair weights for one interval snapshot and returns a
-// new snapshot with re-weighted rating values plus the filtering report. The
+// snapshot with re-weighted rating values plus the filtering report. The
 // returned ratings are in snapshot order, as a drained snapshot's already
-// are. It does not mutate the input and does not advance filter state, so it
-// can be used standalone for what-if analysis. Concurrent Adjust calls
-// serialize on an internal lock (they share the signal cache and scratch
-// buffers).
+// are. It does not mutate the input — it scales a copy when a pair is
+// flagged, and returns the input's ratings when none is — and does not
+// advance filter state, so it can be used standalone for what-if analysis.
+// Concurrent Adjust calls serialize on an internal lock (they share the
+// signal cache and scratch buffers).
 func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
+	return s.adjust(snap, false)
+}
+
+// adjust is Adjust, scaling the flagged runs in snap.Ratings itself when
+// owned is true.
+func (s *SocialTrust) adjust(snap rating.Snapshot, owned bool) (rating.Snapshot, Report) {
 	sp := mAdjustLat.Start()
 	defer sp.End()
 	s.adjustMu.Lock()
@@ -441,7 +452,7 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 	rs := snap.Ratings
 	runs := rating.PairRuns(rs, s.runScratch[:0])
 	if !rating.RunsIncrease(runs) {
-		rs = rating.SnapshotOrder(rs)
+		rs, owned = rating.SnapshotOrder(rs), true
 		runs = rating.PairRuns(rs, runs[:0])
 	}
 	s.runScratch = runs[:0]
@@ -612,10 +623,13 @@ func (s *SocialTrust) Adjust(snap rating.Snapshot) (rating.Snapshot, Report) {
 
 	msp.End()
 
-	// Rewrite: copy the ratings, then scale each flagged pair's run. A
-	// decision sums its pair's values in rating order.
+	// Rewrite: scale each flagged pair's run, in a copy unless the ratings
+	// are owned. A decision sums its pair's values in rating order.
 	rsp := tsp.Child("adjust.rewrite", span.PhaseAdjust).SetInt("ratings", int64(len(rs)))
-	out := rating.Snapshot{Ratings: slices.Clone(rs), MaxSeq: snap.MaxSeq}
+	if !owned && len(report.Adjusted) > 0 {
+		rs = slices.Clone(rs)
+	}
+	out := rating.Snapshot{Ratings: rs, MaxSeq: snap.MaxSeq}
 	d := 0
 	for i := range pairs {
 		if behav[i] == 0 {
@@ -918,7 +932,7 @@ func thresholdsFrom(total, n int) (pos, neg float64) {
 
 // baseline aggregates the empirical signal distribution over non-suspicious
 // pairs (frequency within thresholds), the population the Gaussian centers
-// on.
+// on. The value slices are sorted ascending.
 type baseline struct {
 	closeness        BaselineStats
 	similarity       BaselineStats
@@ -929,10 +943,10 @@ type baseline struct {
 func (s *SocialTrust) systemBaseline(signals []pairSignals, pairs []rating.PairRun,
 	posT, negT float64) baseline {
 
-	// The value slices live in reusable scratch (consumers copy before
-	// sorting); only capacity persists across calls. The append order is the
-	// sorted-pair order regardless of Workers, which the blocked mean below
-	// relies on.
+	// The value slices live in reusable scratch; only capacity persists
+	// across calls. The append order is the sorted-pair order regardless of
+	// Workers, which the blocked mean below relies on; summarizeBaseline
+	// then sorts each slice in place.
 	b := baseline{closenessValues: s.closeVals[:0], similarityValues: s.simVals[:0]}
 	for i := range pairs {
 		if float64(pairs[i].Positive) > posT || float64(pairs[i].Negative) > negT {
@@ -947,14 +961,18 @@ func (s *SocialTrust) systemBaseline(signals []pairSignals, pairs []rating.PairR
 	return b
 }
 
+// summarizeBaseline returns the stats of one signal's baseline population.
+// The mean sums xs in pair order; then xs is sorted in place, once, and the
+// range and the robust quantiles are read off it.
 func (s *SocialTrust) summarizeBaseline(xs []float64) BaselineStats {
 	if len(xs) == 0 {
 		return BaselineStats{}
 	}
-	lo, hi, _ := stats.MinMax(xs)
-	p05, _ := stats.Percentile(xs, 5)
-	p95, _ := stats.Percentile(xs, 95)
-	return BaselineStats{Mean: s.blockedMean(xs), Min: lo, Max: hi, Lo: p05, Hi: p95, N: len(xs)}
+	mean := s.blockedMean(xs)
+	slices.Sort(xs)
+	p05, _ := stats.PercentileSorted(xs, 5)
+	p95, _ := stats.PercentileSorted(xs, 95)
+	return BaselineStats{Mean: mean, Min: xs[0], Max: xs[len(xs)-1], Lo: p05, Hi: p95, N: len(xs)}
 }
 
 // meanBlock is the fixed accumulation granularity of the deterministic
@@ -993,12 +1011,14 @@ func (s *SocialTrust) blockedMean(xs []float64) float64 {
 	return total / float64(len(xs))
 }
 
-func quantiles(xs []float64, loQ, hiQ float64) (lo, hi float64) {
-	if len(xs) == 0 {
+// quantiles reads the loQ and hiQ quantiles off sorted, a baseline
+// population summarizeBaseline has sorted.
+func quantiles(sorted []float64, loQ, hiQ float64) (lo, hi float64) {
+	if len(sorted) == 0 {
 		return 0, math.Inf(1) // no baseline: nothing counts as "very low/high"
 	}
-	lo, _ = stats.Percentile(xs, loQ*100)
-	hi, _ = stats.Percentile(xs, hiQ*100)
+	lo, _ = stats.PercentileSorted(sorted, loQ*100)
+	hi, _ = stats.PercentileSorted(sorted, hiQ*100)
 	return lo, hi
 }
 

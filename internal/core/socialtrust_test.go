@@ -304,6 +304,43 @@ func TestByRaterOrder(t *testing.T) {
 	}
 }
 
+// heldSnapshot is an inner engine that keeps the snapshot it was handed.
+type heldSnapshot struct {
+	fixedReps
+	got rating.Snapshot
+}
+
+func (h *heldSnapshot) Update(snap rating.Snapshot) { h.got = snap }
+
+// TestUpdateReweightsInPlace pins Update's ownership of its snapshot: it
+// scales the flagged runs of snap.Ratings in place, to exactly what Adjust
+// returns for a copy of the snapshot, and hands that same backing array to
+// the inner engine.
+func TestUpdateReweightsInPlace(t *testing.T) {
+	f := newFixture()
+	f.normalTraffic()
+	f.collusionTraffic(50)
+	drained := f.ledger.EndInterval()
+	fresh := func() rating.Snapshot {
+		return rating.Snapshot{Ratings: slices.Clone(drained.Ratings), MaxSeq: drained.MaxSeq}
+	}
+	inner := &heldSnapshot{fixedReps: make(fixedReps, fixtureN)}
+	st := New(Config{NumNodes: fixtureN}, f.graph, f.sets, f.tracker, inner)
+
+	want, report := st.Adjust(fresh())
+	if len(report.Adjusted) == 0 || slices.Equal(want.Ratings, drained.Ratings) {
+		t.Fatal("fixture produced no shrunk ratings")
+	}
+	snap := fresh()
+	st.Update(snap)
+	if !slices.Equal(snap.Ratings, want.Ratings) {
+		t.Fatalf("Update left the snapshot at\n%v\nwant Adjust's output\n%v", snap.Ratings, want.Ratings)
+	}
+	if len(inner.got.Ratings) != len(snap.Ratings) || &inner.got.Ratings[0] != &snap.Ratings[0] || inner.got.MaxSeq != snap.MaxSeq {
+		t.Fatal("the inner engine did not receive the snapshot Update was handed")
+	}
+}
+
 func TestUpdateSuppressesColluderReputation(t *testing.T) {
 	// End-to-end over several intervals: with SocialTrust, colluders end
 	// far below the unprotected baseline.

@@ -2,11 +2,14 @@ package core
 
 import (
 	"maps"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"socialtrust/internal/interest"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/socialgraph"
+	"socialtrust/internal/stats"
 )
 
 // fixedReps is an inner engine whose reputation vector is fixed, so the
@@ -141,6 +144,40 @@ func TestBehaviorThresholdsHandComputed(t *testing.T) {
 		}
 		if !maps.Equal(got, want) {
 			t.Fatalf("workers=%d: flagged pairs %+v, want %+v", workers, got, want)
+		}
+	}
+}
+
+// TestSummarizeBaselineMatchesStats pins the baseline summary, which sorts
+// each signal's population once in place, to stats.MinMax and
+// stats.Percentile on the population in pair order: random populations with
+// ties, at sizes on both sides of one mean block. The mean is the blocked
+// sum in pair order, and quantiles reads Tcl and Tch off the sorted slice.
+func TestSummarizeBaselineMatchesStats(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	st := &SocialTrust{}
+	for _, n := range []int{1, 2, 3, 20, 101, meanBlock + 17} {
+		for _, distinct := range []int{1, 3, 50, 1 << 20} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.IntN(distinct)) / float64(distinct)
+			}
+			pairOrder := slices.Clone(xs)
+			lo, hi, _ := stats.MinMax(pairOrder)
+			p05, _ := stats.Percentile(pairOrder, 5)
+			p95, _ := stats.Percentile(pairOrder, 95)
+			want := BaselineStats{Mean: st.blockedMean(pairOrder), Min: lo, Max: hi, Lo: p05, Hi: p95, N: n}
+			if got := st.summarizeBaseline(xs); got != want {
+				t.Fatalf("n=%d distinct=%d: summarizeBaseline = %+v, want %+v", n, distinct, got, want)
+			}
+			if !slices.IsSorted(xs) {
+				t.Fatalf("n=%d distinct=%d: population not left sorted", n, distinct)
+			}
+			tcl, _ := stats.Percentile(pairOrder, closenessLowQ*100)
+			tch, _ := stats.Percentile(pairOrder, closenessHighQ*100)
+			if gl, gh := quantiles(xs, closenessLowQ, closenessHighQ); gl != tcl || gh != tch {
+				t.Fatalf("n=%d distinct=%d: quantiles = %v, %v, want %v, %v", n, distinct, gl, gh, tcl, tch)
+			}
 		}
 	}
 }

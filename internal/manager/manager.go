@@ -707,8 +707,9 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 		}()
 	}
 	// Phase 1: drain all reachable shards concurrently. The drain span covers
-	// phases 1–2 (collection plus snapshot assembly and merge); the engine
-	// update in phase 3 emits its own adjust/iterate spans.
+	// phases 1–2 (collection, the WAL marks and the gather, the last two in
+	// child spans of the same phase); the engine update in phase 3 emits its
+	// own adjust/iterate spans.
 	tsp := span.Ambient("manager.drain_shards", span.PhaseDrain).SetInt("shards", int64(len(o.shards)))
 	tctx := tsp.Context()
 	replies := make([]*DrainSnapshots, len(o.shards))
@@ -722,22 +723,22 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	}
 	wg.Wait()
 	// Phase 2: assemble the interval's snapshots — primaries where they
-	// arrived, replica mirrors where they did not — and merge. Each shard's
+	// arrived, replica mirrors where they did not — and gather. Each shard's
 	// drained high-water mark advances to the max ingest sequence of
 	// whatever snapshot stood in for its data: WAL records at or below the
 	// mark are covered by this (or an earlier) drain.
 	o.intervals++
-	snaps := make([]rating.Snapshot, 0, len(o.shards))
+	snaps := make([]rating.Snapshot, len(o.shards))
 	for i := range o.shards {
 		if replies[i] != nil {
-			snaps = append(snaps, replies[i].Primary)
+			snaps[i] = replies[i].Primary
 			o.noteDrained(i, replies[i].Primary.MaxSeq)
 			o.noteReplicaDrained(i, replies[i].Replica.MaxSeq)
 			status.Drained++
 			continue
 		}
 		if j := o.replicaOf(i); o.replicated() && j != i && replies[j] != nil {
-			snaps = append(snaps, replies[j].Replica)
+			snaps[i] = replies[j].Replica
 			o.noteDrained(i, replies[j].Replica.MaxSeq)
 			status.ReplicaUsed = append(status.ReplicaUsed, i)
 			mDrainReplica.Inc()
@@ -760,14 +761,18 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	// the tail of a completed interval must reach stable storage before the
 	// caller snapshots against it. A failed mark degrades durability, not
 	// the interval: persist counts the error and the records stay in the WAL.
+	msp := tsp.Child("manager.mark", span.PhaseDrain)
 	for _, s := range o.shards {
 		_ = s.Mark(o.intervals)
 	}
+	msp.End()
 	if len(status.Missing) > 0 {
 		status.Partial = true
 		mDrainPartial.Inc()
 	}
+	gsp := tsp.Child("manager.gather", span.PhaseDrain)
 	merged := mergeSnapshots(snaps)
+	gsp.End()
 	if obs.Enabled() {
 		mActivePairs.Observe(float64(len(rating.PairRuns(merged.Ratings, nil))))
 	}
@@ -846,32 +851,87 @@ func (o *Overlay) crashShard(i int) {
 	o.crashShardLocked(i)
 }
 
-// mergeSnapshots combines per-shard interval snapshots into one, in the
-// snapshot order rating.Ledger produces (rating.SnapshotOrder over the
-// shards' ratings in shard order, which merges them: each shard's snapshot is
-// already in that order). MaxSeq is the highest of the shards' marks. Nil or
-// empty entries — the partial-drain path, where a shard's snapshot never
-// arrived — contribute nothing. A lone non-empty snapshot is returned as is:
-// its ledger already put it in snapshot order, and every drain hands over a
-// fresh snapshot the overlay may own.
+// mergeSnapshots combines the interval's drained snapshots, indexed by shard
+// — an empty entry for a shard whose data never arrived, the replica mirror
+// for one whose primary did not — into one snapshot, equal to
+// rating.SnapshotOrder of their ratings in shard order. MaxSeq is the highest
+// of the shards' marks. A lone non-empty snapshot's ratings are returned as
+// they are: its ledger already put them in snapshot order, and every drain
+// hands over a fresh snapshot the overlay may own.
+//
+// Otherwise the snapshots are gathered, not merged: ManagerOf sends ratee r
+// to shard r mod k and snapshot order is ratee-first, so ratee r's ratings
+// are the next run of snapshot r mod k. A socket drain reply is outside
+// input, so gather checks as it copies that each snapshot is in snapshot
+// order and holds only its own residue class; when either fails, the same
+// runs are put in order by rating.SnapshotOrder instead.
 func mergeSnapshots(snaps []rating.Snapshot) rating.Snapshot {
-	var live []rating.Snapshot
+	var out rating.Snapshot
+	n, live := 0, 0
 	for _, s := range snaps {
+		out.MaxSeq = max(out.MaxSeq, s.MaxSeq)
 		if len(s.Ratings) > 0 {
-			live = append(live, s)
+			n, live, out.Ratings = n+len(s.Ratings), live+1, s.Ratings
 		}
 	}
-	if len(live) == 1 {
-		return live[0]
+	if live <= 1 {
+		return out
 	}
-	var out rating.Snapshot
-	runs := make([][]rating.Rating, len(live))
-	for i, s := range live {
-		runs[i] = s.Ratings
-		out.MaxSeq = max(out.MaxSeq, s.MaxSeq)
+	if out.Ratings = gather(snaps, n); out.Ratings == nil {
+		runs := make([][]rating.Rating, len(snaps))
+		for i, s := range snaps {
+			runs[i] = s.Ratings
+		}
+		out.Ratings = rating.SnapshotOrder(runs...)
 	}
-	out.Ratings = rating.SnapshotOrder(runs...)
 	return out
+}
+
+// gather returns the n ratings of snaps with each ratee's run taken from the
+// snapshot of its residue class, in ratee order, or nil when a snapshot is
+// out of snapshot order or holds a ratee of another class. Ratees are walked
+// a block of k at a time, block b holding ratees b·k … b·k+k−1, skipping
+// blocks no snapshot holds; snapshot c gives block b the run of ratee b·k+c.
+func gather(snaps []rating.Snapshot, n int) []rating.Rating {
+	k := len(snaps)
+	out := make([]rating.Rating, 0, n)
+	rest := make([][]rating.Rating, k)
+	for c, s := range snaps {
+		rest[c] = s.Ratings
+	}
+	for prev := -1; ; {
+		block := -1
+		for _, rs := range rest {
+			if len(rs) == 0 {
+				continue
+			}
+			// Every head must lie past the previous block. One that does
+			// not was left behind by it: out of order, or outside its
+			// snapshot's residue class (a negative ratee included).
+			b := rs[0].Ratee / k
+			if b <= prev {
+				return nil
+			}
+			if block < 0 || b < block {
+				block = b
+			}
+		}
+		if block < 0 {
+			return out
+		}
+		for c, rs := range rest {
+			m := 0
+			for m < len(rs) && rs[m].Ratee == block*k+c {
+				if m > 0 && rating.CompareSnapshot(&rs[m-1], &rs[m]) > 0 {
+					return nil
+				}
+				m++
+			}
+			out = append(out, rs[:m]...)
+			rest[c] = rs[m:]
+		}
+		prev = block
+	}
 }
 
 // Close shuts the overlay down. Close is idempotent and safe to race against

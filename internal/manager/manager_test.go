@@ -2,6 +2,7 @@ package manager
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -287,6 +288,95 @@ func TestMergeSnapshotsMatchesReference(t *testing.T) {
 			t.Errorf("%s: merge differs from the reference:\ngot  %+v\nwant %+v", name, got, want)
 		}
 	}
+}
+
+// FuzzMergeSnapshots pins mergeSnapshots to referenceMerge, ratings and
+// MaxSeq, on the drain's input shape: k residue-class snapshots drained from
+// rating.Ledgers, some blanked as Missing shards. The first byte sets k
+// (1–8) and the second which shards are Missing. When two or more snapshots
+// are live, the third byte can damage one of them the way a bad socket
+// drain reply would, which the gather must detect: swap a rating with the
+// next one or with the one at the mirrored position, or move its ratee into
+// the next residue class. (A lone live snapshot passes through unchecked;
+// TestMergeSnapshotsPartial pins that.) Five bytes per rating follow:
+// rater, ratee, cycle, category and value, over few enough nodes and values
+// that five-key ties occur.
+func FuzzMergeSnapshots(f *testing.F) {
+	seed := func(k, missing, damage byte, n int) []byte {
+		data := []byte{k, missing, damage}
+		x := uint32(k)<<8 | uint32(n)
+		for i := 0; i < 5*n; i++ {
+			x = x*1664525 + 1013904223
+			data = append(data, byte(x>>24))
+		}
+		return data
+	}
+	f.Add([]byte{})
+	f.Add(seed(0, 0, 0, 40))
+	for _, k := range []byte{1, 3, 7} {
+		f.Add(seed(k, 0, 0, 200))
+		f.Add(seed(k, 0b101, 0, 200))
+		for _, damage := range []byte{0x01, 0x35, 0x12, 0x26, 0x13, 0x3f} {
+			f.Add(seed(k, 0b10, damage, 120))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		const nodes = 24
+		values := []float64{1, -1, 0.5, 0, -0.25}
+		k, missing, damage := 1+int(data[0]%8), data[1], data[2]
+		ledgers := make([]*rating.Ledger, k)
+		for c := range ledgers {
+			ledgers[c] = rating.NewLedger(nodes)
+		}
+		for i, b := 0, data[3:]; i+5 <= len(b); i += 5 {
+			r := rating.Rating{
+				Rater: int(b[i]) % nodes, Ratee: int(b[i+1]) % nodes, Cycle: int(b[i+2] % 3),
+				Category: int(b[i+3] % 3), Value: values[int(b[i+4])%len(values)], Seq: uint64(i/5 + 1),
+			}
+			_ = ledgers[r.Ratee%k].Add(r) // a self-rating is refused
+		}
+		snaps := make([]rating.Snapshot, k)
+		var live []int
+		for c, l := range ledgers {
+			if missing>>c&1 == 0 {
+				snaps[c] = l.EndInterval()
+			}
+			if len(snaps[c].Ratings) > 0 {
+				live = append(live, c)
+			}
+		}
+		if len(live) >= 2 && damage&3 != 0 {
+			rs := snaps[live[int(damage>>2&3)%len(live)]].Ratings
+			i := int(damage>>4) % len(rs)
+			switch damage & 3 {
+			case 1:
+				j := (i + 1) % len(rs)
+				rs[i], rs[j] = rs[j], rs[i]
+			case 2:
+				j := len(rs) - 1 - i
+				rs[i], rs[j] = rs[j], rs[i]
+			case 3:
+				rs[i].Ratee = (rs[i].Ratee + 1) % nodes
+			}
+		}
+		in := make([][]rating.Rating, k)
+		for c, s := range snaps {
+			in[c] = slices.Clone(s.Ratings)
+		}
+		got, want := mergeSnapshots(snaps), referenceMerge(snaps)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d live=%v: merge differs from the reference:\ngot  %+v\nwant %+v", k, live, got, want)
+		}
+		for c, s := range snaps {
+			if !slices.Equal(s.Ratings, in[c]) {
+				t.Fatalf("mergeSnapshots modified snapshot %d", c)
+			}
+		}
+	})
 }
 
 func TestOperationsAfterClose(t *testing.T) {

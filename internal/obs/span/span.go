@@ -354,15 +354,6 @@ func (a *Active) SetInt(key string, v int64) *Active {
 	return a
 }
 
-// SetStr attaches a string attribute; returns a for chaining. Nil-safe.
-func (a *Active) SetStr(key, v string) *Active {
-	if a == nil {
-		return nil
-	}
-	a.attrs = append(a.attrs, Attr{Key: key, Str: v})
-	return a
-}
-
 // End finishes the span: records it into the ring and folds its duration
 // into the trace's attribution ledger (phase time when its phase differs
 // from the parent's; Total when it is the trace root). Nil-safe.

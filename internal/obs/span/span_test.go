@@ -145,7 +145,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 			root := Root("interval")
 			prev := SetAmbient(root.Context())
 			sp := Ambient("core.adjust", PhaseAdjust)
-			sp.SetInt("pairs", 42).SetStr("mode", "warm")
+			sp.SetInt("pairs", 42)
 			child := sp.Child("adjust.signals", PhaseAdjust)
 			child.End()
 			From(sp.Context(), "shard.deliver", PhaseIngest).End()

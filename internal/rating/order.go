@@ -6,10 +6,10 @@ import (
 	"slices"
 )
 
-// compareSnapshot is the snapshot order: by ratee, rater, cycle, category
+// CompareSnapshot is the snapshot order: by ratee, rater, cycle, category
 // and value. Values compare with <, so −0 and +0 tie; NaN values are outside
 // the contract, since they make no strict weak order.
-func compareSnapshot(x, y *Rating) int {
+func CompareSnapshot(x, y *Rating) int {
 	switch {
 	case x.Ratee != y.Ratee:
 		return cmp.Compare(x.Ratee, y.Ratee)
@@ -30,26 +30,24 @@ func compareSnapshot(x, y *Rating) int {
 // SnapshotOrder returns the ratings of runs, taken as one sequence in run
 // order, sorted into snapshot order: by ratee, rater, cycle, category and
 // value, with ties kept in input order — a stable sort under
-// compareSnapshot. Ledger.EndInterval and the manager overlay's cross-shard
-// merge both produce their snapshots with it, so every drained interval
-// reaches the reputation engines in one reproducible order. The runs are
-// left as they are.
+// CompareSnapshot. Ledger.EndInterval produces its snapshots with it, and
+// the manager overlay's cross-shard gather equals it on the shards'
+// snapshots in shard order, so every drained interval reaches the
+// reputation engines in one reproducible order. The runs are left as they
+// are; the result is a fresh slice, nil when the runs hold no ratings.
 //
-// When every run is already in snapshot order — the shards' drained
-// snapshots the overlay merges — the runs are merged (mergeRuns); checking
-// costs one comparison per rating and stops at the first inversion.
-// Otherwise, as for a ledger's runs in ingest order, they are radix-sorted.
-// That path's scratch is two uint64 keys per rating, never one slot per
-// node: the overlay drains every shard each interval, and a node-indexed
-// array per call would cost each shard the whole population however few
-// ratings it holds. A key packs the rating's position (run, offset in run) under the
-// longest prefix of (ratee, rater, cycle, category) whose values are
-// non-negative and fit beside it in 64 bits, each in as many bits as its
-// largest value needs. The keys are radix-sorted on the packed prefix, the
-// ratings are gathered in key order, and only ratings that share the prefix
-// are compared on the remaining keys. Below 2^20 nodes, ratee and rater pack
-// whenever the position takes at most 24 bits; with no key packed, one
-// stable comparison sort orders everything.
+// The runs are radix-sorted. The scratch is two uint64 keys per rating,
+// never one slot per node: the overlay drains every shard each interval,
+// and a node-indexed array per call would cost each shard the whole
+// population however few ratings it holds. A key packs the rating's
+// position (run, offset in run) under the longest prefix of (ratee, rater,
+// cycle, category) whose values are non-negative and fit beside it in 64
+// bits, each in as many bits as its largest value needs. The keys are
+// radix-sorted on the packed prefix, the ratings are gathered in key order,
+// and only ratings that share the prefix are compared on the remaining
+// keys. Below 2^20 nodes, ratee and rater pack whenever the position takes
+// at most 24 bits; with no key packed, one stable comparison sort orders
+// everything.
 func SnapshotOrder(runs ...[]Rating) []Rating {
 	n, longest := 0, 0
 	for _, run := range runs {
@@ -57,9 +55,6 @@ func SnapshotOrder(runs ...[]Rating) []Rating {
 	}
 	if n == 0 {
 		return nil
-	}
-	if ordered(runs) {
-		return mergeRuns(runs, n)
 	}
 	// Per prefix key, the OR of its values has the bit length of the
 	// largest one, and is negative if any value is.
@@ -113,60 +108,9 @@ func SnapshotOrder(runs ...[]Rating) []Rating {
 			hi++
 		}
 		if hi-lo > 1 {
-			slices.SortStableFunc(out[lo:hi], func(x, y Rating) int { return compareSnapshot(&x, &y) })
+			slices.SortStableFunc(out[lo:hi], func(x, y Rating) int { return CompareSnapshot(&x, &y) })
 		}
 		lo = hi
-	}
-	return out
-}
-
-// ordered reports whether every run is in snapshot order.
-func ordered(runs [][]Rating) bool {
-	for _, run := range runs {
-		for i := 1; i < len(run); i++ {
-			if compareSnapshot(&run[i-1], &run[i]) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// mergeRuns merges runs, each in snapshot order and n ratings in all, into
-// one slice in snapshot order; ratings that compare equal keep run order.
-// Each step finds the run with the least head and the runner-up among the
-// other heads, then copies the leader's ratings in one append for as long as
-// they stay ahead of the runner-up's head — a whole ratee's block at a time
-// when the runs are ratee-sharded.
-func mergeRuns(runs [][]Rating, n int) []Rating {
-	out := make([]Rating, 0, n)
-	rest := append([][]Rating(nil), runs...)
-	for len(out) < n {
-		lead, next := -1, -1
-		for i, r := range rest {
-			switch {
-			case len(r) == 0:
-			case lead < 0 || compareSnapshot(&r[0], &rest[lead][0]) < 0:
-				lead, next = i, lead
-			case next < 0 || compareSnapshot(&r[0], &rest[next][0]) < 0:
-				next = i
-			}
-		}
-		r, m := rest[lead], len(rest[lead])
-		if next >= 0 {
-			// A tie with the runner-up's head stays in the leader only when
-			// the leader is the earlier run.
-			bound, tie := &rest[next][0], 0
-			if lead < next {
-				tie = 1
-			}
-			m = 1
-			for m < len(r) && compareSnapshot(&r[m], bound) < tie {
-				m++
-			}
-		}
-		out = append(out, r[:m]...)
-		rest[lead] = r[m:]
 	}
 	return out
 }

@@ -48,8 +48,8 @@ const orderNodes = 6
 // shifts categories negative. Its high four bits split the ratings into runs
 // of that many, after an empty run, or leave them one run when zero. When
 // the second byte's low bit is set, each run is put in snapshot order with
-// referenceOrder, so SnapshotOrder merges the runs instead of sorting them;
-// rs then holds the ratings in that per-run order.
+// referenceOrder, the shape of the shards' drained snapshots; rs then holds
+// the ratings in that per-run order.
 func decodeOrderInput(data []byte) (rs []Rating, runs [][]Rating, idMode byte) {
 	if len(data) < 2 {
 		return nil, nil, 0
@@ -163,9 +163,9 @@ func checkPairRuns(t *testing.T, rs []Rating) {
 
 // FuzzSnapshotOrder pins SnapshotOrder and Ledger.EndInterval to the
 // reference order on arbitrary rating multisets: the same ratings at every
-// position, ties in input order, on both the radix path and the merge path
-// for runs already in snapshot order. PairRuns of each result is pinned to a
-// map-built reference.
+// position, ties in input order, whether or not each run is already in
+// snapshot order. PairRuns of each result is pinned to a map-built
+// reference.
 func FuzzSnapshotOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 2, 0, 0, 2})
@@ -182,8 +182,8 @@ func FuzzSnapshotOrder(f *testing.F) {
 		seed[0] = head
 		f.Add(seed)
 	}
-	// Merge path: ordered runs of several sizes, one pair set small enough
-	// that five-key ties cross runs, and one ordered run alone.
+	// Runs already in snapshot order, of several sizes: one pair set small
+	// enough that five-key ties cross runs, and one ordered run alone.
 	for _, head := range []byte{0x10, 0x40, 0xf0, 0x73, 0x00} {
 		seed := orderSeed(120, 3)
 		seed[0], seed[1] = head, 1
@@ -195,9 +195,6 @@ func FuzzSnapshotOrder(f *testing.F) {
 		in := slices.Clone(rs)
 		want := slices.Clone(rs)
 		referenceOrder(want)
-		if len(data) > 1 && data[1]&1 != 0 && !ordered(runs) {
-			t.Fatal("runs put in snapshot order do not take the merge path")
-		}
 		got := SnapshotOrder(runs...)
 		if !slices.Equal(got, want) {
 			t.Fatalf("SnapshotOrder differs from the reference order:\ngot  %v\nwant %v", got, want)

@@ -19,7 +19,10 @@ type Engine interface {
 	Name() string
 	// Update folds one interval snapshot into the engine state and
 	// recomputes global reputations. Rating values may have been re-weighted
-	// by a collusion filter before reaching the engine.
+	// by a collusion filter before reaching the engine. Update takes the
+	// snapshot: an engine may rewrite its ratings in place (the SocialTrust
+	// filter does), so callers hand each drained snapshot to one Update and
+	// do not reuse it.
 	Update(snap rating.Snapshot)
 	// Reputations returns the normalized global reputation vector. The
 	// returned slice is owned by the caller (a fresh copy every call).

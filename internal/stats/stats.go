@@ -1,7 +1,7 @@
 // Package stats implements the descriptive statistics the paper's trace
 // analysis and evaluation rely on: the squared correlation coefficient used
-// in Section 3 (C = sxy²/(sxx·syy)), empirical CDFs, percentiles, confidence
-// intervals, and histogram utilities.
+// in Section 3 (C = sxy²/(sxx·syy)), empirical CDFs, percentiles and
+// confidence intervals.
 package stats
 
 import (
@@ -24,24 +24,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance of xs (denominator n), or 0 when
-// fewer than two samples are present.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Correlation computes the paper's correlation coefficient
 // C = sxy² / (sxx·syy) where sxy = Σ(xi−x̄)(yi−ȳ), sxx = Σ(xi−x̄)², and
@@ -69,36 +51,24 @@ func Correlation(xs, ys []float64) (float64, error) {
 	return (sxy * sxy) / (sxx * syy), nil
 }
 
-// PearsonR returns the signed Pearson correlation coefficient in [-1,1].
-func PearsonR(xs, ys []float64) (float64, error) {
-	c, err := Correlation(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	// Recover the sign from the covariance.
-	mx, my := Mean(xs), Mean(ys)
-	var sxy float64
-	for i := range xs {
-		sxy += (xs[i] - mx) * (ys[i] - my)
-	}
-	r := math.Sqrt(c)
-	if sxy < 0 {
-		r = -r
-	}
-	return r, nil
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks. It returns ErrEmpty for no samples.
+// xs is left as it is: Percentile sorts a copy.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile of sorted, which must already be in
+// ascending order; it reads the ranks without copying or sorting.
+func PercentileSorted(sorted []float64, p float64) (float64, error) {
+	if len(sorted) == 0 {
 		return 0, ErrEmpty
 	}
 	if p < 0 || p > 100 {
 		return 0, errors.New("stats: percentile out of [0,100]")
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0], nil
 	}
@@ -184,47 +154,6 @@ func CDFAt(cdf []CDFPoint, x float64) float64 {
 		}
 	}
 	return p
-}
-
-// HistogramBin is one bin of a fixed-width histogram.
-type HistogramBin struct {
-	Lo, Hi float64
-	Count  int
-}
-
-// Histogram bins xs into n equal-width bins spanning [min,max]. Values equal
-// to max land in the final bin. It returns nil for empty input or n <= 0.
-func Histogram(xs []float64, n int) []HistogramBin {
-	if len(xs) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	bins := make([]HistogramBin, n)
-	width := (hi - lo) / float64(n)
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*width
-		bins[i].Hi = lo + float64(i+1)*width
-	}
-	bins[n-1].Hi = hi
-	for _, x := range xs {
-		idx := n - 1
-		if width > 0 {
-			idx = int((x - lo) / width)
-			if idx >= n {
-				idx = n - 1
-			}
-		}
-		bins[idx].Count++
-	}
-	return bins
 }
 
 // Normalize scales xs so they sum to 1, matching the paper's reputation

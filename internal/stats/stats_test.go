@@ -25,19 +25,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("Variance of single sample should be 0")
-	}
-}
-
 func TestCorrelationPerfectLinear(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -80,20 +67,6 @@ func TestCorrelationErrors(t *testing.T) {
 	}
 	if _, err := Correlation([]float64{1, 1}, []float64{2, 3}); err == nil {
 		t.Error("constant xs should error")
-	}
-}
-
-func TestPearsonRSign(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	up := []float64{1, 2, 3, 4}
-	down := []float64{4, 3, 2, 1}
-	r, err := PearsonR(xs, up)
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Errorf("PearsonR up = %v (%v), want 1", r, err)
-	}
-	r, err = PearsonR(xs, down)
-	if err != nil || !almostEqual(r, -1, 1e-12) {
-		t.Errorf("PearsonR down = %v (%v), want -1", r, err)
 	}
 }
 
@@ -192,33 +165,6 @@ func TestCDFAt(t *testing.T) {
 		if got := CDFAt(cdf, c.x); !almostEqual(got, c.want, 1e-12) {
 			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 2)
-	if len(bins) != 2 {
-		t.Fatalf("got %d bins", len(bins))
-	}
-	if bins[0].Count != 5 || bins[1].Count != 5 {
-		t.Errorf("bin counts = %d,%d, want 5,5", bins[0].Count, bins[1].Count)
-	}
-	// Max value lands in the final bin, not out of range.
-	bins = Histogram([]float64{0, 10}, 5)
-	if bins[4].Count != 1 {
-		t.Errorf("max value not in final bin: %+v", bins)
-	}
-	if Histogram(nil, 3) != nil || Histogram([]float64{1}, 0) != nil {
-		t.Error("degenerate histogram inputs should be nil")
-	}
-	// Constant input: all mass in one bin, no division by zero.
-	bins = Histogram([]float64{5, 5, 5}, 3)
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != 3 {
-		t.Errorf("constant histogram lost samples: %+v", bins)
 	}
 }
 

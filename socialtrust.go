@@ -31,7 +31,8 @@
 //	inner := socialtrust.NewEBayEngine(n)
 //	filter := socialtrust.NewFilter(socialtrust.FilterConfig{NumNodes: n},
 //	    g, interestSets, tracker, inner)
-//	// feed rating snapshots each update interval:
+//	// hand each interval's drained snapshot to one Update, which
+//	// re-weights its ratings in place:
 //	filter.Update(ledger.EndInterval())
 //	reps := filter.Reputations()
 //
@@ -154,6 +155,9 @@ func NewTrustGuardEngine(cfg TrustGuardConfig) Engine { return trustguard.New(cf
 // SocialTrust core (internal/core).
 type (
 	// Filter is the SocialTrust collusion filter; it implements Engine.
+	// Its Update takes the snapshot it is handed and re-weights the
+	// flagged ratings in place, so hand each drained snapshot to one
+	// Update; Adjust leaves its input as it is.
 	Filter = core.SocialTrust
 	// FilterConfig parameterizes the filter.
 	FilterConfig = core.Config
