@@ -356,7 +356,7 @@ func TestStalledShardTimesOut(t *testing.T) {
 	wedge := make(chan struct{})
 	defer close(wedge)
 	for i := 0; i < k; i++ {
-		o.shards[i].(*localShard).inbox <- func() { <-wedge }
+		o.shards[i].(*localShard).inbox <- mail{run: func() { <-wedge }, done: make(chan struct{})}
 	}
 	start := time.Now()
 	err = o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1})

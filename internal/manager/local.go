@@ -44,7 +44,7 @@ func (t *localTransport) Start(numNodes int, replicated bool) error {
 			sh: sh,
 			// Buffered so callers posting to every shard in turn rarely
 			// wait on an enqueue; 256 is the depth the mailbox always had.
-			inbox:  make(chan func(), 256),
+			inbox:  make(chan mail, 256),
 			closed: t.closed,
 			depth:  obs.G(obs.Label("manager_mailbox_depth", "shard", strconv.Itoa(i))),
 		}
@@ -78,9 +78,15 @@ func (t *localTransport) Close() error {
 // closures to the mailbox goroutine that owns sh.
 type localShard struct {
 	sh     *Shard
-	inbox  chan func()
+	inbox  chan mail
 	closed <-chan struct{}
 	depth  *obs.Gauge // mailbox depth after the last handled operation
+}
+
+// mail is one posted operation and the channel that answers its caller.
+type mail struct {
+	run  func()
+	done chan struct{}
 }
 
 func (l *localShard) serve(wg *sync.WaitGroup) {
@@ -89,9 +95,12 @@ func (l *localShard) serve(wg *sync.WaitGroup) {
 		select {
 		case <-l.closed:
 			return
-		case op := <-l.inbox:
-			op()
+		case m := <-l.inbox:
+			m.run()
+			// Set before the caller is answered, so an answered caller
+			// reads the depth its own operation left, never an older one.
 			l.depth.Set(float64(len(l.inbox)))
+			close(m.done)
 		}
 	}
 }
@@ -108,7 +117,7 @@ func (l *localShard) post(timeout time.Duration, op func() error) func() error {
 	done := make(chan struct{})
 	var err error
 	select {
-	case l.inbox <- func() { err = op(); close(done) }:
+	case l.inbox <- mail{run: func() { err = op() }, done: done}:
 	case <-l.closed:
 		return func() error { return ErrClosed }
 	case <-expired:

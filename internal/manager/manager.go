@@ -761,10 +761,17 @@ func (o *Overlay) EndIntervalStatus() ([]float64, DrainStatus) {
 	// the tail of a completed interval must reach stable storage before the
 	// caller snapshots against it. A failed mark degrades durability, not
 	// the interval: persist counts the error and the records stay in the WAL.
+	// Each shard owns its WAL, so the marks run concurrently, as the drains
+	// do; each lands at the same place in its own file as a serial loop's.
 	msp := tsp.Child("manager.mark", span.PhaseDrain)
 	for _, s := range o.shards {
-		_ = s.Mark(o.intervals)
+		wg.Add(1)
+		go func(s ShardConn) {
+			defer wg.Done()
+			_ = s.Mark(o.intervals)
+		}(s)
 	}
+	wg.Wait()
 	msp.End()
 	if len(status.Missing) > 0 {
 		status.Partial = true

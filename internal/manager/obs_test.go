@@ -65,6 +65,39 @@ func TestOverlayMetrics(t *testing.T) {
 	}
 }
 
+// TestMailboxDepthAfterAnsweredOp pins when a shard's mailbox depth gauge
+// moves: before the operation's caller is answered. Each round holds the
+// mailbox on a blocked first operation while a second one queues behind it,
+// so the first leaves a depth of 1; the second leaves 0, and a caller that
+// has its answer must read 0, never the older 1.
+func TestMailboxDepthAfterAnsweredOp(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable()
+	defer obs.SetEnabled(prev)
+
+	tr := newLocalTransport(1, "")
+	if err := tr.Start(4, false); err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	l := tr.shards[0]
+	for round := 0; round < 20000; round++ {
+		release := make(chan struct{})
+		first := l.post(0, func() error { <-release; return nil })
+		second := l.post(0, func() error { return nil })
+		close(release)
+		if err := first(); err != nil {
+			t.Fatal(err)
+		}
+		if err := second(); err != nil {
+			t.Fatal(err)
+		}
+		if d := l.depth.Value(); d != 0 {
+			t.Fatalf("round %d: mailbox depth %g after the last answered op, want 0", round, d)
+		}
+	}
+}
+
 // TestActivePairsMetric checks that, with metrics on, one drain of a
 // 4-shard overlay observes manager_interval_active_pairs once, at the
 // interval's number of distinct (rater, ratee) pairs.

@@ -26,9 +26,12 @@ func referenceIterate(e *Engine, start []float64) []float64 {
 	return t
 }
 
-// iterateOutlinks is a verbatim port of the pre-CSR powerIterate: it builds
-// the transposed [][]entry matrix from scratch from an outlink map (rater ->
-// ratee -> positive local trust) and iterates from start. It returns the
+// iterateOutlinks is a port of the pre-CSR powerIterate: it builds the
+// transposed [][]entry matrix from scratch from an outlink map (rater ->
+// ratee -> positive local trust) and iterates from start, one node at a
+// time. Its two sums, the dangling mass and the L1 residual, run per etBlock
+// row block and are tree-reduced, which is the engine's summation order;
+// at or below one block they are the pre-CSR serial sums. It returns the
 // final vector, the iteration count and the last L1 residual.
 func iterateOutlinks(cfg Config, p []float64, out map[int]map[int]float64, start []float64) ([]float64, int, float64) {
 	type inEntry struct {
@@ -63,12 +66,13 @@ func iterateOutlinks(cfg Config, p []float64, out map[int]map[int]float64, start
 	next := make([]float64, n)
 	iters, diff := 0, 0.0
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		dangling := 0.0
+		parts := make([]float64, (n+etBlock-1)/etBlock)
 		for i := 0; i < n; i++ {
 			if rowTotal[i] <= 0 {
-				dangling += t[i]
+				parts[i/etBlock] += t[i]
 			}
 		}
+		dangling := treeReduce(parts)
 		for j := 0; j < n; j++ {
 			sum := 0.0
 			for _, entry := range in[j] {
@@ -76,14 +80,15 @@ func iterateOutlinks(cfg Config, p []float64, out map[int]map[int]float64, start
 			}
 			next[j] = (1-a)*(sum+dangling*p[j]) + a*p[j]
 		}
-		diff = 0.0
+		clear(parts)
 		for i := range t {
 			d := next[i] - t[i]
 			if d < 0 {
 				d = -d
 			}
-			diff += d
+			parts[i/etBlock] += d
 		}
+		diff = treeReduce(parts)
 		t, next = next, t
 		iters = iter + 1
 		if diff < cfg.Epsilon {

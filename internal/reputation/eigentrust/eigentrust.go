@@ -111,9 +111,7 @@ type Engine struct {
 	// positive ones.
 	rows [][]localTrust
 	t    []float64
-	// scratch buffers reused across updates
-	next []float64
-	part []float64 // fixed-block partial sums for the tree reductions
+	next []float64 // scratch iterate reused across updates
 
 	csr csrState
 
@@ -154,7 +152,21 @@ type csrState struct {
 
 	rowTotal []float64 // per-rater normalization totals (0 = dangling row)
 	cnt      []int32   // rebuild scratch: per-ratee entry counts / cursors
+
+	// idle lists the maximal runs of idle nodes — no in-link, no positive
+	// out-link, the same pretrust across the run — ascending, none crossing
+	// an etBlock boundary; idle[blockIdle[b]:blockIdle[b+1]] are block b's.
+	idle      []idleRun
+	blockIdle []int32
+
+	// Per-block partials of one power-iteration step, tree-reduced after
+	// it: the L1 residual and the dangling mass of the new iterate.
+	resid []float64
+	dang  []float64
 }
+
+// idleRun is the node range [lo, hi) of one run of idle nodes.
+type idleRun struct{ lo, hi int32 }
 
 // localTrust is one entry of a rater's row: the sum of its ratings of ratee.
 type localTrust struct {
@@ -361,6 +373,8 @@ func (e *Engine) rebuildCSR() {
 	c.tVal = grown(c.tVal, nnz)
 	c.rowTotal = grown(c.rowTotal, n)
 	c.cnt = grown(c.cnt, n)
+	c.blockIdle = grown(c.blockIdle, (n+etBlock-1)/etBlock+1)
+	c.idle = c.idle[:0]
 
 	for j := 0; j < n; j++ {
 		c.cnt[j] = 0
@@ -370,11 +384,25 @@ func (e *Engine) rebuildCSR() {
 	}
 	run := int32(0)
 	for j := 0; j < n; j++ {
+		if j%etBlock == 0 {
+			c.blockIdle[j/etBlock] = int32(len(c.idle))
+		}
+		// In-degree zero and an empty forward row make j idle; it extends
+		// the run ending at j unless j starts a block or its pretrust
+		// differs.
+		if c.cnt[j] == 0 && c.fRowPtr[j] == c.fRowPtr[j+1] {
+			if k := len(c.idle) - 1; k >= 0 && c.idle[k].hi == int32(j) && j%etBlock != 0 && e.p[j] == e.p[j-1] {
+				c.idle[k].hi++
+			} else {
+				c.idle = append(c.idle, idleRun{int32(j), int32(j + 1)})
+			}
+		}
 		c.tRowPtr[j] = run
 		run += c.cnt[j]
 		c.cnt[j] = c.tRowPtr[j] // becomes the fill cursor below
 	}
 	c.tRowPtr[n] = run
+	c.blockIdle[len(c.blockIdle)-1] = int32(len(c.idle))
 	for i := 0; i < n; i++ {
 		for s := c.fRowPtr[i]; s < c.fRowPtr[i+1]; s++ {
 			j := c.fCol[s]
@@ -477,8 +505,6 @@ func (e *Engine) powerIterate() {
 		e.refreshDirtyRows()
 		rsp.End()
 	}
-	rowTotal := e.csr.rowTotal
-
 	a := e.cfg.PretrustWeight
 	t := e.t
 	next := e.next
@@ -488,22 +514,25 @@ func (e *Engine) powerIterate() {
 		workers = nb
 	}
 	mMatvecWorkers.Set(float64(workers))
+	c := &e.csr
+	c.resid = grown(c.resid, nb)
+	c.dang = grown(c.dang, nb)
+	// Mass held by dangling rows redistributes along p. Each step returns
+	// the next step's, so t is summed for it only once per update.
+	forBlocks(nb, workers, func(b int) { c.dang[b] = e.danglingMass(b, t) })
+	dangling := treeReduce(c.dang)
+	// The first step takes t from the previous update (or ImportState,
+	// Reset, ResetNode), which need not be uniform over an idle run; every
+	// later step takes it from a step that gave each run one value.
+	uniform := false
+	step := func(b int) { c.resid[b], c.dang[b] = e.stepBlock(b, t, next, a, dangling, uniform) }
 	iters, residual, converged := 0, 0.0, false
 	for iter := 0; iter < e.cfg.MaxIter; iter++ {
 		isp := tsp.Child("eigentrust.step", span.PhaseIterate)
-		// Mass held by dangling rows redistributes along p. The sum runs
-		// over fixed row blocks with a tree reduction, so its float result
-		// is pinned by n alone, never by the worker count.
-		dangling := e.blockedSum(nb, workers, func(lo, hi int) float64 {
-			sum := 0.0
-			for i := lo; i < hi; i++ {
-				if rowTotal[i] <= 0 {
-					sum += t[i]
-				}
-			}
-			return sum
-		})
-		diff := e.applyStep(t, next, a, dangling, nb, workers)
+		forBlocks(nb, workers, step)
+		diff := treeReduce(c.resid)
+		dangling = treeReduce(c.dang)
+		uniform = true
 		isp.End()
 		t, next = next, t
 		iters, residual = iter+1, diff
@@ -533,78 +562,109 @@ func (e *Engine) powerIterate() {
 // computes a block — so every float accumulation order, and therefore the
 // trust vector, is bit-identical from Workers=1 to Workers=N. Networks at
 // or below one block degenerate to the plain serial sums of the pre-CSR
-// reference algorithm (pinned bitwise by csr_test.go).
+// reference algorithm (pinned bitwise by csr_test.go); FuzzEngineBlocks pins
+// several blocks against the same reference summed over the same blocks.
 const etBlock = 256
 
-// applyStep computes next = (1−a)·(Cᵀt + dangling·p) + a·p over the
-// transposed CSR, block-partitioned across workers, and returns the L1
-// distance |next − t|. The convergence sum is fused into the same parallel
-// pass: each block accumulates its own partial, and the fixed-order tree
-// reduction makes the residual — and so the iteration count — independent
-// of the worker count. The flat colIdx/val arrays keep the inner loop free
-// of per-entry pointer chasing and allocation.
-func (e *Engine) applyStep(t, next []float64, a, dangling float64, nb, workers int) float64 {
+// nodeValue is one node's next trust, (1−a)·(sum + dangling·p) + a·p, given
+// the sum over its in-links. Both paths of stepBlock evaluate it.
+func nodeValue(sum, dangling, a, p float64) float64 {
+	return (1-a)*(sum+dangling*p) + a*p
+}
+
+// danglingMass is block b's share of the mass t holds on dangling rows,
+// summed in index order.
+func (e *Engine) danglingMass(b int, t []float64) float64 {
 	c := &e.csr
-	return e.blockedSum(nb, workers, func(lo, hi int) float64 {
-		diff := 0.0
-		for j := lo; j < hi; j++ {
-			sum := 0.0
-			for s := c.tRowPtr[j]; s < c.tRowPtr[j+1]; s++ {
-				sum += c.tVal[s] * t[c.tCol[s]]
-			}
-			v := (1-a)*(sum+dangling*e.p[j]) + a*e.p[j]
-			next[j] = v
-			d := v - t[j]
+	sum := 0.0
+	for i := b * etBlock; i < min((b+1)*etBlock, e.cfg.NumNodes); i++ {
+		if c.rowTotal[i] <= 0 {
+			sum += t[i]
+		}
+	}
+	return sum
+}
+
+// stepBlock computes block b's rows of next = (1−a)·(Cᵀt + dangling·p) + a·p
+// over the transposed CSR and returns the block's partials of |next − t|
+// and of the dangling rows' mass in next, both accumulated in index order.
+// When uniform holds, every idle run has one value in t, so the run's value
+// and distance are computed once and only the store and the two additions
+// repeat per node: the same additions in the same order as the per-node
+// path, so the trust vector, the residual and the iteration count keep
+// every bit.
+func (e *Engine) stepBlock(b int, t, next []float64, a, dangling float64, uniform bool) (diff, dang float64) {
+	c := &e.csr
+	j, hi := b*etBlock, min((b+1)*etBlock, e.cfg.NumNodes)
+	if uniform {
+		for _, r := range c.idle[c.blockIdle[b]:c.blockIdle[b+1]] {
+			diff, dang = e.stepNodes(t, next, j, int(r.lo), a, dangling, diff, dang)
+			v := nodeValue(0, dangling, a, e.p[r.lo])
+			d := v - t[r.lo]
 			if d < 0 {
 				d = -d
 			}
-			diff += d
+			for j = int(r.lo); j < int(r.hi); j++ {
+				next[j] = v
+				diff += d
+				dang += v
+			}
 		}
-		return diff
-	})
+	}
+	return e.stepNodes(t, next, j, hi, a, dangling, diff, dang)
 }
 
-// blockedSum evaluates fn over every fixed etBlock-sized row range, fanning
-// the blocks across at most workers goroutines pulling indices from a
-// shared counter, and tree-reduces the per-block partials. Both the block
-// boundaries and the reduction order depend only on the row count, so the
-// result is bitwise identical for any worker count; a single block reduces
-// to fn's own serial sum.
-func (e *Engine) blockedSum(nb, workers int, fn func(lo, hi int) float64) float64 {
-	n := e.cfg.NumNodes
-	e.part = grown(e.part, nb)
-	parts := e.part
-	run := func(b int) {
-		lo := b * etBlock
-		hi := lo + etBlock
-		if hi > n {
-			hi = n
+// stepNodes is stepBlock's per-node path over rows [lo, hi), carrying the
+// block's two partials through. The flat tCol/tVal arrays keep the inner
+// loop free of per-entry pointer chasing and allocation.
+func (e *Engine) stepNodes(t, next []float64, lo, hi int, a, dangling, diff, dang float64) (float64, float64) {
+	rowPtr, col, val, rowTotal, p := e.csr.tRowPtr, e.csr.tCol, e.csr.tVal, e.csr.rowTotal, e.p
+	for j := lo; j < hi; j++ {
+		sum := 0.0
+		for s := rowPtr[j]; s < rowPtr[j+1]; s++ {
+			sum += val[s] * t[col[s]]
 		}
-		parts[b] = fn(lo, hi)
+		v := nodeValue(sum, dangling, a, p[j])
+		next[j] = v
+		d := v - t[j]
+		if d < 0 {
+			d = -d
+		}
+		diff += d
+		if rowTotal[j] <= 0 {
+			dang += v
+		}
 	}
+	return diff, dang
+}
+
+// forBlocks runs fn for every fixed etBlock-sized row block, fanning the
+// blocks across at most workers goroutines pulling indices from a shared
+// counter. fn writes block b's partials to slot b, so the tree reductions
+// that follow see the same values in the same slots for any worker count.
+func forBlocks(nb, workers int, fn func(b int)) {
 	if workers <= 1 || nb <= 1 {
 		for b := 0; b < nb; b++ {
-			run(b)
+			fn(b)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					b := int(next.Add(1)) - 1
-					if b >= nb {
-						return
-					}
-					run(b)
-				}
-			}()
-		}
-		wg.Wait()
+		return
 	}
-	return treeReduce(parts)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				b := int(next.Add(1)) - 1
+				if b >= nb {
+					return
+				}
+				fn(b)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // treeReduce folds the partials pairwise in place — the upper half onto the

@@ -214,9 +214,12 @@ func FuzzEngineFold(f *testing.F) {
 
 // foldSeed builds a fuzz seed of n bytes from a fixed linear congruential
 // stream: a mix of intervals in both orders and resets.
-func foldSeed(n int) []byte {
+func foldSeed(n int) []byte { return lcgBytes(7, n) }
+
+// lcgBytes returns the first n bytes of the linear congruential stream that
+// starts at x.
+func lcgBytes(x uint32, n int) []byte {
 	data := make([]byte, n)
-	x := uint32(7)
 	for i := range data {
 		x = x*1664525 + 1013904223
 		data[i] = byte(x >> 24)

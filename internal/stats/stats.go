@@ -1,7 +1,6 @@
 // Package stats implements the descriptive statistics the paper's trace
 // analysis and evaluation rely on: the squared correlation coefficient used
-// in Section 3 (C = sxy²/(sxx·syy)), empirical CDFs, percentiles and
-// confidence intervals.
+// in Section 3 (C = sxy²/(sxx·syy)), percentiles and confidence intervals.
 package stats
 
 import (
@@ -114,74 +113,6 @@ func Summarize(xs []float64) (Summary, error) {
 	}
 	ci := 1.96 * sd / math.Sqrt(float64(len(xs)))
 	return Summary{Mean: m, CI95: ci, StdDev: sd, N: len(xs)}, nil
-}
-
-// CDFPoint is one point of an empirical cumulative distribution function.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // P(X <= x), in [0,1]
-}
-
-// CDF computes the empirical CDF of xs evaluated at each distinct sample
-// value, sorted ascending. The final point always has P = 1.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, 0, len(sorted))
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Collapse runs of equal values into a single point.
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: sorted[i], P: float64(i+1) / n})
-	}
-	return out
-}
-
-// CDFAt evaluates an empirical CDF (as produced by CDF) at x, returning
-// P(X <= x). Values below the smallest sample give 0.
-func CDFAt(cdf []CDFPoint, x float64) float64 {
-	p := 0.0
-	for _, pt := range cdf {
-		if pt.X <= x {
-			p = pt.P
-		} else {
-			break
-		}
-	}
-	return p
-}
-
-// Normalize scales xs so they sum to 1, matching the paper's reputation
-// normalization Ri/ΣRk. If the sum is zero it returns a uniform distribution;
-// if the sum is negative it returns an error, since reputations feeding the
-// normalization are clamped non-negative upstream.
-func Normalize(xs []float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	out := make([]float64, len(xs))
-	if sum == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(xs))
-		}
-		return out, nil
-	}
-	if sum < 0 {
-		return nil, errors.New("stats: normalize over negative total")
-	}
-	for i, x := range xs {
-		out[i] = x / sum
-	}
-	return out, nil
 }
 
 // MinMax returns the smallest and largest values of xs.

@@ -140,59 +140,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	cdf := CDF([]float64{3, 1, 2, 2})
-	want := []CDFPoint{{1, 0.25}, {2, 0.75}, {3, 1}}
-	if len(cdf) != len(want) {
-		t.Fatalf("CDF has %d points, want %d: %v", len(cdf), len(want), cdf)
-	}
-	for i := range want {
-		if !almostEqual(cdf[i].X, want[i].X, 1e-12) || !almostEqual(cdf[i].P, want[i].P, 1e-12) {
-			t.Errorf("CDF[%d] = %+v, want %+v", i, cdf[i], want[i])
-		}
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	cdf := CDF([]float64{1, 2, 3, 4})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {100, 1},
-	}
-	for _, c := range cases {
-		if got := CDFAt(cdf, c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(out[0], 0.25, 1e-12) || !almostEqual(out[1], 0.75, 1e-12) {
-		t.Errorf("Normalize = %v", out)
-	}
-	out, err = Normalize([]float64{0, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out {
-		if !almostEqual(v, 0.25, 1e-12) {
-			t.Errorf("zero-sum Normalize = %v, want uniform", out)
-		}
-	}
-	if _, err := Normalize(nil); err != ErrEmpty {
-		t.Error("empty Normalize should return ErrEmpty")
-	}
-	if _, err := Normalize([]float64{-2, 1}); err == nil {
-		t.Error("negative-sum Normalize should error")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi, err := MinMax([]float64{3, -1, 7, 2})
 	if err != nil || lo != -1 || hi != 7 {
@@ -222,57 +169,6 @@ func TestCorrelationBoundedProperty(t *testing.T) {
 			return true
 		}
 		return c >= -1e-9 && c <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		cdf := CDF(xs)
-		for i := 1; i < len(cdf); i++ {
-			if cdf[i].X <= cdf[i-1].X || cdf[i].P < cdf[i-1].P {
-				return false
-			}
-		}
-		return len(cdf) == 0 || math.Abs(cdf[len(cdf)-1].P-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNormalizeSumsToOneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1e50 {
-				continue
-			}
-			xs = append(xs, v)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		out, err := Normalize(xs)
-		if err != nil {
-			return false
-		}
-		sum := 0.0
-		for _, v := range out {
-			if v < 0 {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(sum-1) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
