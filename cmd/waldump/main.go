@@ -22,11 +22,11 @@ func kindName(k byte, flags byte) string {
 		return "mark"
 	case persist.KindFatedRating:
 		s := "fated"
-		if flags&persist.FateDeferred != 0 {
-			s += "+deferred"
-		}
 		if flags&persist.FateReplica != 0 {
 			s += "+replica"
+		}
+		if unknown := flags &^ persist.FateReplica; unknown != 0 {
+			s += fmt.Sprintf("+%#x", unknown)
 		}
 		return s
 	default:

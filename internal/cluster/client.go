@@ -466,9 +466,18 @@ type shardPort struct {
 	shard uint32
 }
 
-// submitWait parses a submit acknowledgement into the index-aligned error
-// slice the overlay expects.
-func submitWait(ca *call, timeout time.Duration) ([]error, error) {
+func (p *shardPort) Submit(_ span.Context, primary, mirror []rating.Rating, timeout time.Duration) func() ([]error, error) {
+	ca, err := p.c.roundTrip(opSubmit, p.shard, func(b []byte) []byte { return appendSubmit(b, primary, mirror) })
+	if err != nil {
+		return func() ([]error, error) { return nil, err }
+	}
+	return func() ([]error, error) { return submitWait(ca, len(primary)+len(mirror), timeout) }
+}
+
+// submitWait parses the acknowledgement of an n-rating submit into the
+// index-aligned error slice the overlay expects. A reply that accounts for
+// any other number of ratings is corrupt.
+func submitWait(ca *call, n int, timeout time.Duration) ([]error, error) {
 	payload, err := await(ca, timeout)
 	if err != nil {
 		if errors.Is(err, manager.ErrTimeout) {
@@ -480,27 +489,14 @@ func submitWait(ca *call, timeout time.Duration) ([]error, error) {
 	if err := parseReplyStatus(w); err != nil {
 		return nil, err
 	}
-	_, errs := parseSubmitReply(w)
+	got, errs := parseSubmitReply(w)
 	if err := w.done(); err != nil {
 		return nil, err
 	}
+	if got != n {
+		return nil, fmt.Errorf("%w: submit reply for %d ratings, sent %d", ErrCorruptFrame, got, n)
+	}
 	return errs, nil
-}
-
-func (p *shardPort) SubmitPlain(_ span.Context, rs []rating.Rating) func() ([]error, error) {
-	ca, err := p.c.roundTrip(opSubmitPlain, p.shard, func(b []byte) []byte { return appendRatings(b, rs) })
-	if err != nil {
-		return func() ([]error, error) { return nil, err }
-	}
-	return func() ([]error, error) { return submitWait(ca, 0) }
-}
-
-func (p *shardPort) SubmitEntries(_ span.Context, entries []manager.BatchEntry, timeout time.Duration) func() ([]error, error) {
-	ca, err := p.c.roundTrip(opSubmitEntries, p.shard, func(b []byte) []byte { return appendEntries(b, entries) })
-	if err != nil {
-		return func() ([]error, error) { return nil, err }
-	}
-	return func() ([]error, error) { return submitWait(ca, timeout) }
 }
 
 func (p *shardPort) Drain(_ span.Context, timeout time.Duration) (manager.DrainSnapshots, error) {

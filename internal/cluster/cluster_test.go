@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -77,7 +79,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	mustStart(t, cl, 16, false)
 
 	// Pipelined submission: send to every shard first, collect second — the
-	// overlap the overlay's submitBatchDirect relies on.
+	// overlap the overlay's SubmitBatch relies on.
 	want := make(map[int][]rating.Rating)
 	var waits []func() ([]error, error)
 	var seq uint64
@@ -86,7 +88,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			rs := mkRatings(10, s*100+b, seq+1)
 			seq += uint64(len(rs))
 			want[s] = append(want[s], rs...)
-			waits = append(waits, cl.Shard(s).SubmitPlain(span.Context{}, rs))
+			waits = append(waits, cl.Shard(s).Submit(span.Context{}, rs, nil, 0))
 		}
 	}
 	for i, wait := range waits {
@@ -263,8 +265,9 @@ func TestClusterConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestClusterFateBits checks the fault-mode entry routing: replica entries
-// land in the mirror ledger, deferred entries surface only at the drain.
+// TestClusterFateBits checks the fault-mode routing of one submit: the
+// primary run lands in the shard's ledger and the mirror run in its replica
+// mirror.
 func TestClusterFateBits(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, NoRespawn: true})
 	cl := pc.Client()
@@ -272,21 +275,10 @@ func TestClusterFateBits(t *testing.T) {
 
 	sc := cl.Shard(0)
 	primary := mkRatings(4, 0, 1)
-	replica := mkRatings(3, 20, 101)
-	deferred := mkRatings(2, 40, 201)
-	var entries []manager.BatchEntry
-	for _, r := range primary {
-		entries = append(entries, manager.BatchEntry{R: r})
-	}
-	for _, r := range replica {
-		entries = append(entries, manager.BatchEntry{R: r, Replica: true})
-	}
-	for _, r := range deferred {
-		entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
-	}
-	errs, err := sc.SubmitEntries(span.Context{}, entries, time.Second)()
+	mirror := mkRatings(3, 20, 101)
+	errs, err := sc.Submit(span.Context{}, primary, mirror, time.Second)()
 	if err != nil {
-		t.Fatalf("SubmitEntries: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	for i, e := range errs {
 		if e != nil {
@@ -300,11 +292,62 @@ func TestClusterFateBits(t *testing.T) {
 	if !ds.HasReplica {
 		t.Fatal("replicated drain carried no replica snapshot")
 	}
-	if got, wantN := len(ds.Primary.Ratings), len(primary)+len(deferred); got != wantN {
-		t.Fatalf("primary snapshot has %d ratings, want %d (primary+deferred)", got, wantN)
+	if got := len(ds.Primary.Ratings); got != len(primary) {
+		t.Fatalf("primary snapshot has %d ratings, want %d", got, len(primary))
 	}
-	if got := len(ds.Replica.Ratings); got != len(replica) {
-		t.Fatalf("replica snapshot has %d ratings, want %d", got, len(replica))
+	if got := len(ds.Replica.Ratings); got != len(mirror) {
+		t.Fatalf("replica snapshot has %d ratings, want %d", got, len(mirror))
+	}
+}
+
+// TestWorkerRefusesRetiredShapes drives an in-process worker over a raw
+// socket with shapes protocol version 3 retired: a version-2 Hello is
+// refused with an error reply, and after a version-3 Hello so is an op-3
+// submit. The connection keeps serving: a current submit still lands.
+func TestWorkerRefusesRetiredShapes(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "w.sock")
+	w := NewWorker(Config{Listen: "unix:" + sock})
+	done := make(chan error, 1)
+	go func() { done <- w.Run() }()
+	t.Cleanup(func() { w.Shutdown(); <-done })
+	nc, err := dialRetry("unix:"+sock, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	// roundTrip sends one frame and returns its reply's status.
+	roundTrip := func(frame []byte) error {
+		t.Helper()
+		if _, err := nc.Write(finishFrame(frame)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, err := parseHeader(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parseReplyStatus(&wire{b: body})
+	}
+	hello := func(version byte) []byte {
+		return appendHello(appendHeader(beginFrame(nil), opHello, 1, 0),
+			helloInfo{version: version, numNodes: 16, replicated: true, shards: []uint32{0}})
+	}
+	if err := roundTrip(hello(2)); err == nil || !strings.Contains(err.Error(), "protocol version 2") {
+		t.Fatalf("version-2 Hello: %v, want a refusal naming the version", err)
+	}
+	if err := roundTrip(hello(protoVersion)); err != nil {
+		t.Fatalf("version-%d Hello: %v", protoVersion, err)
+	}
+	if err := roundTrip(retiredSubmit()); err == nil || !strings.Contains(err.Error(), "unknown op 3") {
+		t.Fatalf("op-3 submit: %v, want a refusal naming the op", err)
+	}
+	submit := appendSubmit(appendHeader(beginFrame(nil), opSubmit, 4, 0), mkRatings(2, 0, 1), nil)
+	if err := roundTrip(submit); err != nil {
+		t.Fatalf("submit after the refusals: %v", err)
 	}
 }
 
@@ -320,9 +363,9 @@ func TestClusterRejectsOutOfRange(t *testing.T) {
 		{Rater: 99, Ratee: 2, Value: 1, Seq: 2}, // out of range
 		{Rater: 3, Ratee: 4, Value: 1, Seq: 3},
 	}
-	errs, err := cl.Shard(0).SubmitPlain(span.Context{}, rs)()
+	errs, err := cl.Shard(0).Submit(span.Context{}, rs, nil, 0)()
 	if err != nil {
-		t.Fatalf("SubmitPlain: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	if len(errs) != 3 || errs[0] != nil || errs[1] == nil || errs[2] != nil {
 		t.Fatalf("per-entry errors %v, want only index 1 failed", errs)
@@ -360,7 +403,7 @@ func TestWorkerGracefulDrainSIGTERM(t *testing.T) {
 		for round := 0; ; round++ {
 			rs := mkRatings(8, round, seq+1)
 			seq += uint64(len(rs))
-			errs, err := cl.Shard(round%2).SubmitPlain(span.Context{}, rs)()
+			errs, err := cl.Shard(round%2).Submit(span.Context{}, rs, nil, 0)()
 			if err != nil {
 				return // connection died: the drain cut us off
 			}
@@ -465,7 +508,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 		t.Helper()
 		rs := mkRatings(n, shard*10, seq+1)
 		seq += uint64(n)
-		errs, err := cl.Shard(shard).SubmitPlain(span.Context{}, rs)()
+		errs, err := cl.Shard(shard).Submit(span.Context{}, rs, nil, 0)()
 		if err != nil {
 			t.Fatalf("submit shard %d: %v", shard, err)
 		}
@@ -527,31 +570,24 @@ func TestWorkerKillRecovery(t *testing.T) {
 
 // TestRestartFatedBarrier pins the replay semantics of fated records across
 // the two restart flavors. A coordinator-initiated restart (markRecovered
-// false) is an incarnation crash: the replica mirror and deferred queues are
-// rebuilt empty — per-interval state does not survive a crash — and a barrier
-// mark is appended to the WAL. A reconnect resync (markRecovered true)
-// replays only fated records positioned after the last mark: anything before
-// it belonged to a drained interval or a dead incarnation, and resurrecting
-// it would double-count ratings when the mirror is later substituted for a
-// crashed primary.
+// false) is an incarnation crash: the replica mirror is rebuilt empty —
+// per-interval state does not survive a crash — and a barrier mark is
+// appended to the WAL. A reconnect resync (markRecovered true) replays only
+// fated records positioned after the last mark: anything before it belonged
+// to a drained interval or a dead incarnation, and resurrecting it would
+// double-count ratings when the mirror is later substituted for a crashed
+// primary.
 func TestRestartFatedBarrier(t *testing.T) {
 	pc := spawnTest(t, SpawnOptions{Workers: 1, Shards: 1, StateDir: t.TempDir(), NoRespawn: true})
 	cl := pc.Client()
 	mustStart(t, cl, 16, true)
 	sc := cl.Shard(0)
 
-	submitFated := func(replica, deferred []rating.Rating) {
+	submit := func(primary, mirror []rating.Rating) {
 		t.Helper()
-		var entries []manager.BatchEntry
-		for _, r := range replica {
-			entries = append(entries, manager.BatchEntry{R: r, Replica: true})
-		}
-		for _, r := range deferred {
-			entries = append(entries, manager.BatchEntry{R: r, Deferred: true})
-		}
-		errs, err := sc.SubmitEntries(span.Context{}, entries, time.Second)()
+		errs, err := sc.Submit(span.Context{}, primary, mirror, time.Second)()
 		if err != nil {
-			t.Fatalf("SubmitEntries: %v", err)
+			t.Fatalf("Submit: %v", err)
 		}
 		for i, e := range errs {
 			if e != nil {
@@ -561,13 +597,10 @@ func TestRestartFatedBarrier(t *testing.T) {
 	}
 
 	primary1 := mkRatings(4, 0, 1)
-	if _, err := sc.SubmitPlain(span.Context{}, primary1)(); err != nil {
-		t.Fatal(err)
-	}
-	submitFated(mkRatings(3, 20, 101), mkRatings(2, 40, 201))
+	submit(primary1, mkRatings(3, 20, 101))
 
 	// Plan restart: primary records replay above the floor, but the mirror
-	// and deferred queue come back empty.
+	// comes back empty.
 	if err := sc.Crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +612,7 @@ func TestRestartFatedBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(ds.Primary.Ratings); got != len(primary1) {
-		t.Fatalf("post-plan-restart primary has %d ratings, want %d (deferred queue must not survive the crash)", got, len(primary1))
+		t.Fatalf("post-plan-restart primary has %d ratings, want %d", got, len(primary1))
 	}
 	if got := len(ds.Replica.Ratings); got != 0 {
 		t.Fatalf("post-plan-restart mirror has %d ratings, want 0", got)
@@ -588,8 +621,7 @@ func TestRestartFatedBarrier(t *testing.T) {
 	// Resync restart: only fated records journaled after the barrier replay.
 	// replicaFloor stays 0 — the barrier alone must fence the old records.
 	replica2 := mkRatings(3, 20, 301)
-	deferred2 := mkRatings(2, 40, 401)
-	submitFated(replica2, deferred2)
+	submit(nil, replica2)
 	if err := sc.Crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -600,8 +632,8 @@ func TestRestartFatedBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ds.Primary.Ratings); got != len(deferred2) {
-		t.Fatalf("post-resync primary has %d ratings, want %d (deferred2 flushed, nothing resurrected)", got, len(deferred2))
+	if got := len(ds.Primary.Ratings); got != 0 {
+		t.Fatalf("post-resync primary has %d ratings, want 0 (nothing resurrected)", got)
 	}
 	if got := len(ds.Replica.Ratings); got != len(replica2) {
 		t.Fatalf("post-resync mirror has %d ratings, want %d (pre-barrier mirror records must not replay)", got, len(replica2))
@@ -623,14 +655,14 @@ func TestClusterCrashRestart(t *testing.T) {
 	sc := cl.Shard(0)
 
 	rs := mkRatings(10, 0, 1)
-	if _, err := sc.SubmitPlain(span.Context{}, rs)(); err != nil {
+	if _, err := sc.Submit(span.Context{}, rs, nil, 0)(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.Crash(); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
 	// A crashed shard refuses work until restarted.
-	if _, err := sc.SubmitPlain(span.Context{}, mkRatings(1, 0, 100))(); err == nil {
+	if _, err := sc.Submit(span.Context{}, mkRatings(1, 0, 100), nil, 0)(); err == nil {
 		t.Fatal("submit to a crashed shard succeeded")
 	}
 	if err := sc.Restart(0, 0, false); err != nil {

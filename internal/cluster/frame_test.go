@@ -31,12 +31,11 @@ func testFrames() ([][]byte, []byte) {
 		{Rater: 3, Ratee: 7, Value: 1, Cycle: 2, Category: 5, Seq: 41},
 		{Rater: 9, Ratee: 3, Value: -1, Cycle: 2, Category: 1, Seq: 42},
 	}
-	submit := finishFrame(appendRatings(appendHeader(beginFrame(nil), opSubmitPlain, 2, 1), rs))
+	submit := finishFrame(appendSubmit(appendHeader(beginFrame(nil), opSubmit, 2, 1), rs, nil))
 	add(submit)
 
-	entries := finishFrame(appendEntries(appendHeader(beginFrame(nil), opSubmitEntries, 3, 1),
-		[]manager.BatchEntry{{R: rs[0], Replica: true}, {R: rs[1], Deferred: true}}))
-	add(entries)
+	mirrored := finishFrame(appendSubmit(appendHeader(beginFrame(nil), opSubmit, 3, 1), rs[:1], rs[1:]))
+	add(mirrored)
 
 	drainReply := appendReplyHeader(beginFrame(nil), opDrain, 4, 1, statusOK)
 	drainReply = appendSnapshot(drainReply, rating.Snapshot{Ratings: rs, MaxSeq: 42})
@@ -44,7 +43,7 @@ func testFrames() ([][]byte, []byte) {
 	drainReply = finishFrame(drainReply)
 	add(drainReply)
 
-	submitReply := appendReplyHeader(beginFrame(nil), opSubmitPlain, 2, 1, statusOK)
+	submitReply := appendReplyHeader(beginFrame(nil), opSubmit, 2, 1, statusOK)
 	submitReply = appendSubmitReply(submitReply, 2, []error{nil, errors.New("node out of range")})
 	submitReply = finishFrame(submitReply)
 	add(submitReply)
@@ -52,10 +51,46 @@ func testFrames() ([][]byte, []byte) {
 	var stream []byte
 	stream = append(stream, hello...)
 	stream = append(stream, submit...)
-	stream = append(stream, entries...)
+	stream = append(stream, mirrored...)
 	stream = append(stream, drainReply...)
 	stream = append(stream, submitReply...)
 	return payloads, stream
+}
+
+// retiredSubmit begins a frame holding a version-2 fault-mode submit: op 3
+// with one rating and its fate byte, addressed to shard 0. Protocol
+// version 3 retired the op.
+func retiredSubmit() []byte {
+	b := appendRatings(appendHeader(beginFrame(nil), 3, 5, 0), mkRatings(1, 0, 1))
+	return append(b, 1) // fate byte: replica
+}
+
+// TestRetiredSubmitRefused checks that an op-3 payload no longer parses.
+func TestRetiredSubmitRefused(t *testing.T) {
+	payload := finishFrame(retiredSubmit())[frameHeaderLen:]
+	if err := ParsePayload(payload); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("op-3 payload: %v, want ErrCorruptFrame", err)
+	}
+}
+
+// TestSubmitReplyCountChecked checks that a submit reply accounting for a
+// different number of ratings than were sent is refused as corrupt instead
+// of reaching the overlay, which indexes the reply by the ratings it sent.
+func TestSubmitReplyCountChecked(t *testing.T) {
+	reply := func() *call {
+		ca := &call{done: make(chan struct{})}
+		ca.payload = appendSubmitReply([]byte{statusOK}, 3, []error{nil, nil, errors.New("node out of range")})
+		close(ca.done)
+		return ca
+	}
+	if errs, err := submitWait(reply(), 3, 0); err != nil || len(errs) != 3 || errs[2] == nil {
+		t.Fatalf("matching reply: errs %v, err %v", errs, err)
+	}
+	for _, sent := range []int{2, 5} {
+		if _, err := submitWait(reply(), sent, 0); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("reply for 3 ratings after sending %d: %v, want ErrCorruptFrame", sent, err)
+		}
+	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -243,18 +278,17 @@ func TestBatchEncodeAllocatesOnce(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	rs := make([]rating.Rating, 2000)
-	es := make([]manager.BatchEntry, len(rs))
 	for i := range rs {
 		rs[i] = rating.Rating{Rater: i, Ratee: i + 1, Value: 1, Seq: uint64(i + 1)}
-		es[i] = manager.BatchEntry{R: rs[i], Replica: i%2 == 0}
 	}
+	primary, mirror := rs[:1500], rs[1500:]
 	for _, tc := range []struct {
 		name   string
 		encode func() []byte
 		size   int
 	}{
 		{"ratings", func() []byte { return appendRatings(nil, rs) }, 4 + len(rs)*ratingWireLen},
-		{"entries", func() []byte { return appendEntries(nil, es) }, 4 + len(es)*(ratingWireLen+1)},
+		{"submit", func() []byte { return appendSubmit(nil, primary, mirror) }, 8 + len(rs)*ratingWireLen},
 	} {
 		if b := tc.encode(); len(b) != tc.size {
 			t.Fatalf("%s: encoded %d bytes, want %d", tc.name, len(b), tc.size)

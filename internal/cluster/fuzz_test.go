@@ -23,6 +23,7 @@ func FuzzClusterFrameDecode(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	f.Add(finishFrame(retiredSubmit()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, valid, err := DecodeFrames(bytes.NewReader(data))

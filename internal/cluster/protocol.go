@@ -19,22 +19,21 @@ import (
 )
 
 // protoVersion is the wire protocol version carried in Hello.
-const protoVersion = 2
+const protoVersion = 3
 
 // Operation codes, one per manager.ShardConn operation plus the Hello
-// handshake. A reply's op is the request's op with replyFlag set. Codes 4
-// and 6 are retired: version 1 used them for the query and broadcast
-// operations.
+// handshake. A reply's op is the request's op with replyFlag set. Codes 3,
+// 4 and 6 are retired: version 2 used 3 for a per-entry fault-mode submit,
+// and version 1 used 4 and 6 for the query and broadcast operations.
 const (
-	opHello         byte = 1  // connection setup: geometry, hosted shards
-	opSubmitPlain   byte = 2  // plain sub-batch (Shard.AddPlain)
-	opSubmitEntries byte = 3  // fault-mode sub-batch with fate bits (Shard.AddEntries)
-	opDrain         byte = 5  // interval drain (Shard.Drain)
-	opCrash         byte = 7  // kill the shard incarnation (ledgers die, WAL survives)
-	opRestart       byte = 8  // fresh incarnation: WAL replay floors
-	opMark          byte = 9  // interval mark on the shard WAL
-	opCompactWAL    byte = 10 // rotate the shard WAL if covered by the drained mark
-	opResetWAL      byte = 11 // discard the shard WAL contents
+	opHello      byte = 1  // connection setup: geometry, hosted shards
+	opSubmit     byte = 2  // one round of a shard's primary and mirror runs (Shard.Add)
+	opDrain      byte = 5  // interval drain (Shard.Drain)
+	opCrash      byte = 7  // kill the shard incarnation (ledgers die, WAL survives)
+	opRestart    byte = 8  // fresh incarnation: WAL replay floors
+	opMark       byte = 9  // interval mark on the shard WAL
+	opCompactWAL byte = 10 // rotate the shard WAL if covered by the drained mark
+	opResetWAL   byte = 11 // discard the shard WAL contents
 
 	replyFlag byte = 0x80
 )
@@ -48,12 +47,6 @@ const (
 const (
 	msgHeaderLen  = 1 + 8 + 4 // op, request ID, shard
 	ratingWireLen = 4 + 4 + 4 + 4 + 8 + 8
-)
-
-// entry flag bits (opSubmitEntries).
-const (
-	entryReplica  byte = 1 << 0
-	entryDeferred byte = 1 << 1
 )
 
 // ---- encode helpers (append-style, into the caller's reusable buffer) ----
@@ -73,8 +66,9 @@ func appendRating(b []byte, r rating.Rating) []byte {
 	return binary.LittleEndian.AppendUint64(b, r.Seq)
 }
 
-// appendRatings and appendEntries grow b by the exact encoded size first,
-// so a sub-batch frame allocates once instead of regrowing per rating.
+// appendRatings encodes a run as its count and ratings. It and appendSubmit
+// grow b by the exact encoded size first, so a frame allocates once instead
+// of regrowing per rating.
 func appendRatings(b []byte, rs []rating.Rating) []byte {
 	b = slices.Grow(b, 4+len(rs)*ratingWireLen)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rs)))
@@ -84,21 +78,11 @@ func appendRatings(b []byte, rs []rating.Rating) []byte {
 	return b
 }
 
-func appendEntries(b []byte, es []manager.BatchEntry) []byte {
-	b = slices.Grow(b, 4+len(es)*(ratingWireLen+1))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(es)))
-	for _, e := range es {
-		b = appendRating(b, e.R)
-		var flags byte
-		if e.Replica {
-			flags |= entryReplica
-		}
-		if e.Deferred {
-			flags |= entryDeferred
-		}
-		b = append(b, flags)
-	}
-	return b
+// appendSubmit encodes an opSubmit body: the primary run, then the mirror
+// run (empty outside fault-tolerant mode).
+func appendSubmit(b []byte, primary, mirror []rating.Rating) []byte {
+	b = slices.Grow(b, 8+(len(primary)+len(mirror))*ratingWireLen)
+	return appendRatings(appendRatings(b, primary), mirror)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -244,21 +228,6 @@ func (w *wire) ratings() []rating.Rating {
 		rs[i] = w.rating()
 	}
 	return rs
-}
-
-func (w *wire) entries() []manager.BatchEntry {
-	n := w.count(ratingWireLen + 1)
-	if w.err != nil || n == 0 {
-		return nil
-	}
-	es := make([]manager.BatchEntry, n)
-	for i := range es {
-		es[i].R = w.rating()
-		flags := w.u8()
-		es[i].Replica = flags&entryReplica != 0
-		es[i].Deferred = flags&entryDeferred != 0
-	}
-	return es
 }
 
 func (w *wire) bool() bool { return w.u8() != 0 }
@@ -477,7 +446,7 @@ func ParsePayload(payload []byte) error {
 			return err
 		}
 		switch h.op &^ replyFlag {
-		case opSubmitPlain, opSubmitEntries:
+		case opSubmit:
 			parseSubmitReply(w)
 			return w.done()
 		case opDrain:
@@ -493,11 +462,9 @@ func ParsePayload(payload []byte) error {
 	case opHello:
 		_, err := parseHello(body)
 		return err
-	case opSubmitPlain:
+	case opSubmit:
 		w.ratings()
-		return w.done()
-	case opSubmitEntries:
-		w.entries()
+		w.ratings()
 		return w.done()
 	case opRestart:
 		parseRestart(w)

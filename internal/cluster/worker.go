@@ -408,22 +408,14 @@ func (w *Worker) handleShardOp(st *hostedShard, rq *wreq) {
 	var result func(b []byte) []byte // op-specific reply body after the status
 	var err error
 	switch h.op {
-	case opSubmitPlain:
-		rs := wr.ratings()
+	case opSubmit:
+		primary, mirror := wr.ratings(), wr.ratings()
 		if !decoded() {
 			return
 		}
 		var errs []error
-		errs, err = st.sh.AddPlain(rs)
-		result = func(b []byte) []byte { return appendSubmitReply(b, len(rs), errs) }
-	case opSubmitEntries:
-		es := wr.entries()
-		if !decoded() {
-			return
-		}
-		var errs []error
-		errs, err = st.sh.AddEntries(es)
-		result = func(b []byte) []byte { return appendSubmitReply(b, len(es), errs) }
+		errs, err = st.sh.Add(primary, mirror)
+		result = func(b []byte) []byte { return appendSubmitReply(b, len(primary)+len(mirror), errs) }
 	case opDrain:
 		if !decoded() {
 			return

@@ -26,12 +26,12 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"socialtrust/internal/interest"
 	"socialtrust/internal/obs"
 	"socialtrust/internal/obs/event"
 	"socialtrust/internal/obs/span"
+	"socialtrust/internal/par"
 	"socialtrust/internal/rating"
 	"socialtrust/internal/reputation"
 	"socialtrust/internal/socialgraph"
@@ -693,44 +693,13 @@ const (
 	adjustChunk      = 2048
 )
 
-// forCountedBlocks runs fn(b) for every block index in [0, nb), fanned over
-// at most workers goroutines pulling indices from a shared counter; with
-// workers <= 1 (or a single block) it is a plain loop with no goroutines.
-func forCountedBlocks(nb, workers int, fn func(b int)) {
-	if workers > nb {
-		workers = nb
-	}
-	if workers <= 1 {
-		for b := 0; b < nb; b++ {
-			fn(b)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				fn(b)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // forFixedBlocks covers [0, n) in fixed chunks of size chunk.
 func forFixedBlocks(n, chunk, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	nb := (n + chunk - 1) / chunk
-	forCountedBlocks(nb, workers, func(b int) {
+	par.ForBlocks(nb, workers, func(b int) {
 		lo := b * chunk
 		hi := lo + chunk
 		if hi > n {
@@ -872,7 +841,7 @@ func (s *SocialTrust) computeSignals(pairs []rating.PairRun, out []pairSignals) 
 	groups = append(groups, len(miss))
 	s.groupScratch = groups[:0]
 
-	forCountedBlocks(len(groups)-1, s.cfg.Workers, func(gi int) {
+	par.ForBlocks(len(groups)-1, s.cfg.Workers, func(gi int) {
 		s.computeMissGroup(pairs, out, miss[groups[gi]:groups[gi+1]])
 	})
 }
@@ -992,7 +961,7 @@ func (s *SocialTrust) blockedMean(xs []float64) float64 {
 		s.partScratch = make([]float64, nb)
 	}
 	parts := s.partScratch[:nb]
-	forCountedBlocks(nb, s.cfg.Workers, func(b int) {
+	par.ForBlocks(nb, s.cfg.Workers, func(b int) {
 		lo := b * meanBlock
 		hi := lo + meanBlock
 		if hi > len(xs) {

@@ -1,7 +1,7 @@
 // Package fault implements deterministic fault injection for the resource-
-// manager overlay: seeded, reproducible plans of message drops, delays and
-// duplication at the manager mailbox boundary, plus shard crash/restart
-// schedules at chosen update intervals.
+// manager overlay: seeded, reproducible plans of message drops at the
+// manager mailbox boundary, plus shard crash/restart schedules at chosen
+// update intervals.
 //
 // The paper's Section 4.3 overlay assumes trustworthy, always-available
 // resource managers; real P2P deployments are defined by churn, message loss
@@ -26,11 +26,9 @@ import (
 
 // Kind names in the plan's event log.
 const (
-	KindDrop      = "drop"
-	KindDelay     = "delay"
-	KindDuplicate = "duplicate"
-	KindCrash     = "crash"
-	KindRestart   = "restart"
+	KindDrop    = "drop"
+	KindCrash   = "crash"
+	KindRestart = "restart"
 )
 
 // Event is one injected fault, recorded in the plan's deterministic log.
@@ -44,17 +42,11 @@ type Event struct {
 }
 
 // Verdict is the plan's decision for one message delivery to a shard
-// mailbox. At most one of Drop/Delay/Duplicate is set.
+// mailbox.
 type Verdict struct {
 	// Drop loses the message: it is never enqueued and the sender's ack
 	// deadline lapses.
 	Drop bool
-	// Delay defers the message: it is enqueued but only applied to the
-	// shard's ledger at the next interval drain (a slow message that still
-	// arrives within the interval).
-	Delay bool
-	// Duplicate delivers the message twice (a retransmit race).
-	Duplicate bool
 }
 
 // Crash is one scheduled shard outage: the shard goes down at the start of
@@ -73,12 +65,9 @@ type Config struct {
 	// callers wanting per-run variation should derive it from the run seed.
 	Seed uint64
 
-	// Per-delivery message fault probabilities, each in [0,1]. They are
-	// evaluated in drop → delay → duplicate order on a single uniform draw,
-	// so Drop+Delay+Duplicate must not exceed 1.
-	Drop      float64
-	Delay     float64
-	Duplicate float64
+	// Drop is the per-delivery probability, in [0,1], that a message is
+	// lost; each delivery takes one uniform draw tested against it.
+	Drop float64
 
 	// CrashRate is the per-shard, per-interval probability of an unplanned
 	// crash; CrashDown how many intervals a randomly crashed shard stays
@@ -100,8 +89,7 @@ type Config struct {
 
 // Enabled reports whether the configuration asks for a fault plan at all.
 func (c Config) Enabled() bool {
-	return c.Drop > 0 || c.Delay > 0 || c.Duplicate > 0 ||
-		c.CrashRate > 0 || len(c.Crashes) > 0 || c.AlwaysOn
+	return c.Drop > 0 || c.CrashRate > 0 || len(c.Crashes) > 0 || c.AlwaysOn
 }
 
 // Validate rejects impossible fault configurations.
@@ -109,13 +97,10 @@ func (c Config) Validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
-	}{{"Drop", c.Drop}, {"Delay", c.Delay}, {"Duplicate", c.Duplicate}, {"CrashRate", c.CrashRate}} {
+	}{{"Drop", c.Drop}, {"CrashRate", c.CrashRate}} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("fault: %s %v outside [0,1]", p.name, p.v)
 		}
-	}
-	if sum := c.Drop + c.Delay + c.Duplicate; sum > 1 {
-		return fmt.Errorf("fault: Drop+Delay+Duplicate = %v exceeds 1", sum)
 	}
 	for i, cr := range c.Crashes {
 		if cr.Shard < 0 {
@@ -184,23 +169,11 @@ func (p *Plan) Shards() int { return p.shards }
 func (p *Plan) DeliveryVerdict(shard int) Verdict {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := &p.cfg
-	if c.Drop == 0 && c.Delay == 0 && c.Duplicate == 0 {
+	if p.cfg.Drop == 0 || p.delivery[shard].Float64() >= p.cfg.Drop {
 		return Verdict{}
 	}
-	u := p.delivery[shard].Float64()
-	switch {
-	case u < c.Drop:
-		p.log(shard, KindDrop)
-		return Verdict{Drop: true}
-	case u < c.Drop+c.Delay:
-		p.log(shard, KindDelay)
-		return Verdict{Delay: true}
-	case u < c.Drop+c.Delay+c.Duplicate:
-		p.log(shard, KindDuplicate)
-		return Verdict{Duplicate: true}
-	}
-	return Verdict{}
+	p.log(shard, KindDrop)
+	return Verdict{Drop: true}
 }
 
 // BeginInterval advances the plan to the next update interval and returns

@@ -249,43 +249,6 @@ func TestDropReturnsTimeout(t *testing.T) {
 	}
 }
 
-// TestDelayAppliedAtDrain: delayed messages are acknowledged on receipt and
-// land in the ledger at the interval drain — slow but within the interval.
-func TestDelayAppliedAtDrain(t *testing.T) {
-	o, err := NewWithOptions(8, 4, ebay.New(8), Options{
-		Fault: alwaysOnPlan(t, fault.Config{Delay: 1}, 4),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if err := o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1}); err != nil {
-		t.Fatalf("delayed Submit = %v, want ack", err)
-	}
-	reps := o.EndInterval()
-	if reps[1] != 1 {
-		t.Fatalf("delayed rating missing from interval: rep = %v, want 1", reps[1])
-	}
-}
-
-// TestDuplicateDelivery: duplicated messages must not error or deadlock;
-// the double-count is the injected fault the filter layer must tolerate.
-func TestDuplicateDelivery(t *testing.T) {
-	o, err := NewWithOptions(8, 4, ebay.New(8), Options{
-		Fault: alwaysOnPlan(t, fault.Config{Duplicate: 1}, 4),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if err := o.Submit(rating.Rating{Rater: 0, Ratee: 1, Value: 1}); err != nil {
-		t.Fatalf("duplicated Submit = %v", err)
-	}
-	if reps := o.EndInterval(); reps[1] <= 0 {
-		t.Fatalf("duplicated rating lost: rep = %v", reps[1])
-	}
-}
-
 // TestPartialDrainNoReplicaAlive: when a shard and its replica holder are
 // both down, the interval's data for that shard is lost; EndInterval must
 // degrade to the surviving quorum without deadlocking, and the shards must

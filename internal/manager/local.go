@@ -138,17 +138,18 @@ func (l *localShard) post(timeout time.Duration, op func() error) func() error {
 	}
 }
 
-// submit posts one sub-batch, emitting its shard.deliver_batch span on the
-// mailbox goroutine under the caller's trace context.
-func (l *localShard) submit(tctx span.Context, n, replicas int, timeout time.Duration, add func() ([]error, error)) func() ([]error, error) {
+// Submit posts one round of the shard's ratings, emitting its
+// shard.deliver_batch span on the mailbox goroutine under the caller's trace
+// context.
+func (l *localShard) Submit(tctx span.Context, primary, mirror []rating.Rating, timeout time.Duration) func() ([]error, error) {
 	var res []error
 	wait := l.post(timeout, func() (err error) {
 		tsp := span.From(tctx, "shard.deliver_batch", span.PhaseIngest).
-			SetInt("shard", int64(l.sh.id)).SetInt("entries", int64(n))
-		if replicas > 0 {
-			tsp.SetInt("replica_entries", int64(replicas))
+			SetInt("shard", int64(l.sh.id)).SetInt("entries", int64(len(primary)+len(mirror)))
+		if len(mirror) > 0 {
+			tsp.SetInt("replica_entries", int64(len(mirror)))
 		}
-		res, err = add()
+		res, err = l.sh.Add(primary, mirror)
 		tsp.End()
 		return err
 	})
@@ -158,20 +159,6 @@ func (l *localShard) submit(tctx span.Context, n, replicas int, timeout time.Dur
 		}
 		return res, nil
 	}
-}
-
-func (l *localShard) SubmitPlain(tctx span.Context, rs []rating.Rating) func() ([]error, error) {
-	return l.submit(tctx, len(rs), 0, 0, func() ([]error, error) { return l.sh.AddPlain(rs) })
-}
-
-func (l *localShard) SubmitEntries(tctx span.Context, es []BatchEntry, timeout time.Duration) func() ([]error, error) {
-	replicas := 0
-	for _, e := range es {
-		if e.Replica {
-			replicas++
-		}
-	}
-	return l.submit(tctx, len(es), replicas, timeout, func() ([]error, error) { return l.sh.AddEntries(es) })
 }
 
 func (l *localShard) Drain(tctx span.Context, timeout time.Duration) (DrainSnapshots, error) {

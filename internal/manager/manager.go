@@ -4,15 +4,16 @@
 // and calculating the global reputation of certain nodes."
 //
 // The overlay shards the peer population across managers by ratee ID. Each
-// shard is one Shard state machine (shard.go) — its interval ledger, plus
-// replica mirror and deferred queues in fault-tolerant mode, plus an optional
-// WAL — reached through a ShardConn. The in-process host runs every shard on
-// its own mailbox goroutine; internal/cluster hosts them in worker processes
-// behind a socket. Either way the overlay has one delivery path. At the end
-// of each reputation-update interval the coordinator drains every shard,
-// merges the snapshots, runs the (optionally SocialTrust-wrapped) reputation
-// engine — the paper's periodic global reputation calculation — and
-// publishes the fresh vector, which serves every reputation query.
+// shard is one Shard state machine (shard.go) — its interval ledger, plus a
+// replica mirror in fault-tolerant mode, plus an optional WAL — reached
+// through a ShardConn. The in-process host runs every shard on its own
+// mailbox goroutine; internal/cluster hosts them in worker processes behind
+// a socket. Either way the overlay has one submit path, SubmitBatch, with or
+// without a fault plan. At the end of each reputation-update interval the
+// coordinator drains every shard, merges the snapshots, runs the
+// (optionally SocialTrust-wrapped) reputation engine — the paper's periodic
+// global reputation calculation — and publishes the fresh vector, which
+// serves every reputation query.
 //
 // # Failure model
 //
@@ -24,9 +25,10 @@
 //   - every submission is mirrored to a replica ledger on the successor
 //     shard (ratee's shard p primary, (p+1) mod k replica), so one shard
 //     crash loses no interval data;
-//   - submissions carry deadlines with bounded exponential-backoff retry,
-//     and both submissions and queries fail over to the replica shard when
-//     the primary is down;
+//   - every delivery draws a drop verdict from the plan, carries a deadline,
+//     and is retried with bounded exponential backoff when it was dropped or
+//     timed out; both submissions and queries fail over to the replica shard
+//     when the primary is down;
 //   - EndInterval degrades gracefully: it drains whatever shards answer
 //     within the drain deadline, substitutes replica mirrors for crashed
 //     primaries, scores partial drains in manager_drain_partial_total, and
@@ -106,11 +108,11 @@ func init() {
 // Options tunes the overlay's fault-tolerance machinery. The zero Options
 // reproduces the seed overlay: no replication, no timeouts, no fault plan.
 type Options struct {
-	// Fault installs a fault-injection plan (message drops/delays/
-	// duplication and shard crash/restart schedules). A non-nil plan —
-	// even one injecting nothing, see fault.Config.AlwaysOn — switches the
-	// overlay into fault-tolerant mode: replica mirroring, retry/failover
-	// on Submit and Query, and drain-deadline degradation in EndInterval.
+	// Fault installs a fault-injection plan (message drops and shard
+	// crash/restart schedules). A non-nil plan — even one injecting nothing,
+	// see fault.Config.AlwaysOn — switches the overlay into fault-tolerant
+	// mode: replica mirroring, retry/failover on Submit and Query, and
+	// drain-deadline degradation in EndInterval.
 	Fault *fault.Plan
 
 	// SubmitTimeout bounds one submission delivery attempt (default 5ms);
@@ -305,289 +307,287 @@ func (o *Overlay) Submit(r rating.Rating) error {
 	return nil
 }
 
-// SubmitBatch routes many ratings at once, grouping them by responsible
-// shard and delivering one batch per shard. Replica mirroring and fault-plan
-// verdicts (drop / delay / duplicate) are drawn and applied per rating, so a
-// batch behaves exactly like the equivalent Submit sequence — it just costs
-// one round trip per shard. The returned slice is index-aligned with rs; a
-// nil return means every rating landed. Safe for concurrent use.
+// SubmitBatch routes many ratings at once. It validates every rating once,
+// counting-sorts the valid ones by responsible shard into one arena, sends
+// every shard its runs and then collects the acknowledgements: the sends all
+// land before the first wait, so the shards work concurrently whether they
+// live in this process or behind a socket. A fault plan adds a drop verdict
+// per delivery, a mirror run per shard and bounded retries of what was
+// dropped or timed out; a rating survives as long as either of its copies
+// lands. The returned slice is index-aligned with rs; a nil return means
+// every rating landed. Safe for concurrent use.
 func (o *Overlay) SubmitBatch(rs []rating.Rating) []error {
 	if len(rs) == 0 {
 		return nil
 	}
 	sp := mSubmitLat.Start()
 	tsp := span.Ambient("manager.submit_batch", span.PhaseIngest).SetInt("ratings", int64(len(rs)))
-	var errs []error
-	if o.plan != nil {
-		errs = o.submitBatchFT(rs, tsp.Context())
-	} else {
-		errs = o.submitBatchDirect(rs, tsp.Context())
-	}
+	b := o.sortBatch(rs)
+	b.deliver(tsp.Context())
 	tsp.End()
 	sp.End()
 	mSubmitTotal.Add(int64(len(rs)))
-	failed := 0
-	for _, err := range errs {
-		if err != nil {
-			failed++
-		}
-	}
-	mSubmitErrors.Add(int64(failed))
-	if failed == 0 {
-		return nil
-	}
-	return errs
+	mSubmitErrors.Add(int64(b.failed))
+	return b.errs
 }
 
-// submitBatchDirect is the plain batched path: counting-sort the ratings
-// into one contiguous arena grouped by shard, send every shard its
-// sub-batch, then collect the acks — the sends all land before the first ack
-// wait, so the shards chew their batches concurrently whether they live in
-// this process or behind a socket. The error slice is allocated only when
-// something actually fails, so the all-landed common case costs two arena
-// allocations plus one round trip per shard.
-func (o *Overlay) submitBatchDirect(rs []rating.Rating, tctx span.Context) []error {
-	var errs []error
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, len(rs))
-		}
-		errs[i] = err
+// batch is one SubmitBatch call. Class c — the valid ratings whose ratee
+// shard c owns, in input order — is arena[starts[c]:starts[c+1]], and idx
+// maps each arena slot back to its input index. Shard s's primary run is
+// class s; under a fault plan its mirror run is class s−1, whose replicaOf
+// is s, and two more fields are set. out holds each slot's primary (0) and
+// mirror (1) delivery outcome, ErrTimeout while the delivery is pending;
+// out[1] stays nil on a one-shard overlay, which has no mirror. slots[s]
+// lists the arena slots of the runs shard s was sent in the current round.
+type batch struct {
+	o      *Overlay
+	errs   []error // index-aligned with the input; nil until one fails
+	n      int     // input length
+	failed int
+	arena  []rating.Rating
+	idx    []int
+	starts []int
+	out    [2][]error
+	slots  [][2][]int
+}
+
+// fail records err for input rating i, which has no error yet, allocating
+// the error slice on first use: the all-landed common case allocates none.
+func (b *batch) fail(i int, err error) {
+	if b.errs == nil {
+		b.errs = make([]error, b.n)
 	}
+	b.errs[i] = err
+	b.failed++
+}
+
+// validate is the test every rating passes once before delivery, the same
+// one a shard applies on receipt: both node IDs in range, then
+// rating.Validate. A rating that fails it spends no delivery and no
+// fault-plan draw.
+func (o *Overlay) validate(r *rating.Rating) error {
+	switch {
+	case r.Ratee < 0 || r.Ratee >= o.numNodes:
+		return fmt.Errorf("manager: ratee %d out of range", r.Ratee)
+	case r.Rater < 0 || r.Rater >= o.numNodes:
+		return fmt.Errorf("manager: rater %d out of range", r.Rater)
+	}
+	return rating.Validate(r)
+}
+
+// sortBatch validates rs and counting-sorts the ratings that pass into one
+// arena grouped by shard.
+func (o *Overlay) sortBatch(rs []rating.Rating) *batch {
 	k := len(o.shards)
-	starts := make([]int, k+1)
+	b := &batch{o: o, n: len(rs), starts: make([]int, k+1)}
 	for i := range rs {
-		if rs[i].Ratee < 0 || rs[i].Ratee >= o.numNodes {
-			fail(i, fmt.Errorf("manager: ratee %d out of range", rs[i].Ratee))
+		if err := o.validate(&rs[i]); err != nil {
+			b.fail(i, err)
 			continue
 		}
-		starts[o.ManagerOf(rs[i].Ratee)+1]++
+		b.starts[o.ManagerOf(rs[i].Ratee)+1]++
 	}
-	for s := 0; s < k; s++ {
-		starts[s+1] += starts[s]
+	for c := 0; c < k; c++ {
+		b.starts[c+1] += b.starts[c]
 	}
-	total := starts[k]
+	total := b.starts[k]
 	if total == 0 {
-		return errs
+		return b
 	}
-	// arena[starts[s]:starts[s+1]] is shard s's sub-batch; idx maps each
-	// arena slot back to its position in rs for error reporting.
-	arena := make([]rating.Rating, total)
-	idx := make([]int, total)
-	fill := append([]int(nil), starts[:k]...)
+	b.arena = make([]rating.Rating, total)
+	b.idx = make([]int, total)
+	fill := append([]int(nil), b.starts[:k]...)
 	for i := range rs {
-		if errs != nil && errs[i] != nil {
+		if b.errs != nil && b.errs[i] != nil {
 			continue
 		}
-		s := o.ManagerOf(rs[i].Ratee)
-		arena[fill[s]] = rs[i]
-		idx[fill[s]] = i
-		fill[s]++
+		c := o.ManagerOf(rs[i].Ratee)
+		b.arena[fill[c]] = rs[i]
+		b.idx[fill[c]] = i
+		fill[c]++
 	}
-	waits := make([]func() ([]error, error), k)
-	for s := 0; s < k; s++ {
-		lo, hi := starts[s], starts[s+1]
-		if lo == hi {
-			continue
-		}
-		mBatchSize.Observe(float64(hi - lo))
-		select {
-		case <-o.closed:
-			failGroup(&errs, len(rs), idx[lo:hi], ErrClosed)
-		default:
-			waits[s] = o.shards[s].SubmitPlain(tctx, arena[lo:hi])
-		}
-	}
-	for s := 0; s < k; s++ {
-		if waits[s] == nil {
-			continue
-		}
-		lo, hi := starts[s], starts[s+1]
-		res, terr := waits[s]()
-		if terr != nil {
-			failGroup(&errs, len(rs), idx[lo:hi], o.shardErr(terr))
-			continue
-		}
-		for x, e := range res { // nil res = whole sub-batch landed
-			if e != nil {
-				fail(idx[lo+x], e)
-			}
-		}
-	}
-	return errs
+	return b
 }
 
-// failGroup stamps one error on every listed slot, allocating the
-// index-aligned error slice on first use.
-func failGroup(errs *[]error, n int, idxs []int, err error) {
-	if *errs == nil {
-		*errs = make([]error, n)
+// deliver runs the batch's delivery rounds: one round of primaries without a
+// fault plan; with one, rounds with doubling backoff until nothing is left
+// to retry or the attempt budget is spent, after which each rating's two
+// outcomes resolve into its error.
+func (b *batch) deliver(tctx span.Context) {
+	o := b.o
+	if len(b.arena) == 0 {
+		return
 	}
-	for _, i := range idxs {
-		(*errs)[i] = err
+	if o.plan == nil {
+		b.round(tctx)
+		return
 	}
-}
-
-// batchDelivery is one pending per-rating delivery of a fault-tolerant
-// batch: a (rating, target shard, replica?) triple plus its latest outcome.
-type batchDelivery struct {
-	idx     int // index into the SubmitBatch input
-	shard   int
-	replica bool
-	err     error
-}
-
-// submitBatchFT is the fault-tolerant batched path. Every rating is
-// validated up front and expands to a primary delivery plus (on multi-shard
-// overlays) a replica mirror; the deliveries then run in retry rounds — one
-// batch per shard per round, each delivery drawing its own fault verdict —
-// until they land, fail hard, or exhaust the attempt budget. A rating
-// survives as long as either copy lands: a dead primary with a live mirror
-// is a failover, not an error.
-func (o *Overlay) submitBatchFT(rs []rating.Rating, tctx span.Context) []error {
-	errs := make([]error, len(rs))
-	dels := make([]batchDelivery, 0, 2*len(rs))
-	hasReplica := make([]bool, len(rs))
-	for i, r := range rs {
-		switch {
-		case r.Ratee < 0 || r.Ratee >= o.numNodes:
-			errs[i] = fmt.Errorf("manager: ratee %d out of range", r.Ratee)
-			continue
-		case r.Rater < 0 || r.Rater >= o.numNodes:
-			errs[i] = fmt.Errorf("manager: rater %d out of range", r.Rater)
-			continue
+	for kind := range b.out {
+		if kind == 1 && len(o.shards) == 1 {
+			break
 		}
-		// Every shard refuses such a rating on receipt; failing it here
-		// spends no fault-plan draw or delivery on it.
-		if errs[i] = rating.Validate(&r); errs[i] != nil {
-			continue
-		}
-		p := o.ManagerOf(r.Ratee)
-		dels = append(dels, batchDelivery{idx: i, shard: p})
-		if rep := o.replicaOf(p); rep != p {
-			dels = append(dels, batchDelivery{idx: i, shard: rep, replica: true})
-			hasReplica[i] = true
+		b.out[kind] = make([]error, len(b.arena))
+		for a := range b.out[kind] {
+			b.out[kind][a] = ErrTimeout
 		}
 	}
-	pending := make([]int, len(dels))
-	for d := range dels {
-		pending[d] = d
-	}
+	b.slots = make([][2][]int, len(o.shards))
 	backoff := o.opts.RetryBackoff
-	for attempt := 0; attempt < o.opts.RetryAttempts && len(pending) > 0; attempt++ {
+	for attempt, pending := 0, len(b.arena); attempt < o.opts.RetryAttempts && pending > 0; attempt++ {
 		if attempt > 0 {
-			mRetries.Add(int64(len(pending)))
+			mRetries.Add(int64(pending))
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		pending = o.deliverBatchRound(rs, dels, pending, tctx)
+		pending = b.round(tctx)
 	}
-	primary := make([]error, len(rs))
-	replica := make([]error, len(rs))
-	for _, d := range dels {
-		if d.replica {
-			replica[d.idx] = d.err
-		} else {
-			primary[d.idx] = d.err
-		}
-	}
-	for i := range rs {
-		if errs[i] != nil {
-			continue // failed validation; never delivered
-		}
-		pErr := primary[i]
-		rErr := pErr // single-shard overlay has no distinct replica
-		if hasReplica[i] {
-			rErr = replica[i]
-		}
-		switch {
-		case pErr == nil:
-		case errors.Is(pErr, ErrClosed):
-			errs[i] = pErr
-		case rErr == nil:
-			// Primary unreachable but the replica holds the rating; the
-			// next drain recovers it from the mirror.
-			mFailovers.Inc()
-		default:
-			errs[i] = pErr
-		}
-	}
-	return errs
+	b.resolve()
 }
 
-// deliverBatchRound runs one delivery attempt for every pending delivery,
-// one batch per shard, and returns the deliveries still worth retrying (lost
-// in transit or timed out at the ack deadline). Hard failures — shard down,
-// overlay closed, ledger rejection — are final and stay out of the next
-// round.
-func (o *Overlay) deliverBatchRound(rs []rating.Rating, dels []batchDelivery, pending []int, tctx span.Context) []int {
-	byShard := make([][]int, len(o.shards))
-	for _, di := range pending {
-		byShard[dels[di].shard] = append(byShard[dels[di].shard], di)
+// round sends every shard its runs for this round, then collects the
+// replies, and returns how many deliveries are left to retry.
+func (b *batch) round(tctx span.Context) (pending int) {
+	o := b.o
+	var timeout time.Duration
+	if o.plan != nil {
+		timeout = o.opts.SubmitTimeout
 	}
-	var still []int
-	for s, group := range byShard {
-		if len(group) == 0 {
-			continue
-		}
-		// The down check precedes the verdict draws, so a down shard's
-		// deliveries consume none of the plan's per-shard RNG stream.
+	waits := make([]func() ([]error, error), len(o.shards))
+	for s := range waits {
+		var down error
 		if o.down[s].Load() {
-			err := o.downOrClosed()
-			for _, di := range group {
-				dels[di].err = err
-			}
+			down = o.downOrClosed()
+		}
+		primary, mirror, dropped := b.take(s, down)
+		pending += dropped
+		if n := len(primary) + len(mirror); n > 0 {
+			mBatchSize.Observe(float64(n))
+			waits[s] = o.shards[s].Submit(tctx, primary, mirror, timeout)
+		}
+	}
+	for s, wait := range waits {
+		if wait == nil {
 			continue
 		}
-		// Draw each delivery's fate from the plan, per rating, and assemble
-		// the surviving entries. slots maps batch entries back to
-		// deliveries; a duplicate-injected copy gets slot -1 (its ledger ack
-		// is deliberately ignored).
-		batch := make([]BatchEntry, 0, len(group))
-		slots := make([]int, 0, len(group))
-		for _, di := range group {
-			d := &dels[di]
-			v := o.plan.DeliveryVerdict(s)
-			if v.Drop {
-				// Lost in transit: the ack deadline lapses in simulated
-				// time, and the delivery stays retryable.
-				d.err = ErrTimeout
-				still = append(still, di)
-				continue
-			}
-			batch = append(batch, BatchEntry{R: rs[d.idx], Replica: d.replica, Deferred: v.Delay})
-			slots = append(slots, di)
-			if v.Duplicate {
-				batch = append(batch, BatchEntry{R: rs[d.idx], Replica: d.replica, Deferred: v.Delay})
-				slots = append(slots, -1)
-			}
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		mBatchSize.Observe(float64(len(batch)))
-		res, terr := o.shards[s].SubmitEntries(tctx, batch, o.opts.SubmitTimeout)()
+		res, terr := wait()
 		if terr != nil {
 			terr = o.shardErr(terr)
 		}
-		for x, di := range slots {
-			switch {
-			case di < 0:
-			case terr != nil:
-				dels[di].err = terr
-				if terr == ErrTimeout {
-					still = append(still, di)
-				}
-			case res == nil:
-				// The whole sub-batch landed; clear any error left over
-				// from an earlier dropped or timed-out attempt.
-				dels[di].err = nil
-			default:
-				dels[di].err = res[x]
+		pending += b.settle(s, res, terr)
+	}
+	return pending
+}
+
+// take returns shard s's runs for this round and how many of its
+// deliveries the fault plan dropped. When down is set — s is down — every
+// delivery the shard has pending fails with it and draws no verdict.
+// Otherwise, without a plan the primary run is the whole of class s. With
+// one, each pending delivery — the primaries of class s merged in input
+// order with the mirrors of class s−1 — draws one verdict, and the runs
+// hold those not dropped. A dropped delivery stays pending: lost in
+// transit, its ack deadline lapsed in simulated time.
+func (b *batch) take(s int, down error) (primary, mirror []rating.Rating, dropped int) {
+	p, pEnd := b.starts[s], b.starts[s+1]
+	if b.out[0] == nil {
+		if down != nil {
+			b.settle(s, nil, down)
+			return nil, nil, 0
+		}
+		return b.arena[p:pEnd], nil, 0
+	}
+	m, mEnd := 0, 0
+	if b.out[1] != nil {
+		c := (s + len(b.o.shards) - 1) % len(b.o.shards)
+		m, mEnd = b.starts[c], b.starts[c+1]
+	}
+	var slots [2][]int
+	for p < pEnd || m < mEnd {
+		kind, a := 0, p
+		if p == pEnd || m < mEnd && b.idx[m] < b.idx[p] {
+			kind, a = 1, m
+			m++
+		} else {
+			p++
+		}
+		switch {
+		case b.out[kind][a] != ErrTimeout: // settled in an earlier round
+		case down != nil:
+			b.out[kind][a] = down
+		case b.o.plan.DeliveryVerdict(s).Drop:
+			dropped++
+		default:
+			slots[kind] = append(slots[kind], a)
+		}
+	}
+	b.slots[s] = slots
+	var runs [2][]rating.Rating
+	for kind, sl := range slots {
+		runs[kind] = make([]rating.Rating, len(sl))
+		for x, a := range sl {
+			runs[kind][x] = b.arena[a]
+		}
+	}
+	return runs[0], runs[1], dropped
+}
+
+// settle records shard s's reply to the runs it was sent — res
+// index-aligned with the primary run followed by the mirror run, or terr
+// for all of them — and returns how many of the deliveries timed out and
+// stay pending. Without a plan the shard was sent class s whole, and a
+// failure is the rating's error.
+func (b *batch) settle(s int, res []error, terr error) (timedOut int) {
+	if b.out[0] == nil {
+		if res == nil && terr == nil {
+			return 0 // the whole run landed
+		}
+		lo := b.starts[s]
+		for a := lo; a < b.starts[s+1]; a++ {
+			err := terr
+			if err == nil {
+				err = res[a-lo]
+			}
+			if err != nil {
+				b.fail(b.idx[a], err)
+			}
+		}
+		return 0
+	}
+	x := 0
+	for kind, sl := range b.slots[s] {
+		for _, a := range sl {
+			err := terr
+			if err == nil && res != nil {
+				err = res[x]
+			}
+			x++
+			b.out[kind][a] = err
+			if err == ErrTimeout {
+				timedOut++
 			}
 		}
 	}
-	return still
+	return timedOut
+}
+
+// resolve turns each rating's delivery outcomes into its error: none when
+// the primary landed, or — a failover — when only the mirror did, which the
+// next drain recovers; otherwise the primary's error. ErrClosed stands
+// either way.
+func (b *batch) resolve() {
+	for a, i := range b.idx {
+		pErr := b.out[0][a]
+		rErr := pErr // a one-shard overlay has no distinct mirror
+		if b.out[1] != nil {
+			rErr = b.out[1][a]
+		}
+		switch {
+		case pErr == nil:
+		case errors.Is(pErr, ErrClosed) || rErr != nil:
+			b.fail(i, pErr)
+		default:
+			mFailovers.Inc()
+		}
+	}
 }
 
 // Reputation returns node's current global reputation. Safe for concurrent

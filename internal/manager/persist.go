@@ -23,8 +23,8 @@ func (o *Overlay) noteDrained(i int, maxSeq uint64) {
 }
 
 // noteReplicaDrained raises shard i's replica-drain high-water mark — the
-// replay floor for the fated records backing the replica mirror and deferred
-// queues shard i hosts. Callers hold o.mu.
+// replay floor for the fated records backing the replica mirror shard i
+// hosts. Callers hold o.mu.
 func (o *Overlay) noteReplicaDrained(i int, maxSeq uint64) {
 	if maxSeq > o.replicaSeq[i] {
 		o.replicaSeq[i] = maxSeq

@@ -267,7 +267,7 @@ func TestOpenShardLogsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seq uint64
-	if _, err := sh.AddPlain(seqRatings(8, 0, &seq)); err != nil {
+	if _, err := sh.Add(seqRatings(8, 0, &seq), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.Close(); err != nil {

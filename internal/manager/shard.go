@@ -6,12 +6,12 @@
 // Every rating enters through one admission rule (admit): check it,
 // acknowledge without applying a resubmission that a WAL replay already
 // restored, journal the rest before acknowledging them, then apply them. The
-// rule serves the four destinations the WAL's fate flags name — the primary
-// ledger, the replica mirror, and the deferred queue of each — and Restart
-// replays every record back to its destination under the same check. Primary
-// adds are rating records; the others are fated records, because
-// whole-interval re-execution cannot be relied on to rebuild those
-// substrates after a worker process is killed.
+// rule serves both destinations — the primary ledger and, in fault-tolerant
+// mode, the replica mirror — and Restart replays every record back to its
+// destination under the same check. Primary adds are rating records; mirror
+// adds are fated records carrying FateReplica, because whole-interval
+// re-execution cannot be relied on to rebuild the mirror after a worker
+// process is killed.
 package manager
 
 import (
@@ -25,7 +25,7 @@ import (
 )
 
 // Shard is one resource manager's shard: its interval ledger, the replica
-// mirror and deferred queues of fault-tolerant mode, and optionally its WAL.
+// mirror of fault-tolerant mode, and optionally its WAL.
 // A crash is a state of the shard, not a dead goroutine: a crashed shard
 // refuses submissions and drains until Restart rebuilds it.
 type Shard struct {
@@ -35,9 +35,9 @@ type Shard struct {
 
 	down bool // crashed: fresh state arrives with Restart
 	// dests are the destinations of admitted ratings, indexed by their WAL
-	// fate flags: the primary ledger (0), the replica mirror (FateReplica),
-	// and their deferred queues (FateDeferred, FateDeferred|FateReplica).
-	dests [4]dest
+	// fate flags: the primary ledger (0) and the replica mirror
+	// (FateReplica).
+	dests [2]dest
 	wal   *persist.WAL
 	// drainCovers records, per completed local drain, the primary and replica
 	// snapshot high-water marks. A CompactWAL floor at or above a cover's
@@ -50,21 +50,18 @@ type Shard struct {
 	retiredFated uint64
 }
 
-// dest is one destination. The primary and the mirror hold an interval
-// ledger (the mirror only on a replicated shard); a deferred destination
-// holds a queue that the next drain flushes into the ledger of
-// dests[f&^FateDeferred]. recovered holds the sequence numbers a WAL replay
+// dest is one destination: an interval ledger (the mirror's only on a
+// replicated shard). recovered holds the sequence numbers a WAL replay
 // restored into the destination: a resubmission carrying one is
 // acknowledged without landing a second time.
 type dest struct {
 	ledger    *rating.Ledger
-	queue     []rating.Rating
 	recovered seqCounts
 }
 
-// seqCounts is a multiset of sequence numbers. Fault injection can
-// legitimately deliver a rating twice, so a replay may restore a Seq more
-// than once.
+// seqCounts is a multiset of sequence numbers. A retry after a lost
+// acknowledgement can deliver a rating twice, so a replay may restore a Seq
+// more than once.
 type seqCounts map[uint64]int
 
 // add records one occurrence of seq; zero, the unsequenced Seq, is never
@@ -125,7 +122,7 @@ func OpenShard(id, numNodes int, replicated bool, stateDir string, opts persist.
 // reset installs a fresh incarnation's empty interval state.
 func (s *Shard) reset() {
 	s.down = false
-	s.dests = [4]dest{{ledger: rating.NewLedger(s.numNodes)}}
+	s.dests = [2]dest{{ledger: rating.NewLedger(s.numNodes)}}
 	if s.replicated {
 		s.dests[persist.FateReplica].ledger = rating.NewLedger(s.numNodes)
 	}
@@ -139,7 +136,7 @@ func (s *Shard) check(f byte, r *rating.Rating) error {
 	if r.Rater < 0 || r.Rater >= s.numNodes || r.Ratee < 0 || r.Ratee >= s.numNodes {
 		return fmt.Errorf("manager: node out of range in %+v (numNodes=%d)", *r, s.numNodes)
 	}
-	if f&persist.FateReplica != 0 && !s.replicated {
+	if f == persist.FateReplica && !s.replicated {
 		return fmt.Errorf("manager: replica entry on unreplicated shard %d", s.id)
 	}
 	return rating.Validate(r)
@@ -189,7 +186,7 @@ func (s *Shard) admit(f byte, rs []rating.Rating) []error {
 		}
 		return errs
 	}
-	s.land(f, batch)
+	d.ledger.AddBatch(batch) // every rating already passed check
 	return errs
 }
 
@@ -229,65 +226,34 @@ func (s *Shard) journal(f byte, rs []rating.Rating) error {
 	return s.wal.Append(recs)
 }
 
-// land applies checked ratings to destination f: a deferred queue append,
-// or a ledger add.
-func (s *Shard) land(f byte, rs []rating.Rating) {
-	d := &s.dests[f]
-	if f&persist.FateDeferred != 0 {
-		d.queue = append(d.queue, rs...)
-		return
-	}
-	d.ledger.AddBatch(rs) // every rating already passed check
-}
-
-// AddPlain admits a plain sub-batch to the primary ledger. Invalid entries
-// fail individually; the error slice is index-aligned with rs and nil when
-// everything landed. The second return is ErrShardDown on a crashed shard.
-func (s *Shard) AddPlain(rs []rating.Rating) ([]error, error) {
+// Add admits one round of the shard's ratings: primary to its own ledger,
+// then mirror to the replica mirror of its predecessor's, one admit each.
+// Invalid ratings fail individually; the error slice is index-aligned with
+// primary followed by mirror and nil when everything landed. The second
+// return is ErrShardDown on a crashed shard.
+func (s *Shard) Add(primary, mirror []rating.Rating) ([]error, error) {
 	if s.down {
 		return nil, ErrShardDown
 	}
-	return s.admit(0, rs), nil
-}
-
-// AddEntries admits a fault-mode sub-batch one entry at a time, each to the
-// destination its replica/deferred fate bits name. Deferred entries are
-// acknowledged on receipt and applied at the next drain.
-func (s *Shard) AddEntries(es []BatchEntry) ([]error, error) {
-	if s.down {
-		return nil, ErrShardDown
+	perrs, merrs := s.admit(0, primary), s.admit(persist.FateReplica, mirror)
+	if perrs == nil && merrs == nil {
+		return nil, nil
 	}
-	var errs []error
-	for i := range es {
-		if res := s.admit(es[i].fate(), []rating.Rating{es[i].R}); res != nil {
-			errs = failAt(errs, len(es), i, res[0])
-		}
-	}
+	errs := make([]error, len(primary)+len(mirror))
+	copy(errs, perrs)
+	copy(errs[len(primary):], merrs)
 	return errs, nil
 }
 
-// fate is the destination an entry names, as WAL fate flags.
-func (e BatchEntry) fate() byte {
-	var f byte
-	if e.Replica {
-		f |= persist.FateReplica
-	}
-	if e.Deferred {
-		f |= persist.FateDeferred
-	}
-	return f
-}
-
-// Drain flushes deferred submissions into the ledgers and snapshots the
-// interval: the primary ledger and, when replicated, the mirror of the
-// predecessor's primary.
+// Drain snapshots the interval: the primary ledger and, when replicated,
+// the mirror of the predecessor's primary.
 func (s *Shard) Drain() (DrainSnapshots, error) {
 	if s.down {
 		return DrainSnapshots{}, ErrShardDown
 	}
-	ds := DrainSnapshots{Primary: s.drain(0)}
+	ds := DrainSnapshots{Primary: s.dests[0].ledger.EndInterval()}
 	if s.replicated {
-		ds.Replica, ds.HasReplica = s.drain(persist.FateReplica), true
+		ds.Replica, ds.HasReplica = s.dests[persist.FateReplica].ledger.EndInterval(), true
 	}
 	if s.wal != nil {
 		s.drainCovers = append(s.drainCovers, drainCover{ds.Primary.MaxSeq, ds.Replica.MaxSeq})
@@ -295,61 +261,48 @@ func (s *Shard) Drain() (DrainSnapshots, error) {
 	return ds, nil
 }
 
-// drain flushes ledger destination f's deferred queue into its ledger and
-// snapshots the ledger. The queued ratings were journaled when they were
-// admitted, so the flush journals nothing.
-func (s *Shard) drain(f byte) rating.Snapshot {
-	q, l := &s.dests[f|persist.FateDeferred], s.dests[f].ledger
-	l.AddBatch(q.queue)
-	q.queue = q.queue[:0]
-	return l.EndInterval()
-}
-
-// Crash kills the incarnation: its interval ledgers and queues are
-// discarded. The WAL stays open — it is the durability mechanism, and
-// Restart replays its recoverable tail.
+// Crash kills the incarnation: its interval ledgers are discarded. The WAL
+// stays open — it is the durability mechanism, and Restart replays its
+// recoverable tail.
 func (s *Shard) Crash() {
 	s.down = true
-	s.dests = [4]dest{}
+	s.dests = [2]dest{}
 }
 
 // recordFate names the destination a WAL record replays into: the primary
-// ledger for a rating record, the one its replica and deferred flags name
-// for a fated record. Marks, and fated records carrying neither flag, replay
-// nowhere.
+// ledger for a rating record, the replica mirror for a fated record whose
+// flags are exactly FateReplica. Marks, and fated records with any other
+// flags — the retired deferred-delivery bit among them — replay nowhere.
 func recordFate(rec *persist.Record) (byte, bool) {
 	switch rec.Kind {
 	case persist.KindRating:
 		return 0, true
 	case persist.KindFatedRating:
-		f := rec.Flags & (persist.FateReplica | persist.FateDeferred)
-		return f, f != 0
+		return persist.FateReplica, rec.Flags == persist.FateReplica
 	}
 	return 0, false
 }
 
-// Restart installs a fresh incarnation: empty ledgers and queues, into which
-// the WAL's recoverable tail replays, each record to the destination its
-// kind and flags name and only if it passes the admission check. Primary
-// records replay above floor.
+// Restart installs a fresh incarnation: empty ledgers, into which the WAL's
+// recoverable tail replays, each record to the destination its kind and
+// flags name and only if it passes the admission check. Primary records
+// replay above floor.
 //
-// Fated records (replica mirror, deferred queues) describe per-interval
-// state: every drain flushes and discards them, so a record from a completed
+// Fated records (the replica mirror) describe per-interval state: every
+// drain snapshots and discards the mirror, so a record from a completed
 // interval is dead no matter what its sequence number says relative to the
 // drain floors — the floors only advance through drain replies and can lag
 // arbitrarily while this shard or its mirrored shard is down. Interval
 // boundaries are recovered from the WAL itself: fated records positioned
 // before the last mark belong to drained intervals and never replay. They
 // replay only when markRecovered is set (a reconnect resync or a whole-process
-// resume), above replicaFloor for the mirror and its queue and above floor
-// for the primary queue. Every replayed sequence is then registered as
-// recovered with its destination, so the re-delivered duplicates are
-// acknowledged without double-counting.
+// resume), and only above replicaFloor. Every replayed sequence is then
+// registered as recovered with its destination, so the re-delivered
+// duplicates are acknowledged without double-counting.
 //
 // A restart without markRecovered is a coordinator-initiated incarnation
-// crash: the mirror and deferred queues are rebuilt empty, and a barrier mark
-// is appended so a later resync cannot resurrect records the dead
-// incarnation owned.
+// crash: the mirror is rebuilt empty, and a barrier mark is appended so a
+// later resync cannot resurrect records the dead incarnation owned.
 func (s *Shard) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 	s.reset()
 	if s.wal == nil {
@@ -367,7 +320,7 @@ func (s *Shard) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 		rec := &recs[i]
 		f, ok := recordFate(rec)
 		above := floor
-		if f&persist.FateReplica != 0 {
+		if f == persist.FateReplica {
 			above = replicaFloor
 		}
 		// A fated record replays only into a resync, and only past the last
@@ -386,7 +339,7 @@ func (s *Shard) Restart(floor, replicaFloor uint64, markRecovered bool) error {
 		if s.check(f, &r) != nil {
 			continue
 		}
-		s.land(f, []rating.Rating{r})
+		s.dests[f].ledger.AddBatch([]rating.Rating{r})
 		if markRecovered {
 			s.dests[f].recovered.add(r.Seq)
 		}

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -53,10 +54,10 @@ func sameCounts(got seqCounts, want map[uint64]int) bool {
 	return true
 }
 
-// TestAdmitPerDestination drives one mixed batch into each of the four
-// destinations, through AddPlain and AddEntries for the primary ledger and
-// AddEntries for the others. An out-of-range, self-rating or non-finite
-// entry must fail on its own and write no WAL record; an entry whose Seq
+// TestAdmitPerDestination drives one mixed batch into each destination,
+// as Add's primary run and as its mirror run. An out-of-range, self-rating
+// or non-finite entry must fail on its own and write no WAL record; an
+// entry whose Seq
 // the destination is owed from a replay must be acknowledged, write no
 // record and not land; every valid entry must write exactly one record of
 // the destination's kind and flags, in entry order, and land by the drain.
@@ -79,33 +80,22 @@ func TestAdmitPerDestination(t *testing.T) {
 	wantErr := []bool{false, true, true, true, true, false, false, true, false}
 	landed := []rating.Rating{a, b, c}
 
-	type route struct {
-		name  string
-		f     byte
-		plain bool
-	}
-	routes := []route{
-		{"primary/plain", 0, true},
-		{"primary/entries", 0, false},
-		{"replica", persist.FateReplica, false},
-		{"deferred", persist.FateDeferred, false},
-		{"deferred-replica", persist.FateDeferred | persist.FateReplica, false},
+	routes := []struct {
+		name string
+		f    byte
+	}{
+		{"primary/plain", 0},
+		{"replica", persist.FateReplica},
 	}
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {
 			s := openTestShard(t, true)
 			s.dests[rt.f].recovered.add(owed.Seq)
-			var errs []error
-			var err error
-			if rt.plain {
-				errs, err = s.AddPlain(batch)
-			} else {
-				es := make([]BatchEntry, len(batch))
-				for i, r := range batch {
-					es[i] = BatchEntry{R: r, Replica: rt.f&persist.FateReplica != 0, Deferred: rt.f&persist.FateDeferred != 0}
-				}
-				errs, err = s.AddEntries(es)
+			primary, mirror := batch, []rating.Rating(nil)
+			if rt.f == persist.FateReplica {
+				primary, mirror = nil, batch
 			}
+			errs, err := s.Add(primary, mirror)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,15 +128,12 @@ func TestAdmitPerDestination(t *testing.T) {
 				}
 			}
 
-			if rt.f&persist.FateDeferred != 0 && !slices.Equal(s.dests[rt.f].queue, landed) {
-				t.Errorf("deferred queue = %+v, want %+v", s.dests[rt.f].queue, landed)
-			}
 			ds, err := s.Drain()
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, other := ds.Primary, ds.Replica
-			if rt.f&persist.FateReplica != 0 {
+			if rt.f == persist.FateReplica {
 				got, other = ds.Replica, ds.Primary
 			}
 			if want := rating.SnapshotOrder(landed); !slices.Equal(got.Ratings, want) {
@@ -160,11 +147,11 @@ func TestAdmitPerDestination(t *testing.T) {
 }
 
 // TestAdmitReplicaOnUnreplicatedShard checks that an unreplicated shard
-// fails mirror and deferred-mirror entries instead of journaling them.
+// fails a mirror run instead of journaling it.
 func TestAdmitReplicaOnUnreplicatedShard(t *testing.T) {
 	s := openTestShard(t, false)
-	r := rating.Rating{Rater: 1, Ratee: 2, Value: 1, Seq: 1}
-	errs, err := s.AddEntries([]BatchEntry{{R: r, Replica: true}, {R: r, Replica: true, Deferred: true}})
+	mirror := []rating.Rating{{Rater: 1, Ratee: 2, Value: 1, Seq: 1}, {Rater: 3, Ratee: 2, Value: 1, Seq: 2}}
+	errs, err := s.Add(nil, mirror)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +180,7 @@ func TestAdmitJournalFailureVetoesBatch(t *testing.T) {
 		{Rater: 3, Ratee: 3, Value: 1, Seq: 3}, // self-rating
 		{Rater: 4, Ratee: 5, Value: -1, Seq: 4},
 	}
-	errs, err := s.AddPlain(batch)
+	errs, err := s.Add(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,20 +199,67 @@ func TestAdmitJournalFailureVetoesBatch(t *testing.T) {
 	}
 }
 
-// replayReference is the four-way switch Restart replayed a WAL through
-// before one admission check served every destination, over plain slices
-// indexed by fate flags. It is FuzzShardReplay's reference. Its ledger adds
-// refused what rating.Validate refuses; its queue appends did not, and the
-// drain's ledger add dropped those ratings later.
-func replayReference(recs []persist.Record, numNodes int, replicated bool, floor, replicaFloor uint64, markRecovered bool) [4][]rating.Rating {
-	var out [4][]rating.Rating
+// TestAddPrimaryThenMirror checks a round that carries both runs: the
+// error slice is index-aligned with the primary run followed by the mirror
+// run whichever run holds the failure, and the WAL holds the primary run's
+// rating records before the mirror run's fated records.
+func TestAddPrimaryThenMirror(t *testing.T) {
+	good := []rating.Rating{{Rater: 1, Ratee: 2, Value: 1, Seq: 3}, {Rater: 2, Ratee: 1, Value: -1, Seq: 1}}
+	self := rating.Rating{Rater: 4, Ratee: 4, Value: 1, Seq: 5}
+	for _, tc := range []struct {
+		name            string
+		primary, mirror []rating.Rating
+		failed          int
+	}{
+		{"primary fails", []rating.Rating{good[0], self}, good[1:], 1},
+		{"mirror fails", good[:1], []rating.Rating{self, good[1]}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTestShard(t, true)
+			errs, err := s.Add(tc.primary, tc.mirror)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(errs) != len(tc.primary)+len(tc.mirror) {
+				t.Fatalf("%d errors for %d ratings", len(errs), len(tc.primary)+len(tc.mirror))
+			}
+			for i, e := range errs {
+				if (e != nil) != (i == tc.failed) {
+					t.Errorf("entry %d: error %v, want failure only at %d", i, e, tc.failed)
+				}
+			}
+			recs := walRecords(t, s)
+			wantKinds := []byte{persist.KindRating, persist.KindFatedRating}
+			if len(recs) != len(good) {
+				t.Fatalf("WAL holds %+v, want %d records", recs, len(good))
+			}
+			for i, rec := range recs {
+				if rec.Kind != wantKinds[i] || rec.Seq != good[i].Seq {
+					t.Errorf("WAL record %d = %+v, want kind %d seq %d", i, rec, wantKinds[i], good[i].Seq)
+				}
+			}
+		})
+	}
+}
+
+// retiredDeferred is the fate bit that once routed a fated record to a
+// deferred-delivery queue.
+const retiredDeferred byte = 1 << 1
+
+// replayReference is the switch Restart replayed a WAL through before one
+// admission check served every destination, over plain slices indexed by
+// fate flags. It is FuzzShardReplay's reference. A fated record replays
+// into the mirror only when its flags are exactly FateReplica: the retired
+// deferred bit, or any other, sends it nowhere.
+func replayReference(recs []persist.Record, numNodes int, replicated bool, floor, replicaFloor uint64, markRecovered bool) [2][]rating.Rating {
+	var out [2][]rating.Rating
 	lastMark := -1
 	for i := range recs {
 		if recs[i].Kind == persist.KindMark {
 			lastMark = i
 		}
 	}
-	const d, rp = persist.FateDeferred, persist.FateReplica
+	const rp = persist.FateReplica
 	for idx, rec := range recs {
 		if rec.Kind != persist.KindRating && rec.Kind != persist.KindFatedRating {
 			continue
@@ -242,17 +276,7 @@ func replayReference(recs []persist.Record, numNodes int, replicated bool, floor
 				continue
 			}
 			out[0] = append(out[0], r)
-		case rec.Flags&d != 0 && rec.Flags&rp != 0:
-			if !fatedLive || rec.Seq <= replicaFloor || !replicated {
-				continue
-			}
-			out[d|rp] = append(out[d|rp], r)
-		case rec.Flags&d != 0:
-			if !fatedLive || rec.Seq <= floor {
-				continue
-			}
-			out[d] = append(out[d], r)
-		case rec.Flags&rp != 0:
+		case rec.Flags == rp:
 			if !fatedLive || rec.Seq <= replicaFloor || !replicated || rating.Validate(&r) != nil {
 				continue
 			}
@@ -288,28 +312,29 @@ func fuzzRecords(data []byte) []persist.Record {
 // FuzzShardReplay writes arbitrary records to a shard's WAL and restarts
 // the shard with arbitrary floors, with and without markRecovered; floors,
 // like the records' sequence numbers, are single bytes so that the two
-// interleave. Replay
-// must not panic, must land only ratings that pass the admission check,
-// and must put into every destination what replayReference does (queues
-// without the invalid ratings the old drain dropped), registering each
-// landed sequence as recovered exactly when markRecovered is set. The drain
-// that follows must flush each queue behind its ledger's replayed ratings.
+// interleave. Replay must not panic, must land only ratings that pass the
+// admission check, and must put into every destination what
+// replayReference does, registering each landed sequence as recovered
+// exactly when markRecovered is set. A fated record carrying the retired
+// deferred bit must replay nowhere: the same WAL without those records
+// must replay to the same drain.
 func FuzzShardReplay(f *testing.F) {
 	seed := []byte{
 		0, 0, 1, 1, 2, 0x10, 0x11, // rating 1→2
 		1, 1, 2, 2, 3, 1, 0, // fated replica 2→3, value −1
 		2, 0, 3, 0, 0, 0, 0, // mark
-		1, 2, 4, 3, 1, 0, 0x21, // fated deferred 3→1
-		1, 3, 5, 4, 5, 3, 0, // fated deferred replica 4→5, value 0.5
-		1, 0x82, 6, 1, 1, 0, 0, // deferred self-rating, stray flag bit
-		1, 2, 7, 1, 2, 5, 0, // deferred NaN
+		1, 2, 4, 3, 1, 0, 0x21, // retired deferred 3→1
+		1, 3, 5, 4, 5, 3, 0, // retired deferred replica 4→5, value 0.5
+		1, 0x82, 6, 1, 1, 0, 0, // retired deferred self-rating, stray flag bit
+		1, 2, 7, 1, 2, 5, 0, // retired deferred NaN
 		0, 0, 8, 0xff, 2, 0, 0, // rater −1
 		0, 0, 9, 1, 8, 0, 0, // ratee 8
 		1, 0, 10, 1, 2, 0, 0, // fated, no destination flag
 		1, 1, 11, 2, 1, 6, 0, // replica +Inf
 		0, 0, 12, 5, 6, 4, 0, // rating 5→6, value −2
 		0, 0, 12, 5, 6, 4, 0, // its duplicate delivery
-		1, 2, 0, 6, 7, 0, 0, // unsequenced deferred
+		1, 2, 0, 6, 7, 0, 0, // unsequenced retired deferred
+		1, 1, 13, 3, 6, 0, 0, // fated replica 3→6 after the mark
 	}
 	for _, mark := range []bool{true, false} {
 		for _, replicated := range []bool{true, false} {
@@ -319,29 +344,28 @@ func FuzzShardReplay(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, floor, replicaFloor uint8, markRecovered, replicated bool) {
-		s := openTestShard(t, replicated)
-		if err := s.wal.Append(fuzzRecords(data)); err != nil {
-			t.Fatal(err)
-		}
-		recs := walRecords(t, s)
-		want := replayReference(recs, s.numNodes, replicated, uint64(floor), uint64(replicaFloor), markRecovered)
-		for _, q := range []byte{persist.FateDeferred, persist.FateDeferred | persist.FateReplica} {
-			want[q] = slices.DeleteFunc(want[q], func(r rating.Rating) bool { return rating.Validate(&r) != nil })
-		}
-		if err := s.Restart(uint64(floor), uint64(replicaFloor), markRecovered); err != nil {
-			t.Fatal(err)
-		}
-		for fate := range s.dests {
-			d := &s.dests[fate]
-			if fate&int(persist.FateDeferred) != 0 && !slices.Equal(d.queue, want[fate]) {
-				t.Fatalf("destination %d queued %+v, want %+v", fate, d.queue, want[fate])
+		// replay writes recs to a fresh shard's WAL and restarts it over
+		// them.
+		replay := func(recs []persist.Record) *Shard {
+			s := openTestShard(t, replicated)
+			if err := s.wal.Append(recs); err != nil {
+				t.Fatal(err)
 			}
+			if err := s.Restart(uint64(floor), uint64(replicaFloor), markRecovered); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		recs := fuzzRecords(data)
+		s := replay(recs)
+		want := replayReference(walRecords(t, s), s.numNodes, replicated, uint64(floor), uint64(replicaFloor), markRecovered)
+		for fate := range s.dests {
 			wantMarks := map[uint64]int{}
 			if markRecovered {
 				wantMarks = seqMultiset(want[fate])
 			}
-			if !sameCounts(d.recovered, wantMarks) {
-				t.Fatalf("destination %d recovered %v, want %v", fate, d.recovered, wantMarks)
+			if !sameCounts(s.dests[fate].recovered, wantMarks) {
+				t.Fatalf("destination %d recovered %v, want %v", fate, s.dests[fate].recovered, wantMarks)
 			}
 		}
 		ds, err := s.Drain()
@@ -350,25 +374,39 @@ func FuzzShardReplay(f *testing.F) {
 		}
 		// The ledgers are read through the drain, which also shows that
 		// everything replay landed passes the admission check.
-		drained := func(name string, got rating.Snapshot, ledger, queue []rating.Rating) {
+		drained := func(name string, got rating.Snapshot, want []rating.Rating) {
 			for i := range got.Ratings {
 				if s.check(0, &got.Ratings[i]) != nil {
 					t.Fatalf("%s drained %+v, which fails the admission check", name, got.Ratings[i])
 				}
 			}
-			if want := rating.SnapshotOrder(ledger, queue); !slices.Equal(got.Ratings, want) {
+			if want := rating.SnapshotOrder(want); !slices.Equal(got.Ratings, want) {
 				t.Fatalf("%s drained %+v, want %+v", name, got.Ratings, want)
 			}
 		}
-		drained("primary", ds.Primary, want[0], want[persist.FateDeferred])
+		drained("primary", ds.Primary, want[0])
 		if ds.HasReplica != replicated {
 			t.Fatalf("HasReplica = %v on a shard with replicated = %v", ds.HasReplica, replicated)
 		}
-		drained("replica", ds.Replica, want[persist.FateReplica], want[persist.FateDeferred|persist.FateReplica])
+		drained("replica", ds.Replica, want[persist.FateReplica])
 		if !markRecovered {
 			if recs := walRecords(t, s); len(recs) == 0 || recs[len(recs)-1].Kind != persist.KindMark {
 				t.Fatal("a restart without markRecovered appended no barrier mark")
 			}
+		}
+
+		live := slices.DeleteFunc(slices.Clone(recs), func(rec persist.Record) bool {
+			return rec.Kind == persist.KindFatedRating && rec.Flags&retiredDeferred != 0
+		})
+		if len(live) == len(recs) {
+			return
+		}
+		ds2, err := replay(live).Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ds, ds2) {
+			t.Fatalf("records carrying the retired deferred bit changed the replay:\nwith    %+v\nwithout %+v", ds, ds2)
 		}
 	})
 }

@@ -5,10 +5,10 @@
 //
 // The contract:
 //
-//   - Submit operations return a wait function, so a caller can issue one
-//     send per shard and then collect the acknowledgements — the
-//     send-all-then-collect overlap submitBatchDirect relies on, and the
-//     hook pipelined transports use to keep multiple batches in flight.
+//   - Submit returns a wait function, so a caller can issue one send per
+//     shard and then collect the acknowledgements — the
+//     send-all-then-collect overlap SubmitBatch relies on, and the hook
+//     pipelined transports use to keep multiple batches in flight.
 //   - Per-entry ledger errors travel inside the reply ([]error, index-
 //     aligned, nil when everything landed); transport-level failures are the
 //     second return and map onto the overlay's typed errors (a crashed shard
@@ -26,14 +26,6 @@ import (
 	"socialtrust/internal/rating"
 )
 
-// BatchEntry is one rating of a fault-mode batched submission, carrying its
-// per-rating replica/deferred fate bits.
-type BatchEntry struct {
-	R        rating.Rating
-	Replica  bool // targets the shard's replica mirror ledger
-	Deferred bool // delayed delivery: applied at the next drain
-}
-
 // DrainSnapshots is one shard's answer to a drain: its primary interval
 // snapshot and (fault-tolerant mode) the mirror of its predecessor's.
 type DrainSnapshots struct {
@@ -47,18 +39,16 @@ type DrainSnapshots struct {
 // many goroutines. tctx is the caller's trace context, parent of the spans a
 // host emits for the operation.
 type ShardConn interface {
-	// SubmitPlain delivers a plain sub-batch (primary ledger adds only). The
-	// returned wait function blocks until the shard acknowledges — there is
-	// no deadline, but a dead shard must eventually fail the wait rather
-	// than hang forever.
-	SubmitPlain(tctx span.Context, rs []rating.Rating) func() ([]error, error)
+	// Submit delivers one round of the shard's ratings: primary for its own
+	// ledger and mirror (fault-tolerant mode only) for the replica mirror
+	// of its predecessor's. The wait's error slice is index-aligned with
+	// primary followed by mirror. timeout bounds the wait; zero means no
+	// deadline, but a dead shard must eventually fail the wait rather than
+	// hang forever.
+	Submit(tctx span.Context, primary, mirror []rating.Rating, timeout time.Duration) func() ([]error, error)
 
-	// SubmitEntries delivers a fault-mode sub-batch with per-entry fate bits.
-	// timeout bounds the wait (zero means no deadline).
-	SubmitEntries(tctx span.Context, entries []BatchEntry, timeout time.Duration) func() ([]error, error)
-
-	// Drain flushes the shard's deferred submissions and returns its interval
-	// snapshots. timeout bounds the wait (zero means no deadline).
+	// Drain returns the shard's interval snapshots. timeout bounds the wait
+	// (zero means no deadline).
 	Drain(tctx span.Context, timeout time.Duration) (DrainSnapshots, error)
 
 	// Crash kills the shard's incarnation: its interval ledgers are
@@ -66,10 +56,9 @@ type ShardConn interface {
 	Crash() error
 
 	// Restart installs a fresh incarnation, replaying the shard's primary
-	// WAL records and deferred primary records above floor and its mirror
-	// records above replicaFloor. With markRecovered set the replayed
-	// sequence numbers are registered for duplicate-ack dedupe (the
-	// re-delivery path after a process loss).
+	// WAL records above floor and its mirror records above replicaFloor.
+	// With markRecovered set the replayed sequence numbers are registered
+	// for duplicate-ack dedupe (the re-delivery path after a process loss).
 	Restart(floor, replicaFloor uint64, markRecovered bool) error
 
 	// Mark stamps an interval mark on the shard's WAL (fsync per policy).

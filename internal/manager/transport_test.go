@@ -57,18 +57,11 @@ func (p *fakePort) failure() error {
 	return p.failWith
 }
 
-func (p *fakePort) SubmitPlain(tctx span.Context, rs []rating.Rating) func() ([]error, error) {
+func (p *fakePort) Submit(tctx span.Context, primary, mirror []rating.Rating, timeout time.Duration) func() ([]error, error) {
 	if err := p.failure(); err != nil {
 		return func() ([]error, error) { return nil, err }
 	}
-	return p.ShardConn.SubmitPlain(tctx, rs)
-}
-
-func (p *fakePort) SubmitEntries(tctx span.Context, es []BatchEntry, timeout time.Duration) func() ([]error, error) {
-	if err := p.failure(); err != nil {
-		return func() ([]error, error) { return nil, err }
-	}
-	return p.ShardConn.SubmitEntries(tctx, es, timeout)
+	return p.ShardConn.Submit(tctx, primary, mirror, timeout)
 }
 
 func (p *fakePort) Drain(tctx span.Context, timeout time.Duration) (DrainSnapshots, error) {

@@ -45,16 +45,6 @@ func SummarizeGroups(cfg sim.Config, reps []float64) GroupSummary {
 	return g
 }
 
-// CollusionRatio returns mean colluder reputation over mean normal
-// reputation — the headline number of every distribution figure. Zero when
-// undefined.
-func (g GroupSummary) CollusionRatio() float64 {
-	if g.Normal.Mean == 0 {
-		return 0
-	}
-	return g.Colluder.Mean / g.Normal.Mean
-}
-
 // SeparationAUC measures how well LOW reputation identifies colluders: the
 // probability that a uniformly random colluder has strictly lower
 // reputation than a uniformly random honest (normal) peer, with ties

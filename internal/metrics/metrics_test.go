@@ -33,16 +33,6 @@ func TestSummarizeGroups(t *testing.T) {
 	if g.MaxColluder != 0.04 || g.MaxNormal != 0.1 {
 		t.Fatalf("maxes = %v/%v", g.MaxColluder, g.MaxNormal)
 	}
-	if r := g.CollusionRatio(); math.Abs(r-0.025/0.075) > 1e-12 {
-		t.Fatalf("CollusionRatio = %v", r)
-	}
-}
-
-func TestCollusionRatioUndefined(t *testing.T) {
-	g := GroupSummary{}
-	if g.CollusionRatio() != 0 {
-		t.Fatal("undefined ratio should be 0")
-	}
 }
 
 func TestSeparationAUCPerfect(t *testing.T) {

@@ -17,23 +17,22 @@ const walMagic = "STWALv1\n"
 // Record kinds. A rating record carries one accepted rating; a mark record
 // is appended at each completed interval drain and carries the interval
 // number, delimiting which records a snapshot already covers. A fated rating
-// is a rating accepted into a substrate other than the primary interval
-// ledger — a replica mirror or a deferred-delivery queue — tagged with the
-// fate flags that route it back there on replay. Every manager shard with a
-// WAL writes them: an out-of-process shard cannot rely on whole-interval
-// re-execution to rebuild those substrates after a kill, so they must be as
-// durable as the primary ledger.
+// is a rating accepted into the replica mirror rather than the primary
+// interval ledger, tagged with the fate flag that routes it back there on
+// replay. Every replicated manager shard with a WAL writes them: an
+// out-of-process shard cannot rely on whole-interval re-execution to rebuild
+// its mirror after a kill, so the mirror must be as durable as the primary
+// ledger.
 const (
 	KindRating      byte = 1
 	KindMark        byte = 2
 	KindFatedRating byte = 3
 )
 
-// Fate flags carried by KindFatedRating records.
-const (
-	FateReplica  byte = 1 << 0
-	FateDeferred byte = 1 << 1
-)
+// FateReplica is the fate flag a KindFatedRating record carries. Bit 1 once
+// marked a deferred delivery; it is retired and must not be reused, since
+// older WALs may still hold it.
+const FateReplica byte = 1 << 0
 
 // Record is one WAL entry. For KindRating, Seq is the rating's global
 // sequence number (assigned at ingest, the dedupe key for replay) and the
@@ -174,8 +173,8 @@ type WAL struct {
 	buf    []byte
 	maxSeq uint64
 	// maxFatedSeq is the highest KindFatedRating sequence held, tracked
-	// separately because fated records are covered by replica/deferred drains,
-	// not by the primary drain floor that covers maxSeq.
+	// separately because fated records are covered by replica drains, not by
+	// the primary drain floor that covers maxSeq.
 	maxFatedSeq uint64
 }
 

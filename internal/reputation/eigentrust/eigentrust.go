@@ -19,11 +19,10 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"socialtrust/internal/obs"
 	"socialtrust/internal/obs/span"
+	"socialtrust/internal/par"
 	"socialtrust/internal/rating"
 )
 
@@ -519,7 +518,7 @@ func (e *Engine) powerIterate() {
 	c.dang = grown(c.dang, nb)
 	// Mass held by dangling rows redistributes along p. Each step returns
 	// the next step's, so t is summed for it only once per update.
-	forBlocks(nb, workers, func(b int) { c.dang[b] = e.danglingMass(b, t) })
+	par.ForBlocks(nb, workers, func(b int) { c.dang[b] = e.danglingMass(b, t) })
 	dangling := treeReduce(c.dang)
 	// The first step takes t from the previous update (or ImportState,
 	// Reset, ResetNode), which need not be uniform over an idle run; every
@@ -529,7 +528,7 @@ func (e *Engine) powerIterate() {
 	iters, residual, converged := 0, 0.0, false
 	for iter := 0; iter < e.cfg.MaxIter; iter++ {
 		isp := tsp.Child("eigentrust.step", span.PhaseIterate)
-		forBlocks(nb, workers, step)
+		par.ForBlocks(nb, workers, step)
 		diff := treeReduce(c.resid)
 		dangling = treeReduce(c.dang)
 		uniform = true
@@ -636,35 +635,6 @@ func (e *Engine) stepNodes(t, next []float64, lo, hi int, a, dangling, diff, dan
 		}
 	}
 	return diff, dang
-}
-
-// forBlocks runs fn for every fixed etBlock-sized row block, fanning the
-// blocks across at most workers goroutines pulling indices from a shared
-// counter. fn writes block b's partials to slot b, so the tree reductions
-// that follow see the same values in the same slots for any worker count.
-func forBlocks(nb, workers int, fn func(b int)) {
-	if workers <= 1 || nb <= 1 {
-		for b := 0; b < nb; b++ {
-			fn(b)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				fn(b)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // treeReduce folds the partials pairwise in place — the upper half onto the

@@ -260,10 +260,10 @@ type Config struct {
 	Churn ChurnConfig
 
 	// Faults, when enabled, runs the manager overlay in fault-tolerant mode
-	// against a deterministic fault-injection plan (message drops/delays/
-	// duplication and shard crash/restart schedules — see internal/fault),
-	// injected at the manager mailbox boundary. Replica failover needs at
-	// least two shards: a single shard has no mirror to fall back on.
+	// against a deterministic fault-injection plan (message drops and shard
+	// crash/restart schedules — see internal/fault), injected at the manager
+	// mailbox boundary. Replica failover needs at least two shards: a single
+	// shard has no mirror to fall back on.
 	Faults fault.Config
 
 	// Harness.

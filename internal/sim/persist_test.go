@@ -189,19 +189,6 @@ func TestCrashRestartBitIdentity(t *testing.T) {
 			// and re-execution must reproduce the failover verdicts too.
 			halt: haltPoint{cycle: 2, qc: 5},
 		},
-		{
-			name: "overlay-delay-duplicate",
-			cfg: func() Config {
-				cfg := smallConfig(MCM, EngineEigenTrust, 0.4, true)
-				cfg.Managers = 4
-				cfg.Faults = fault.Config{Seed: 5, Delay: 0.2, Duplicate: 0.1}
-				return cfg
-			},
-			// Dies mid-interval with delayed deliveries queued: their fated
-			// WAL records replay into the deferred queues, and the
-			// re-executed interval's resubmissions must not queue them twice.
-			halt: haltPoint{cycle: 3, qc: 4},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

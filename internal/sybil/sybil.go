@@ -3,7 +3,7 @@
 // complements to SocialTrust: colluders can fabricate Sybil identities to
 // manufacture social structure (fake common friends raise the Equation 3
 // closeness of a distant pair into the "normal" band), and a Sybil defense
-// prunes the fabricated region before SocialTrust reads the graph.
+// flags the fabricated region (Suspects) before SocialTrust reads the graph.
 //
 // The detector uses the schemes' core insight: Sybil regions attach to the
 // honest region through disproportionately few "attack" edges, so short
@@ -127,31 +127,4 @@ func (d *Detector) Suspects(seeds []socialgraph.NodeID) []socialgraph.NodeID {
 		}
 	}
 	return out
-}
-
-// PruneForCloseness returns a copy of the graph with every suspect's edges
-// removed, so SocialTrust's closeness computation (common friends, paths)
-// cannot be inflated by fabricated identities. Interaction history is not
-// copied: the pruned graph is a structural view for signal computation.
-func (d *Detector) PruneForCloseness(seeds []socialgraph.NodeID) *socialgraph.Graph {
-	suspects := d.Suspects(seeds)
-	isSuspect := make(map[socialgraph.NodeID]bool, len(suspects))
-	for _, s := range suspects {
-		isSuspect[s] = true
-	}
-	pruned := socialgraph.New(d.g.NumNodes())
-	for i := socialgraph.NodeID(0); int(i) < d.g.NumNodes(); i++ {
-		if isSuspect[i] {
-			continue
-		}
-		for _, j := range d.g.Friends(i) {
-			if j <= i || isSuspect[j] {
-				continue
-			}
-			for _, rel := range d.g.Relationships(i, j) {
-				pruned.AddRelationship(i, j, rel)
-			}
-		}
-	}
-	return pruned
 }

@@ -135,52 +135,6 @@ func TestScoreNoSeeds(t *testing.T) {
 	}
 }
 
-func TestPruneForCloseness(t *testing.T) {
-	g := attackGraph(100, 30, 2, 1)
-	d := New(g, Config{Seed: 7})
-	pruned := d.PruneForCloseness(seeds())
-	if pruned.NumNodes() != g.NumNodes() {
-		t.Fatal("pruned graph should keep the ID space")
-	}
-	// Sybil nodes lose their edges.
-	sybilEdges := 0
-	for id := 100; id < 130; id++ {
-		sybilEdges += pruned.Degree(socialgraph.NodeID(id))
-	}
-	if sybilEdges > 12 { // a few undetected stragglers allowed
-		t.Errorf("pruned graph still has %d sybil edge endpoints", sybilEdges)
-	}
-	// Honest structure survives, including relationship multiplicity.
-	honestEdges := 0
-	for id := 0; id < 100; id++ {
-		honestEdges += pruned.Degree(socialgraph.NodeID(id))
-	}
-	if honestEdges < 500 {
-		t.Errorf("honest structure lost: %d edge endpoints", honestEdges)
-	}
-	if !pruned.Adjacent(0, 1) {
-		t.Error("ring edge 0-1 missing from pruned graph")
-	}
-}
-
-func TestPrunedGraphDropsSybilRelationshipCounts(t *testing.T) {
-	// A colluder inflates its relationship multiplicity (the m(i,j) of
-	// Equation 2) with edges to Sybil identities; pruning strips them so
-	// the falsification-resistant closeness no longer sees them.
-	g := attackGraph(100, 30, 2, 1)
-	rel := socialgraph.Relationship{Kind: socialgraph.Friendship}
-	colluder := socialgraph.NodeID(7)
-	for s := 100; s < 110; s++ {
-		g.AddRelationship(colluder, socialgraph.NodeID(s), rel)
-	}
-	rawDegree := g.Degree(colluder)
-	d := New(g, Config{Seed: 7})
-	pruned := d.PruneForCloseness(seeds())
-	if got := pruned.Degree(colluder); got > rawDegree-8 {
-		t.Errorf("pruned colluder degree %d of raw %d: sybil edges survived", got, rawDegree)
-	}
-}
-
 func TestGatewaySybilLimitation(t *testing.T) {
 	// Documented limitation of walk-intersection schemes (and the reason
 	// the paper pairs them with SocialTrust rather than replacing it): a

@@ -122,9 +122,6 @@ func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
-// NormFloat64 returns a standard normal deviate.
-func (s *Stream) NormFloat64() float64 { return s.rng.NormFloat64() }
-
 // Pareto samples a Pareto (power-law) distributed value with minimum xm > 0
 // and shape alpha > 0. The tail follows P(X > x) = (xm/x)^alpha, the
 // heavy-tailed behavior the paper observes for product-category popularity.

@@ -279,22 +279,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(12)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.03 {
-		t.Fatalf("NormFloat64 mean=%v var=%v, want ~0/~1", mean, variance)
-	}
-}
-
 func TestSeedAccessor(t *testing.T) {
 	if New(77).Seed() != 77 {
 		t.Fatal("Seed() mismatch")
@@ -312,7 +296,6 @@ func exercise(s *Stream, rounds int) []float64 {
 			float64(s.Intn(97)),
 			float64(s.IntRange(3, 900)),
 			s.FloatRange(-2, 9),
-			s.NormFloat64(),
 			s.Pareto(1, 1.4),
 			float64(s.Zipf(13, 1.1)),
 		)

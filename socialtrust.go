@@ -247,7 +247,9 @@ type (
 	ManagerOverlay = manager.Overlay
 	// ManagerOptions tunes the overlay's fault tolerance: per-operation
 	// timeouts, retry attempts/backoff, the drain deadline, and an optional
-	// fault-injection plan. The zero value reproduces the seed overlay.
+	// fault-injection plan. The overlay has one submit path either way; a
+	// plan adds the replica mirror run, drop verdicts and bounded retries.
+	// The zero value reproduces the seed overlay.
 	ManagerOptions = manager.Options
 	// ManagerDrainStatus reports how one update interval's drain degraded:
 	// which shards were recovered from replicas and which were lost.
@@ -279,9 +281,9 @@ func NewManagerOverlayWithOptions(numNodes, numManagers int, engine Engine, opts
 
 // Fault injection (internal/fault).
 type (
-	// FaultConfig declares a deterministic fault regime: message drop /
-	// delay / duplication rates at the manager mailbox boundary, plus
-	// random or scheduled shard crashes, all derived from one seed.
+	// FaultConfig declares a deterministic fault regime: a message drop
+	// rate at the manager mailbox boundary, plus random or scheduled shard
+	// crashes, all derived from one seed.
 	FaultConfig = fault.Config
 	// FaultPlan is an armed fault regime; the overlay consults it on every
 	// delivery and at every update-interval boundary, and it logs each
